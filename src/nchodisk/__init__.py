@@ -55,8 +55,10 @@ from .heun import (
 )
 from .linalg import (
     adjugate_and_det,
+    eigen_banded_lowest,
     eigen_general_small,
     eigen_hermitian,
+    eigenvector_banded,
     is_hermitian,
     is_positive_definite,
     is_unitary,

@@ -158,7 +158,7 @@ def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) 
     kappa1 = _kappa1(problem, c, alpha, outer)
     q1 = _q1(problem, c)
 
-    coalescent = abs(c3 + mu / 2) <= 1e-10 * max(1.0, abs(c3))
+    coalescent = bool(abs(c3 + mu / 2) <= 1e-10 * max(1.0, abs(c3)))
     if coalescent:
         epsilon = None
         q2 = None

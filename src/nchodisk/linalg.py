@@ -1,7 +1,10 @@
-"""Dense complex linear algebra on small matrices plus the root-finding
-kernels used by every other module.
+"""Dense complex linear algebra on small matrices, banded Hermitian
+eigensolvers for the truncated operators, and the root-finding kernels used
+by every other module.
 
-Matrices are plain ``numpy.ndarray`` objects with complex128 entries.
+Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  A
+banded Hermitian matrix H is stored as its lower band, ``band[d, j] =
+H[j + d, j]`` (the layout of ``scipy.linalg.eig_banded`` with lower=True).
 Polynomial coefficients are ascending: ``coeffs[k]`` multiplies ``z**k``.
 """
 
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from scipy.linalg import eig_banded, solve_banded
 
 from .errors import ContractViolation, DegeneratePencil
 
@@ -20,6 +24,10 @@ __all__ = [
     "adjugate_and_det",
     "poly_roots",
     "eigen_hermitian",
+    "block_band",
+    "band_to_dense",
+    "eigen_banded_lowest",
+    "eigenvector_banded",
     "eigen_general_small",
     "characteristic_polynomial",
     "hermitian_sqrt",
@@ -206,6 +214,59 @@ def eigen_hermitian(m, tol: float = 1e-10, vectors: bool = False):
         w, v = np.linalg.eigh(h)
         return w, v
     return np.linalg.eigvalsh(h)
+
+
+def block_band(diag, coup) -> np.ndarray:
+    """Lower band of the Hermitian block-tridiagonal matrix with diagonal
+    blocks diag[m] (symmetrized here, so the matrix is Hermitian by
+    construction) and blocks coup[m] coupling block m+1 to block m below the
+    diagonal.  For p x p blocks the band has 2p rows (bandwidth 2p - 1)."""
+    order, p = diag.shape[0], diag.shape[1]
+    diag = 0.5 * (diag + diag.conj().transpose(0, 2, 1))
+    band = np.zeros((2 * p, p * order), dtype=complex)
+    for a in range(p):
+        for b in range(p):
+            if a >= b:
+                band[a - b, b::p] = diag[:, a, b]
+            band[p + a - b, b::p][: order - 1] = coup[:, a, b]
+    return band
+
+
+def band_to_dense(band) -> np.ndarray:
+    """Dense Hermitian matrix of a lower band; exactly equal to its own
+    conjugate transpose."""
+    n = band.shape[1]
+    lower = sum(np.diag(band[d, : n - d], -d) for d in range(band.shape[0]))
+    return lower + np.tril(lower, -1).conj().T
+
+
+def eigen_banded_lowest(band, count: int) -> np.ndarray:
+    """The count lowest eigenvalues, ascending, of a banded Hermitian matrix
+    (LAPACK zhbevx with index selection; no eigenvectors)."""
+    return eig_banded(
+        band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
+    )
+
+
+def eigenvector_banded(band, lam: float) -> np.ndarray:
+    """Unit eigenvector of a banded Hermitian matrix for its eigenvalue lam.
+
+    Three steps of inverse iteration with the banded LU of the full band,
+    from the all-ones vector, so the vector picked inside a degenerate
+    eigenspace is the same on every run.  The shift sits just off lam so the
+    LU never meets an exactly singular pivot.  Unlike eig_banded with
+    vectors, nothing of size n x n is formed."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((2 * kd + 1, n), dtype=complex)
+    full[kd] = band[0] - (lam + 1e-13 * max(1.0, abs(lam)))
+    for d in range(1, kd + 1):
+        full[kd + d, : n - d] = band[d, : n - d]
+        full[kd - d, d:] = band[d, : n - d].conj()
+    x = np.ones(n, dtype=complex)
+    for _ in range(3):
+        x = solve_banded((kd, kd), full, x)
+        x /= np.linalg.norm(x)
+    return x
 
 
 def characteristic_polynomial(m) -> np.ndarray:

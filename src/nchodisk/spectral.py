@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import brentq
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
-from .linalg import eigen_hermitian
+from .linalg import band_to_dense, block_band, eigen_banded_lowest, eigenvector_banded
 from .pencil import NchoProblem, decompose_pencil
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "confluence_sweep",
 ]
 
-_MAX_DENSE = 6000  # dense eigh working-set cap on p * M
+_MAX_ORDER = 8192  # truncation order cap of every doubling loop
 
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
@@ -57,10 +58,38 @@ def _norm_sq(mu: float, count: int) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# banded truncation
+
+
+def _settle(band_of, select, order: int, tol: float, max_order: int):
+    """Double the truncation order until the eigenvalues chosen by
+    select(band) move by less than tol.  Returns (values, change, band) at
+    the final order; raises ConvergenceError past max_order."""
+    prev = None
+    last_change = float("nan")
+    while True:
+        if order > max_order:
+            raise ConvergenceError(
+                f"eigenvalues did not settle to {tol:g} by order {order // 2} "
+                f"(last change {last_change:g})"
+            )
+        band = band_of(order)
+        vals = select(band)
+        if prev is not None:
+            change = np.abs(vals - prev)
+            last_change = float(np.max(change))
+            if last_change < tol:
+                return vals, change, band
+        prev = vals
+        order *= 2
+
+
 @dataclass(eq=False)
 class TruncatedOperator:
     """Symmetrized truncation of the ladder operator, shifted by -2 C0 so the
-    eigenproblem is standard Hermitian.
+    eigenproblem is standard Hermitian, stored as its lower band (see
+    linalg.block_band; 2p rows, bandwidth 2p - 1).
 
     Diagonal blocks are A (2m + mu); the blocks coupling modes m and m+1
     carry 2 B sqrt((m+1)(m+mu)), with B on the sub-diagonal side as dictated
@@ -69,13 +98,12 @@ class TruncatedOperator:
     order: int
     mu: float
     problem: NchoProblem
-    matrix: np.ndarray
+    band: np.ndarray
 
-    def diag_block(self, m: int) -> np.ndarray:
-        return self.problem.A * (2 * m + self.mu)
-
-    def coupling_block(self, m: int) -> np.ndarray:
-        return 2.0 * self.problem.B * math.sqrt((m + 1) * (m + self.mu))
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense expansion of the band; Hermitian by construction."""
+        return band_to_dense(self.band)
 
 
 def build_truncated(problem: NchoProblem, order: int) -> TruncatedOperator:
@@ -83,19 +111,11 @@ def build_truncated(problem: NchoProblem, order: int) -> TruncatedOperator:
         raise ContractViolation("truncation order must be at least 8")
     if not problem.has_standard_lam():
         raise ContractViolation("truncation requires the standard spectral family C0 + (lam/2) I")
-    p, mu = problem.p, problem.mu
-    n = p * order
-    h = np.zeros((n, n), dtype=complex)
-    for m in range(order):
-        sl = slice(m * p, (m + 1) * p)
-        h[sl, sl] = problem.A * (2 * m + mu) - 2.0 * problem.C0
-        if m + 1 < order:
-            sl1 = slice((m + 1) * p, (m + 2) * p)
-            coup = 2.0 * problem.B * math.sqrt((m + 1) * (m + mu))
-            h[sl1, sl] = coup
-            h[sl, sl1] = coup.conj().T
-    h = 0.5 * (h + h.conj().T)
-    return TruncatedOperator(order=order, mu=mu, problem=problem, matrix=h)
+    mu = problem.mu
+    m = np.arange(order)
+    diag = problem.A * (2 * m + mu)[:, None, None] - 2.0 * problem.C0
+    coup = 2.0 * problem.B * np.sqrt(m[1:] * (m[:-1] + mu))[:, None, None]
+    return TruncatedOperator(order=order, mu=mu, problem=problem, band=block_band(diag, coup))
 
 
 @dataclass
@@ -111,33 +131,22 @@ def spectrum_truncated(
     count: int,
     tol: float = 1e-10,
     start_order: int = 64,
-    max_order: int = 8192,
+    max_order: int = _MAX_ORDER,
 ) -> SpectrumResult:
     """Lowest eigenvalues by doubling the truncation order until they settle."""
     if count < 1:
         raise ContractViolation("count must be at least 1")
-    order = max(start_order, 8, -(-count // problem.p))
-    prev = None
-    last_change = float("nan")
-    while True:
-        if problem.p * order > _MAX_DENSE or order > max_order:
-            raise ConvergenceError(
-                f"eigenvalues did not settle to {tol:g} by order {order // 2} "
-                f"(last change {last_change:g})"
-            )
-        vals = eigen_hermitian(build_truncated(problem, order).matrix)[:count]
-        if prev is not None:
-            change = np.abs(vals - prev)
-            last_change = float(np.max(change))
-            if last_change < tol:
-                return SpectrumResult(
-                    eigenvalues=vals,
-                    method="truncation",
-                    convergence=change,
-                    orders=(order // 2, order),
-                )
-        prev = vals
-        order *= 2
+    vals, change, band = _settle(
+        lambda order: build_truncated(problem, order).band,
+        lambda band: eigen_banded_lowest(band, count),
+        max(start_order, 8, -(-count // problem.p)),
+        tol,
+        max_order,
+    )
+    order = band.shape[1] // problem.p
+    return SpectrumResult(
+        eigenvalues=vals, method="truncation", convergence=change, orders=(order // 2, order)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +420,21 @@ def spectrum_connection(
 # radial modes and profiles
 
 
+def _laguerre_modes(mu: float, t: np.ndarray, count: int):
+    """Yield the radial modes i^m (m!/(mu)_m) L_m^{(mu-1)}(2t), without the
+    e^{-t} factor, for m = 0..count-1: one ascending pass of the three-term
+    Laguerre recurrence over all of t at once."""
+    x = 2.0 * t
+    a = mu - 1.0
+    norms = _norm_sq(mu, count)
+    lk_prev = np.ones_like(x)
+    lk = 1.0 + a - x
+    for m in range(count):
+        if m >= 2:
+            lk, lk_prev = ((2 * m - 1 + a - x) * lk - (m - 1 + a) * lk_prev) / m, lk
+        yield (1j**m) * norms[m] * (lk_prev if m == 0 else lk)
+
+
 def laguerre_mode(m: int, mu: float, t, weighted: bool = True):
     """Radial mode l_m(t) = i^m (m!/(mu)_m) L_m^{(mu-1)}(2t) e^{-t}, via the
     ascending three-term recurrence of the Laguerre factor.  With
@@ -421,18 +445,7 @@ def laguerre_mode(m: int, mu: float, t, weighted: bool = True):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ContractViolation("t must be positive")
-    x = 2.0 * t_arr
-    a = mu - 1.0
-    lk_prev = np.ones_like(x)
-    if m == 0:
-        lag = lk_prev
-    else:
-        lk = 1.0 + a - x
-        for k in range(1, m):
-            lk, lk_prev = ((2 * k + 1 + a - x) * lk - (k + a) * lk_prev) / (k + 1), lk
-        lag = lk
-    factor = (1j**m) * _norm_sq(mu, m + 1)[m]
-    out = factor * lag
+    out = next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))
     if weighted:
         out = out * np.exp(-t_arr)
     return out if out.shape else complex(out)
@@ -455,58 +468,48 @@ def eigenfunction_profile(
     tol: float = 1e-10,
     match_tol: float = 1e-6,
 ) -> ProfileResult:
-    """Radial profile of the eigenfunction at (or near) lam: coefficients
-    u_m recovered from the truncated eigenvector through the basis norms,
-    then summed against the radial modes on t_grid."""
+    """Radial profile of the eigenfunction at (or near) lam: the truncated
+    eigenvalue nearest lam is followed through the order doublings until it
+    settles, its eigenvector is found by banded inverse iteration, and the
+    coefficients u_m recovered through the basis norms are summed against
+    the radial modes on t_grid."""
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(t_arr <= 0):
         raise ContractViolation("t grid must be positive")
     p, mu = problem.p, problem.mu
-    order = 64
-    prev = None
-    while True:
-        if p * order > _MAX_DENSE:
-            raise ConvergenceError("profile did not converge within the order cap")
-        vals, vecs = eigen_hermitian(build_truncated(problem, order).matrix, vectors=True)
-        i = int(np.argmin(np.abs(vals - lam)))
-        if prev is not None and abs(vals[i] - prev) < tol:
-            break
-        prev = vals[i]
-        order *= 2
-    if abs(vals[i] - lam) > match_tol * max(1.0, abs(lam)):
+
+    def nearest(band):
+        # lowest k eigenvalues, k grown until they reach past lam
+        n = band.shape[1]
+        k = min(8, n)
+        while True:
+            vals = eigen_banded_lowest(band, k)
+            if vals[-1] >= lam or k == n:
+                return vals[[int(np.argmin(np.abs(vals - lam)))]]
+            k = min(2 * k, n)
+
+    vals, _, band = _settle(
+        lambda order: build_truncated(problem, order).band, nearest, 64, tol, _MAX_ORDER
+    )
+    value = float(vals[0])
+    if abs(value - lam) > match_tol * max(1.0, abs(lam)):
         raise NotAnEigenvalueError(
-            f"{lam} is not within {match_tol:g} of a truncated eigenvalue "
-            f"(nearest {vals[i]})"
+            f"{lam} is not within {match_tol:g} of a truncated eigenvalue (nearest {value})"
         )
-    vec = vecs[:, i]
-    j = int(np.argmax(np.abs(vec)))
-    vec = vec / (vec[j] / abs(vec[j]))
+    order = band.shape[1] // p
+    vec = _phase_fixed(eigenvector_banded(band, value))
     u = vec.reshape(order, p) / np.sqrt(_norm_sq(mu, order))[:, None]
 
-    # ascending recurrence over all grid points at once
-    x = 2.0 * t_arr
-    a = mu - 1.0
     weight = np.exp(-t_arr)
-    norms = _norm_sq(mu, order)
     values = np.zeros((t_arr.size, p), dtype=complex)
-    lk_prev = np.ones_like(x)
-    lk = 1.0 + a - x
-    for m in range(order):
-        if m == 0:
-            lag = lk_prev
-        elif m == 1:
-            lag = lk
-        else:
-            lk, lk_prev = ((2 * (m - 1) + 1 + a - x) * lk - (m - 1 + a) * lk_prev) / m, lk
-            lag = lk
-        mode = (1j**m) * norms[m] * lag * weight
-        values += mode[:, None] * u[m][None, :]
+    for m, mode in enumerate(_laguerre_modes(mu, t_arr, order)):
+        values += (mode * weight)[:, None] * u[m][None, :]
     return ProfileResult(
         t=t_arr,
         values=values,
         coefficients=u,
         tail=np.linalg.norm(u, axis=1),
-        eigenvalue=float(vals[i]),
+        eigenvalue=value,
         order=order,
     )
 
@@ -518,32 +521,24 @@ _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _rabi_matrix(rabi: RabiParameters, order: int) -> np.ndarray:
-    n = 2 * order
-    h = np.zeros((n, n), dtype=complex)
-    diag_part = rabi.Delta * _SIGMA3 + rabi.eps_bias * _SIGMA1
-    for m in range(order):
-        sl = slice(2 * m, 2 * m + 2)
-        h[sl, sl] = rabi.omega * m * np.eye(2) + diag_part
-        if m + 1 < order:
-            sl1 = slice(2 * (m + 1), 2 * (m + 1) + 2)
-            coup = rabi.g_coupling * math.sqrt(m + 1) * _SIGMA1
-            h[sl1, sl] = coup
-            h[sl, sl1] = coup.conj().T
-    return h
+def _rabi_band(rabi: RabiParameters, order: int) -> np.ndarray:
+    m = np.arange(order)
+    diag = rabi.omega * m[:, None, None] * np.eye(2) + (
+        rabi.Delta * _SIGMA3 + rabi.eps_bias * _SIGMA1
+    )
+    coup = rabi.g_coupling * np.sqrt(m[1:])[:, None, None] * _SIGMA1
+    return block_band(diag, coup)
 
 
 def rabi_truncated_spectrum(rabi: RabiParameters, count: int, tol: float = 1e-10) -> np.ndarray:
-    order = max(64, count)
-    prev = None
-    while True:
-        if 2 * order > _MAX_DENSE:
-            raise ConvergenceError("Rabi truncation did not converge within the order cap")
-        vals = eigen_hermitian(_rabi_matrix(rabi, order))[:count]
-        if prev is not None and float(np.max(np.abs(vals - prev))) < tol:
-            return vals
-        prev = vals
-        order *= 2
+    vals, _, _ = _settle(
+        lambda order: _rabi_band(rabi, order),
+        lambda band: eigen_banded_lowest(band, count),
+        max(64, count),
+        tol,
+        _MAX_ORDER,
+    )
+    return vals
 
 
 @dataclass

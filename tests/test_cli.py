@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, random_problem
 
 from nchodisk import SchemaError
 from nchodisk.cli import main, parse_problem
@@ -39,6 +39,26 @@ def test_parse_a123_alternative():
 def test_parse_missing_b_is_schema_error():
     with pytest.raises(SchemaError):
         parse_problem(str(FIXTURES / "bad_missing_b.json"))
+
+
+def test_heun_params_random_p2_with_b2(capsys, tmp_path):
+    # a random admissible p = 2 problem standardizes to b2 != 0: five singular
+    # points, and the coalescent flag must serialize as a JSON boolean
+    prob = random_problem(np.random.default_rng(7), p=2)
+
+    def pairs(m):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+    path = tmp_path / "random_p2.json"
+    path.write_text(json.dumps(
+        {"p": 2, "mu": prob.mu, "A": pairs(prob.A), "B": pairs(prob.B), "C0": pairs(prob.C0)}
+    ))
+    code, out = run_cli(capsys, ["heun-params", str(path), "--lambda", "1.3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["standardized"] is True
+    assert payload["n_singularities"] == 5
+    assert payload["coalescent"] is False
 
 
 def test_exit_code_schema(capsys):

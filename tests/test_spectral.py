@@ -7,6 +7,7 @@ from conftest import random_problem, scalar_closed_eigenvalue
 from nchodisk import (
     ContinuationError,
     ContractViolation,
+    ConvergenceError,
     NchoProblem,
     NotAnEigenvalueError,
     RabiParameters,
@@ -15,8 +16,10 @@ from nchodisk import (
     confluence_sweep,
     connection_determinant,
     connection_polarizations,
+    eigen_banded_lowest,
     eigen_hermitian,
     eigenfunction_profile,
+    eigenvector_banded,
     gauge_problem,
     laguerre_mode,
     rabi_truncated_spectrum,
@@ -26,6 +29,7 @@ from nchodisk import (
     standard_ncho_problem,
     transform_problem,
 )
+from nchodisk import spectral
 from nchodisk.spectral import _norm_sq
 
 SQ3 = np.sqrt(3.0)
@@ -56,6 +60,50 @@ def test_truncation_hermitian():
     prob = random_problem(np.random.default_rng(2), p=3)
     h = build_truncated(prob, 32).matrix
     assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_truncation_band_layout(p):
+    # the band expands to the dense block-tridiagonal matrix assembled block
+    # by block
+    prob = random_problem(np.random.default_rng(3 + p), p=p)
+    order = 12
+    op = build_truncated(prob, order)
+    assert op.band.shape == (2 * p, p * order)
+    ref = np.zeros((p * order, p * order), dtype=complex)
+    for m in range(order):
+        sl = slice(m * p, (m + 1) * p)
+        ref[sl, sl] = prob.A * (2 * m + prob.mu) - 2.0 * prob.C0
+        if m + 1 < order:
+            sl1 = slice((m + 1) * p, (m + 2) * p)
+            ref[sl1, sl] = 2.0 * prob.B * np.sqrt((m + 1) * (m + prob.mu))
+            ref[sl, sl1] = ref[sl1, sl].conj().T
+    assert np.max(np.abs(op.matrix - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_banded_eigenvalues_match_dense(p):
+    rng = np.random.default_rng(50 + p)
+    for order in (16, 32, 64, 128):
+        op = build_truncated(random_problem(rng, p=p), order)
+        dense = eigen_hermitian(op.matrix)[:6]
+        band = eigen_banded_lowest(op.band, 6)
+        assert np.max(np.abs(band - dense) / np.maximum(1.0, np.abs(dense))) < 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_banded_inverse_iteration_matches_dense_eigh(p):
+    rng = np.random.default_rng(60 + p)
+    for order in (16, 64):
+        op = build_truncated(random_problem(rng, p=p), order)
+        h = op.matrix
+        v = np.linalg.eigh(h)[1]
+        lams = eigen_banded_lowest(op.band, 4)
+        for i in (0, 3):
+            x = eigenvector_banded(op.band, lams[i])
+            assert abs(np.linalg.norm(x) - 1.0) < 1e-14
+            assert abs(np.vdot(v[:, i], x)) > 1.0 - 1e-12  # equal up to phase
+            assert np.linalg.norm(h @ x - lams[i] * x) < 1e-12 * max(1.0, abs(lams[i]))
 
 
 def test_truncation_diagonal_cases():
@@ -152,10 +200,21 @@ def test_refine_fails_without_sign_change():
 
 
 def test_truncation_convergence_error_with_tight_budget():
-    from nchodisk import ConvergenceError
-
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="by order 256"):
         spectrum_truncated(P1, 3, tol=0.0, max_order=256)
+
+
+def test_profile_convergence_error_at_order_cap():
+    with pytest.raises(ConvergenceError, match="by order 8192"):
+        eigenfunction_profile(P1, SQ3 / 4.0, np.linspace(0.1, 2.0, 5), tol=0.0)
+
+
+def test_rabi_convergence_error_at_order_cap(monkeypatch):
+    # a lowered cap: reaching the real one costs seconds on the p = 2 ladder
+    monkeypatch.setattr(spectral, "_MAX_ORDER", 256)
+    rabi = RabiParameters(omega=1.0, g_coupling=0.3, Delta=0.5, eps_bias=0.2)
+    with pytest.raises(ConvergenceError, match="by order 256"):
+        rabi_truncated_spectrum(rabi, 5, tol=0.0)
 
 
 def test_cross_method_agreement_p2():
