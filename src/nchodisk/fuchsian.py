@@ -47,9 +47,14 @@ class FuchsianSystem:
         raise KeyError(f"no singular point near {point}")
 
 
-def build_fuchsian(problem: NchoProblem, lam: complex) -> FuchsianSystem:
-    """Residues R_j = P_j (-mu (alpha_j B + A/2) + C(lam))."""
-    dec = decompose_pencil(problem)
+def build_fuchsian(
+    problem: NchoProblem, lam: complex, decomposition: PencilDecomposition | None = None
+) -> FuchsianSystem:
+    """Residues R_j = P_j (-mu (alpha_j B + A/2) + C(lam)).
+
+    The poles and projectors depend on the pencil alone, not on lam; a
+    caller evaluating many lam may pass decompose_pencil(problem) once."""
+    dec = decomposition if decomposition is not None else decompose_pencil(problem)
     c = problem.c_matrix(lam)
     mu = problem.mu
     residues = [
@@ -163,13 +168,14 @@ def transform_fuchsian(
     residues = [r for _, r in moved]
     r_inf = -sum(residues) if residues else np.zeros_like(eye)
     new_problem = transform_problem(g, prob) if prob is not None else None
+    new_dec = decompose_pencil(new_problem) if new_problem is not None else None
     return FuchsianSystem(
         mu=mu,
         lam=system.lam,
         singular_points=points,
         residues=residues,
         residue_at_infinity=r_inf,
-        detb_zero=new_problem is not None and decompose_pencil(new_problem).detb_zero,
+        detb_zero=new_dec is not None and new_dec.detb_zero,
         problem=new_problem,
-        decomposition=decompose_pencil(new_problem) if new_problem is not None else None,
+        decomposition=new_dec,
     )

@@ -26,7 +26,7 @@ from .errors import (
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import band_to_dense, block_band, eigen_banded_lowest, eigenvector_banded
-from .pencil import NchoProblem, decompose_pencil
+from .pencil import NchoProblem, PencilDecomposition, decompose_pencil
 
 __all__ = [
     "TruncatedOperator",
@@ -156,40 +156,48 @@ def spectrum_truncated(
 def _taylor_step(poles, residues, f, z0, target, order=30):
     """One Taylor step of df/dz = sum_j R_j/(z - a_j) f from z0 toward target.
 
+    poles is an array of the a_j and residues a stacked (J, p, p) array.
     Returns (new_z, new_f).  Step length obeys 0.4x the distance to the
     nearest singularity; the tail of the order-30 series is checked and the
     step halved if it is not negligible."""
-    dist = min(abs(z0 - al) for al in poles)
+    dist = float(np.min(np.abs(z0 - poles)))
     if dist <= 0:
         raise ContinuationError("transport hit a singular point")
     remaining = target - z0
     h_len = min(abs(remaining), 0.4 * dist)
     direction = remaining / abs(remaining)
     p = f.shape[0]
-    # Taylor coefficients of the coefficient matrix at z0:
-    # M_k = sum_j R_j (-1)^k / (z0 - a_j)^{k+1}
-    invs = np.array([1.0 / (z0 - al) for al in poles])
+    # Taylor coefficients of the coefficient matrix at z0, as one row block
+    # [M_0 | M_1 | ...]:  M_k = sum_j R_j (-1)^k / (z0 - a_j)^{k+1}
+    invs = 1.0 / (z0 - poles)
     powers = (-1.0) ** np.arange(order) * invs[:, None] ** (np.arange(order) + 1)
-    mk = np.einsum("jk,jab->kab", powers, np.asarray(residues))
+    mrow = np.einsum("jk,jab->akb", powers, residues).reshape(p, order * p)
+    # Solution coefficients newest first: c_n sits in block order - n, so
+    # (n + 1) c_{n+1} = sum_k M_k c_{n-k} is one dot with a contiguous tail.
+    # They do not depend on the step length; only the sum below does.
+    coeffs = np.empty((order + 1) * p, dtype=complex)
+    coeffs[order * p :] = f
+    for n in range(order):
+        start = (order - n) * p
+        coeffs[start - p : start] = mrow[:, : (n + 1) * p].dot(coeffs[start:]) / (n + 1)
+    stack = coeffs.reshape(order + 1, p)
+    top = float(np.linalg.norm(stack[0]))
+    degrees = np.arange(order, -1, -1)
     while True:
         h = h_len * direction
-        coeffs = np.empty((order + 1, p), dtype=complex)
-        coeffs[0] = f
-        for n in range(order):
-            acc = np.einsum("kab,kb->a", mk[: n + 1], coeffs[n::-1][: n + 1])
-            coeffs[n + 1] = acc / (n + 1)
-        val = coeffs[order].copy()
-        for n in range(order - 1, -1, -1):
-            val = val * h + coeffs[n]
-        tail = float(np.linalg.norm(coeffs[order])) * abs(h) ** order
+        val = (h**degrees).dot(stack)
+        tail = top * abs(h) ** order
         if tail <= 1e-12 * max(1.0, float(np.linalg.norm(val))):
-            return z0 + h, val
+            # a full step lands on target exactly, not a rounding away from it
+            return (target if h_len == abs(remaining) else z0 + h), val
         h_len *= 0.5
         if h_len < 1e-14 * max(1.0, abs(z0)):
             raise ContinuationError("step size underflow during transport")
 
 
 def _transport(poles, residues, f, z0, z1, order=30, max_steps=5000):
+    poles = np.asarray(poles, dtype=complex)
+    residues = np.asarray(residues, dtype=complex)
     z, val = z0, f
     for _ in range(max_steps):
         if z == z1:
@@ -232,8 +240,10 @@ def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
     raise ContinuationError("unsupported pole configuration for the connection method")
 
 
-def _connection_t(problem: NchoProblem, lam: complex) -> complex:
-    system = build_fuchsian(problem, lam)
+def _connection_t(
+    problem: NchoProblem, lam: complex, dec: PencilDecomposition | None = None
+) -> complex:
+    system = build_fuchsian(problem, lam, dec)
     poles = system.singular_points
     residues = system.residues
     p = problem.p
@@ -252,41 +262,37 @@ def _connection_t(problem: NchoProblem, lam: complex) -> complex:
     if p > 1 and abs(w0[order0[1]]) <= 1e-10 * max(1.0, float(np.max(np.abs(w0)))):
         raise ContinuationError("exponent-zero frame is not one-dimensional at this lambda")
     c0 = _phase_fixed(v0[:, order0[0]])
-    rho0 = w0[order0[-1]]
 
     nonzero = [(al, r) for al, r in zip(poles, residues) if al != 0]
     radius0 = min(abs(al) for al, _ in nonzero)
     z_start = 0.35 * alpha
     ratio = abs(z_start) / radius0
 
-    # Frobenius series at the origin for the exponent-zero solution
+    # Frobenius series at the origin for the exponent-zero solution, with
+    # H_k = -sum_j R_j / a_j^{k+1} laid out as one row block [H_0 | H_1 | ...]
     hmax = 420
-    hk = np.empty((hmax, p, p), dtype=complex)
-    for j, (al, r) in enumerate(nonzero):
-        inv = 1.0 / al
-        pw = inv
-        for k in range(hmax):
-            contrib = -r * pw
-            if j == 0:
-                hk[k] = contrib
-            else:
-                hk[k] += contrib
-            pw *= inv
-    coeffs = [c0.astype(complex)]
+    invs = np.array([1.0 / al for al, _ in nonzero])
+    powers = np.cumprod(np.broadcast_to(invs[:, None], (len(nonzero), hmax)), axis=1)
+    hrow = np.einsum("jk,jab->akb", powers, -np.array([r for _, r in nonzero]))
+    hrow = hrow.reshape(p, hmax * p)
+    # coefficients newest first: c_l sits in block hmax - 1 - l, so
+    # sum_l H_{n-1-l} c_l is one dot with a contiguous tail of the buffer
+    coeffs = np.empty(hmax * p, dtype=complex)
+    coeffs[-p:] = c0
     val = c0.astype(complex).copy()
+    w_scale = max(1.0, float(np.max(np.abs(w0))))
     zpow = 1.0 + 0.0j
     quiet = 0
     for n in range(1, hmax):
-        rhs = np.zeros(p, dtype=complex)
-        for l in range(n):
-            rhs += hk[n - 1 - l] @ coeffs[l]
+        start = (hmax - n) * p
+        rhs = hrow[:, : n * p].dot(coeffs[start:])
         gap = min(abs(n - wv) for wv in w0)
-        if gap <= 1e-9 * max(1.0, float(np.max(np.abs(w0)))):
+        if gap <= 1e-9 * w_scale:
             raise ResonanceError(
                 f"exponent at the origin within {gap:.2e} of a positive integer"
             )
         cn = np.linalg.solve(n * np.eye(p) - r0, rhs)
-        coeffs.append(cn)
+        coeffs[start - p : start] = cn
         zpow *= z_start
         term = cn * zpow
         val += term
@@ -350,9 +356,11 @@ class RefineResult:
     polarization: int
 
 
-def _refine_in_config(config: NchoProblem, seed: float, tol: float) -> tuple[float, float]:
+def _refine_in_config(
+    config: NchoProblem, dec: PencilDecomposition, seed: float, tol: float
+) -> tuple[float, float]:
     def t_of(lam):
-        return _connection_t(config, lam)
+        return _connection_t(config, lam, dec)
 
     t_seed = t_of(seed)
     if abs(t_seed) < tol:
@@ -384,14 +392,29 @@ def _refine_in_config(config: NchoProblem, seed: float, tol: float) -> tuple[flo
     raise RefinementError(f"no sign change of T in a bracket around seed {seed}")
 
 
-def refine_eigenvalue(problem: NchoProblem, seed: float, tol: float = 1e-10) -> RefineResult:
+def refine_eigenvalue(
+    problem: NchoProblem,
+    seed: float,
+    tol: float = 1e-10,
+    polarizations: list[tuple[NchoProblem, PencilDecomposition | None]] | None = None,
+) -> RefineResult:
     """Bracketed root refinement of the connection determinant near a seed
-    (seeds come from truncation).  Tries each polarization in turn."""
-    configs = connection_polarizations(problem)
+    (seeds come from truncation).  Tries each polarization in turn.
+
+    polarizations, when given, lists the configurations of
+    connection_polarizations(problem), each with its pencil decomposition or
+    None.  A configuration is decomposed when it is first tried and the
+    decomposition is stored back into the list, so the seeds of one spectrum
+    call share it."""
+    if polarizations is None:
+        polarizations = [(config, None) for config in connection_polarizations(problem)]
     failures = []
-    for idx, config in enumerate(configs):
+    for idx, (config, dec) in enumerate(polarizations):
         try:
-            value, residual = _refine_in_config(config, seed, tol)
+            if dec is None:
+                dec = decompose_pencil(config)
+                polarizations[idx] = (config, dec)
+            value, residual = _refine_in_config(config, dec, seed, tol)
             return RefineResult(value=value, residual=residual, polarization=idx)
         except (RefinementError, ResonanceError, ContinuationError) as exc:
             failures.append(f"polarization {idx}: {exc}")
@@ -401,11 +424,15 @@ def refine_eigenvalue(problem: NchoProblem, seed: float, tol: float = 1e-10) -> 
 def spectrum_connection(
     problem: NchoProblem, count: int, tol: float = 1e-10, seed_tol: float = 1e-9
 ) -> SpectrumResult:
+    """Truncation seeds refined on the connection determinant.  The
+    polarizations and their pencil decompositions do not depend on lam and
+    are built once for all seeds."""
     seeds = spectrum_truncated(problem, count, tol=seed_tol)
+    polarizations = [(config, None) for config in connection_polarizations(problem)]
     values = []
     residuals = []
     for s in seeds.eigenvalues:
-        r = refine_eigenvalue(problem, float(s), tol=tol)
+        r = refine_eigenvalue(problem, float(s), tol=tol, polarizations=polarizations)
         values.append(r.value)
         residuals.append(r.residual)
     return SpectrumResult(

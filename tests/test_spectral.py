@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
 
-from conftest import random_problem, scalar_closed_eigenvalue
+from conftest import FIXTURES, random_problem, scalar_closed_eigenvalue
 
 from nchodisk import (
     ContinuationError,
@@ -11,7 +11,9 @@ from nchodisk import (
     NchoProblem,
     NotAnEigenvalueError,
     RabiParameters,
+    ResonanceError,
     Su11Element,
+    build_fuchsian,
     build_truncated,
     confluence_sweep,
     connection_determinant,
@@ -29,7 +31,8 @@ from nchodisk import (
     standard_ncho_problem,
     transform_problem,
 )
-from nchodisk import spectral
+from nchodisk import pencil, spectral
+from nchodisk.cli import parse_problem
 from nchodisk.spectral import _norm_sq
 
 SQ3 = np.sqrt(3.0)
@@ -226,6 +229,79 @@ def test_cross_method_agreement_p2():
         SQ3 * (2 * m + 1.5) + s * 0.2 * SQ3 for m in range(4) for s in (-1, 1)
     )[:5]
     assert np.max(np.abs(tr.eigenvalues - closed)) < 1e-8
+
+
+def _closed_form_transport(poles, residues, f0, z0, z):
+    """Exact p = 1 solution of f' = sum_j r_j / (z - a_j) f along a straight
+    path that passes no pole."""
+    out = complex(f0)
+    for a, r in zip(poles, residues):
+        out *= np.exp(r * np.log((z - a) / (z0 - a)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "poles,residues",
+    [
+        ([0.5, -0.3 + 0.4j], [0.7, -1.2 + 0.3j]),
+        ([0.0, 0.6j, 1.5], [0.25, 1.5 - 0.5j, -0.4]),
+        ([0.2 - 0.6j], [3.3]),
+    ],
+)
+@pytest.mark.parametrize(
+    "z0,z1,many_steps",
+    [(0.1 + 0.05j, 0.12 + 0.06j, False), (-0.6 - 0.5j, 0.9 - 0.2j, True)],
+    ids=["short", "multi-step"],
+)
+def test_transport_matches_closed_form_p1(poles, residues, z0, z1, many_steps):
+    # a Taylor step is at most 0.4x the distance to the nearest pole
+    nearest = min(abs(z0 - a) for a in poles)
+    assert (abs(z1 - z0) > 0.8 * nearest) == many_steps
+    f0 = np.array([0.8 - 0.3j])
+    got = spectral._transport(poles, [np.array([[r]]) for r in residues], f0, z0, z1)
+    want = _closed_form_transport(poles, residues, f0[0], z0, z1)
+    assert abs(got[0] - want) <= 1e-12 * abs(want)
+
+
+def _classical_eta01():
+    return parse_problem(str(FIXTURES / "classical_eta01_mu15.json"))[0]
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_spectrum_connection_decomposes_each_polarization_once(monkeypatch, count):
+    prob = _classical_eta01()
+    seeds = spectrum_truncated(prob, count, tol=1e-9).eigenvalues
+    separate = [refine_eigenvalue(prob, float(s)) for s in seeds]
+    calls = []
+    real = pencil.decompose_quadratic_pencil
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pencil, "decompose_quadratic_pencil", counted)
+    result = spectrum_connection(prob, count)
+    assert len(calls) <= 3
+    assert result.eigenvalues.tolist() == [r.value for r in separate]
+    assert result.convergence.tolist() == [r.residual for r in separate]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_connection_determinant_raises_at_resonance(n):
+    # in polarization 0 the origin is a pole whose residue has rank one, so
+    # its exponents are 0 and the trace, which is affine in lambda
+    prob = _classical_eta01()
+    config = connection_polarizations(prob)[0]
+
+    def trace_at_origin(lam):
+        system = build_fuchsian(config, lam)
+        return np.trace(system.residues[system.pole_index(0.0)])
+
+    t0, t1 = trace_at_origin(0.0), trace_at_origin(1.0)
+    lam = (n - t0) / (t1 - t0)
+    assert abs(trace_at_origin(lam) - n) < 1e-12
+    with pytest.raises(ResonanceError):
+        connection_determinant(prob, lam)
 
 
 def test_polarization_count():
