@@ -56,7 +56,6 @@ from .heun import (
 from .linalg import (
     adjugate_and_det,
     eigen_banded_lowest,
-    eigen_general_small,
     eigen_hermitian,
     eigenvector_banded,
     is_hermitian,

@@ -15,7 +15,7 @@ from .errors import (
     PositivityError,
     SimplePoleViolation,
 )
-from .linalg import as_matrix, hermitian_inv_sqrt, is_hermitian, is_unitary
+from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_unitary
 from .pencil import (
     NchoProblem,
     decompose_pencil,
@@ -290,12 +290,6 @@ def standardize_p2(problem: NchoProblem, tol: float = 1e-9):
         raise NotGenericError("B vanished during standardization")
     w = u_svd[:, 0]
     nvec = u_svd[:, 1]
-
-    def fix_phase(v):
-        i = int(np.argmax(np.abs(v)))
-        ph = v[i] / abs(v[i])
-        return v / ph
-
     w, nvec = fix_phase(w), fix_phase(nvec)
     u = np.vstack([w.conj(), nvec.conj()])
     m = u @ cur.B @ u.conj().T

@@ -10,7 +10,6 @@ import numpy as np
 
 from .covariance import INFINITY, Su11Element, is_infinity, mobius_apply, transform_problem
 from .errors import ContractViolation
-from .linalg import eigen_general_small
 from .pencil import NchoProblem, PencilDecomposition, decompose_pencil
 
 __all__ = [
@@ -103,7 +102,8 @@ def exponents_at(system: FuchsianSystem, j: int, rel_tol: float = 1e-8) -> PoleE
     with the rank bound against ker Q(alpha_j) and the residual of the
     -mu/2 shift of R_j restricted to the image of P_j."""
     r = system.residues[j]
-    vals = eigen_general_small(r)
+    vals = np.linalg.eigvals(r)
+    vals = vals[np.lexsort((vals.imag, vals.real))]
     prob, dec = system.problem, system.decomposition
     if prob is None or dec is None:
         raise ContractViolation("system lacks its source problem")

@@ -1,6 +1,6 @@
 """Dense complex linear algebra on small matrices, banded Hermitian
-eigensolvers for the truncated operators, and the root-finding kernels used
-by every other module.
+eigensolvers for the truncated operators, and the polynomial roots used by
+every other module.
 
 Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  A
 banded Hermitian matrix H is stored as its lower band, ``band[d, j] =
@@ -23,13 +23,12 @@ __all__ = [
     "is_unitary",
     "adjugate_and_det",
     "poly_roots",
+    "fix_phase",
     "eigen_hermitian",
     "block_band",
     "band_to_dense",
     "eigen_banded_lowest",
     "eigenvector_banded",
-    "eigen_general_small",
-    "characteristic_polynomial",
     "hermitian_sqrt",
     "hermitian_inv_sqrt",
 ]
@@ -127,48 +126,16 @@ def adjugate_and_det(m) -> tuple[np.ndarray, complex]:
     return adj, det
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    # simultaneous iteration for all roots of a polynomial with nonzero
-    # constant and leading coefficients; deterministic starting circle
-    n = len(coeffs) - 1
-    if n == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    dcoeffs = npoly.polyder(coeffs)
-    radius = float(abs(coeffs[0] / coeffs[n])) ** (1.0 / n)
-    radius = min(max(radius, 1e-3), 1e3)
-    k = np.arange(n)
-    z = radius * np.exp(2j * np.pi * (k / n + 0.3819660112501051))
-    for _ in range(200):
-        pv = npoly.polyval(z, coeffs)
-        dv = npoly.polyval(z, dcoeffs)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        corr = w / denom
-        z = z - corr
-        if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))):
-            break
-    # Newton polish, accepted only while it reduces |p|
-    for _ in range(4):
-        pv = npoly.polyval(z, coeffs)
-        dv = npoly.polyval(z, dcoeffs)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        z_new = z - pv / dv
-        better = np.abs(npoly.polyval(z_new, coeffs)) <= np.abs(pv)
-        z = np.where(better, z_new, z)
-    return z
-
-
-def poly_roots(coeffs, tol: float = 1e-8) -> list[tuple[complex, int]]:
+def poly_roots(coeffs, tol: float = 1e-6) -> list[tuple[complex, int]]:
     """All complex roots of an ascending-coefficient polynomial.
 
-    Returns (root, multiplicity) pairs sorted by (re, im); roots closer than
-    tol * max(1, |root|) are merged into one entry.  Raises DegeneratePencil
-    for the zero polynomial.
+    Roots are the eigenvalues of the companion matrix (numpy polyroots).
+    Raw roots closer than tol * max(1, |root|) are merged into one entry; a
+    double root comes back split by about sqrt(eps) * |root|, which the
+    default tol covers.  Simple nonzero roots then get a Newton polish, a
+    step kept only while it reduces |p|.  Returns (root, multiplicity)
+    pairs sorted by (re, im).  Raises DegeneratePencil for the zero
+    polynomial.
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size == 0:
@@ -186,10 +153,8 @@ def poly_roots(coeffs, tol: float = 1e-8) -> list[tuple[complex, int]]:
     while nzero < deg and abs(c[nzero]) <= 1e-14 * scale:
         nzero += 1
     core = c[nzero:]
-    roots = _aberth(core) if len(core) > 1 else np.empty(0, dtype=complex)
-    allroots = np.concatenate([np.zeros(nzero, dtype=complex), roots])
-    order = np.lexsort((allroots.imag, allroots.real))
-    allroots = allroots[order]
+    allroots = np.concatenate([np.zeros(nzero, dtype=complex), npoly.polyroots(core)])
+    allroots = allroots[np.lexsort((allroots.imag, allroots.real))]
     clusters: list[list[complex]] = []
     for r in allroots:
         for cl in clusters:
@@ -199,9 +164,29 @@ def poly_roots(coeffs, tol: float = 1e-8) -> list[tuple[complex, int]]:
                 break
         else:
             clusters.append([r])
-    merged = [(complex(sum(cl) / len(cl)), len(cl)) for cl in clusters]
+    z = np.array([sum(cl) / len(cl) for cl in clusters], dtype=complex)
+    mult = np.array([len(cl) for cl in clusters])
+    simple = (mult == 1) & (z != 0)
+    dcore = npoly.polyder(core)
+    for _ in range(4):
+        pv = npoly.polyval(z, core)
+        dv = npoly.polyval(z, dcore)
+        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
+        z_new = z - pv / dv
+        better = simple & (np.abs(npoly.polyval(z_new, core)) <= np.abs(pv))
+        z = np.where(better, z_new, z)
+    merged = [(complex(r), int(m)) for r, m in zip(z, mult)]
     merged.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return merged
+
+
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    """v divided by the phase of its first entry whose modulus is within a
+    relative 1e-9 of the largest, so round-off cannot move the choice
+    between entries that tie."""
+    mod = np.abs(v)
+    i = int(np.argmax(mod >= (1.0 - 1e-9) * mod.max()))
+    return v / (v[i] / mod[i])
 
 
 def eigen_hermitian(m, tol: float = 1e-10, vectors: bool = False):
@@ -267,38 +252,6 @@ def eigenvector_banded(band, lam: float) -> np.ndarray:
         x = solve_banded((kd, kd), full, x)
         x /= np.linalg.norm(x)
     return x
-
-
-def characteristic_polynomial(m) -> np.ndarray:
-    """Ascending coefficients of det(z I - M) via the Faddeev-LeVerrier recursion."""
-    a = _square(m, max_dim=_MAX_DIM)
-    n = a.shape[0]
-    coeffs_desc = np.zeros(n + 1, dtype=complex)
-    coeffs_desc[0] = 1.0
-    mk = np.array(a, dtype=complex)
-    for k in range(1, n + 1):
-        ck = -np.trace(mk) / k
-        coeffs_desc[k] = ck
-        if k < n:
-            mk = a @ (mk + ck * np.eye(n))
-    return coeffs_desc[::-1].copy()
-
-
-def eigen_general_small(m) -> np.ndarray:
-    """Eigenvalues of a small square matrix via roots of its characteristic
-    polynomial, sorted by (re, im); multiplicities expanded."""
-    a = _square(m, max_dim=_MAX_DIM)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(a.shape[0], dtype=complex)
-    # scaling keeps the root-merge tolerance meaningful for tiny/huge matrices
-    coeffs = characteristic_polynomial(a / scale)
-    roots = poly_roots(coeffs, tol=1e-10)
-    vals = np.array(
-        [r for r, mult in roots for _ in range(mult)], dtype=complex
-    ) * scale
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
 
 
 def hermitian_sqrt(m, tol: float = 1e-10) -> np.ndarray:

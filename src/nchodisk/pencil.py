@@ -172,7 +172,7 @@ def _contour_residue(a, b, bh, alpha, mult, poles, npts=64):
     return c_m1
 
 
-def decompose_quadratic_pencil(A, B, tol: float = 1e-8, seed=None) -> PencilDecomposition:
+def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
     """Partial fraction decomposition of (B z^2 + A z + B')^{-1}.
 
     Determinant coefficients come from evaluation at 2p+1 roots of unity and
@@ -206,7 +206,7 @@ def decompose_quadratic_pencil(A, B, tol: float = 1e-8, seed=None) -> PencilDeco
         if not np.any(np.abs(coeffs) > 0):
             raise DegeneratePencil("pencil determinant vanishes identically")
 
-    root_list = poly_roots(coeffs, tol=tol)
+    root_list = poly_roots(coeffs)
     poles = [r for r, _ in root_list]
     zero_is_pole = any(r == 0 for r in poles)
 
@@ -247,8 +247,8 @@ def decompose_quadratic_pencil(A, B, tol: float = 1e-8, seed=None) -> PencilDeco
     )
 
 
-def decompose_pencil(problem: NchoProblem, tol: float = 1e-8, seed=None) -> PencilDecomposition:
-    return decompose_quadratic_pencil(problem.A, problem.B, tol=tol, seed=seed)
+def decompose_pencil(problem: NchoProblem, seed=None) -> PencilDecomposition:
+    return decompose_quadratic_pencil(problem.A, problem.B, seed=seed)
 
 
 @dataclass

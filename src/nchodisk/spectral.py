@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
-from .linalg import band_to_dense, block_band, eigen_banded_lowest, eigenvector_banded
+from .linalg import band_to_dense, block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
 from .pencil import NchoProblem, PencilDecomposition, decompose_pencil
 
 __all__ = [
@@ -206,12 +206,6 @@ def _transport(poles, residues, f, z0, z1, order=30, max_steps=5000):
     raise ContinuationError("too many transport steps")
 
 
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    i = int(np.argmax(np.abs(v)))
-    return v / (v[i] / abs(v[i]))
-
-
 def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
     """Möbius configurations the connection determinant can run in, one per
     inner pencil pole.  Polarization 0 is the canonical one."""
@@ -261,7 +255,8 @@ def _connection_t(
     order0 = np.argsort(np.abs(w0))
     if p > 1 and abs(w0[order0[1]]) <= 1e-10 * max(1.0, float(np.max(np.abs(w0)))):
         raise ContinuationError("exponent-zero frame is not one-dimensional at this lambda")
-    c0 = _phase_fixed(v0[:, order0[0]])
+    c0 = v0[:, order0[0]]
+    c0 = fix_phase(c0 / np.linalg.norm(c0))
 
     nonzero = [(al, r) for al, r in zip(poles, residues) if al != 0]
     radius0 = min(abs(al) for al, _ in nonzero)
@@ -325,7 +320,8 @@ def _connection_t(
     wa, va = np.linalg.eig(r_alpha)
     ia = int(np.argmax(np.abs(wa)))
     rho = wa[ia]
-    d0 = _phase_fixed(va[:, ia])
+    d0 = va[:, ia]
+    d0 = fix_phase(d0 / np.linalg.norm(d0))
     deficit = complex(d0.conj() @ (f_loop - f_match))
     denom = np.exp(rho * np.log(r_match))
     scale = max(float(np.linalg.norm(f_match)), 1e-100)
@@ -524,7 +520,8 @@ def eigenfunction_profile(
             f"{lam} is not within {match_tol:g} of a truncated eigenvalue (nearest {value})"
         )
     order = band.shape[1] // p
-    vec = _phase_fixed(eigenvector_banded(band, value))
+    vec = eigenvector_banded(band, value)
+    vec = fix_phase(vec / np.linalg.norm(vec))
     u = vec.reshape(order, p) / np.sqrt(_norm_sq(mu, order))[:, None]
 
     weight = np.exp(-t_arr)

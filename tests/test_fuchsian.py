@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import random_problem
+from conftest import FIXTURES, random_problem
 
 from nchodisk import (
     NchoProblem,
@@ -75,6 +75,19 @@ def test_exponent_structure_random():
             rep = exponents_at(system, j)
             assert rep.rank_bound_ok
             assert rep.shift_residual < 1e-8
+
+
+def test_exponents_at_rank_one_pole_are_zero_and_trace():
+    from nchodisk.cli import parse_problem
+
+    prob, _ = parse_problem(str(FIXTURES / "classical_eta01_mu15.json"))
+    system = build_fuchsian(prob, 1.7)
+    ranks = [np.linalg.matrix_rank(pj, rtol=1e-8) for pj in system.decomposition.residues]
+    assert ranks.count(1) == len(ranks) == 4
+    for j, r in enumerate(system.residues):
+        vals = exponents_at(system, j).values
+        expect = sorted([0.0, complex(np.trace(r))], key=lambda z: (z.real, z.imag))
+        assert np.max(np.abs(vals - expect)) < 1e-12 * max(1.0, abs(np.trace(r)))
 
 
 def test_zero_residue_matrix_gives_zero_exponents():

@@ -92,6 +92,19 @@ def test_decompose_rejects_repeated_root():
         decompose_quadratic_pencil(np.eye(2), b)
 
 
+def test_decompose_repeated_root_with_full_kernel():
+    # det Q = (z^2/4 + z + 1/4)^2: each double root is an order-1 pole of the
+    # inverse whose kernel is all of C^2
+    prob = NchoProblem(p=2, mu=0.5, A=np.eye(2), B=0.25 * np.eye(2), C0=np.zeros((2, 2)))
+    dec = decompose_pencil(prob)
+    assert len(dec.poles) == 2
+    assert abs(dec.poles[0] - (-2.0 - SQ3)) < 1e-12
+    assert abs(dec.poles[1] - (-2.0 + SQ3)) < 1e-12
+    assert dec.reconstruction_residual < 1e-12
+    report = verify_pencil_identities(dec, prob)
+    assert report.all_passed, [(c.name, c.residual) for c in report.checks]
+
+
 def test_identities_p1_quarter():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.25]], C0=[[0.0]])
     report = verify_pencil_identities(decompose_pencil(prob), prob)
