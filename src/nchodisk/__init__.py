@@ -56,7 +56,6 @@ from .heun import (
 from .linalg import (
     adjugate_and_det,
     eigen_banded_lowest,
-    eigen_hermitian,
     eigenvector_banded,
     is_hermitian,
     is_positive_definite,
@@ -73,6 +72,7 @@ from .pencil import (
     decompose_pencil,
     decompose_quadratic_pencil,
     mu_from_harmonic,
+    pencil_kernel,
     positivity_margin,
     verify_pencil_identities,
 )

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .covariance import is_infinity, standardize_p2
+from .covariance import _c_pair, _matrix_pairs, is_infinity, standardize_p2
 from .errors import ContractViolation, SchemaError, SolverError
 from .fuchsian import build_fuchsian, exponents_at, residue_at_infinity_formula
 from .heun import RabiParameters, heun_like_parameters
@@ -35,17 +35,8 @@ from .spectral import (
 __all__ = ["parse_problem", "main"]
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix(m) -> list:
-    return [[_pair(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _point(z):
-    return "infinity" if is_infinity(z) else _pair(z)
+    return "infinity" if is_infinity(z) else _c_pair(z)
 
 
 def _require(cond, message, path):
@@ -140,10 +131,10 @@ def _serial_problem(problem: NchoProblem) -> dict:
     return {
         "p": problem.p,
         "mu": problem.mu,
-        "A": _matrix(problem.A),
-        "B": _matrix(problem.B),
-        "C0": _matrix(problem.C0),
-        "lam_coeff": _matrix(problem.lam_coeff),
+        "A": _matrix_pairs(problem.A),
+        "B": _matrix_pairs(problem.B),
+        "C0": _matrix_pairs(problem.C0),
+        "lam_coeff": _matrix_pairs(problem.lam_coeff),
     }
 
 
@@ -170,7 +161,7 @@ def _cmd_verify_pencil(args):
             for c in report.checks
         ],
         "all_passed": report.all_passed,
-        "poles": [_pair(al) for al in dec.poles],
+        "poles": [_c_pair(al) for al in dec.poles],
         "det_b_zero": dec.detb_zero,
         "zero_is_pole": dec.zero_is_pole,
         "reconstruction_residual": dec.reconstruction_residual,
@@ -206,8 +197,8 @@ def _cmd_fuchsian(args):
         e = exponents_at(system, j)
         exps.append(
             {
-                "point": _pair(al),
-                "values": [_pair(v) for v in e.values],
+                "point": _c_pair(al),
+                "values": [_c_pair(v) for v in e.values],
                 "residue_rank": e.residue_rank,
                 "kernel_dim": e.kernel_dim,
                 "rank_bound_ok": e.rank_bound_ok,
@@ -218,9 +209,9 @@ def _cmd_fuchsian(args):
     return {
         "lambda": lam,
         "mu": system.mu,
-        "singular_points": [_pair(al) for al in system.singular_points],
-        "residues": [_matrix(r) for r in system.residues],
-        "residue_at_infinity": _matrix(system.residue_at_infinity),
+        "singular_points": [_c_pair(al) for al in system.singular_points],
+        "residues": [_matrix_pairs(r) for r in system.residues],
+        "residue_at_infinity": _matrix_pairs(system.residue_at_infinity),
         "exponents": exps,
         "sum_rule_residual": float(np.max(np.abs(total))),
         "infinity_formula_residual": float(
@@ -244,16 +235,16 @@ def _cmd_heun_params(args):
         "n_singularities": params.n_singularities,
         "coalescent": params.coalescent,
         "mu": params.mu,
-        "lambda": _pair(params.lam),
-        "alpha": _pair(params.alpha),
-        "kappa0": _pair(params.kappa0),
-        "kappa1": _pair(params.kappa1),
-        "q1": _pair(params.q1),
-        "epsilon": None if params.epsilon is None else _pair(params.epsilon),
-        "q2": None if params.q2 is None else _pair(params.q2),
-        "scheme": {k: [_pair(e) for e in v] for k, v in sorted(params.scheme.items())},
+        "lambda": _c_pair(params.lam),
+        "alpha": _c_pair(params.alpha),
+        "kappa0": _c_pair(params.kappa0),
+        "kappa1": _c_pair(params.kappa1),
+        "q1": _c_pair(params.q1),
+        "epsilon": None if params.epsilon is None else _c_pair(params.epsilon),
+        "q2": None if params.q2 is None else _c_pair(params.q2),
+        "scheme": {k: [_c_pair(e) for e in v] for k, v in sorted(params.scheme.items())},
         "locations": {k: _point(v) for k, v in sorted(params.singular_locations.items())},
-        "fuchs_sum": _pair(params.fuchs_sum()),
+        "fuchs_sum": _c_pair(params.fuchs_sum()),
     }
 
 

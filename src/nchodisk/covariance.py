@@ -19,6 +19,7 @@ from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_u
 from .pencil import (
     NchoProblem,
     decompose_pencil,
+    pole_order_key,
     positivity_margin,
 )
 
@@ -227,13 +228,6 @@ def inverse_transcript(transcript: list[dict]) -> list[dict]:
     return out
 
 
-def _pick_inner_pair(inner: list[complex]) -> tuple[complex, complex]:
-    # deterministic choice: smallest modulus first, then smallest principal argument
-    key = lambda z: (round(abs(z), 12), np.angle(z))
-    ordered = sorted(inner, key=key)
-    return ordered[0], ordered[1]
-
-
 def standardize_p2(problem: NchoProblem, tol: float = 1e-9):
     """Standard form for p = 2: A = I, B with zero bottom row, pencil poles
     {0, alpha, 1/conj(alpha)} with alpha on the positive real axis.
@@ -265,7 +259,7 @@ def standardize_p2(problem: NchoProblem, tol: float = 1e-9):
     if len(poles) == 4:
         if len(inner) != 2:
             raise NotGenericError("expected two pencil poles inside the unit disk")
-        beta, gamma = _pick_inner_pair(inner)
+        beta, gamma = sorted(inner, key=pole_order_key)
         g0 = Su11Element.sending_to_zero(beta)
         alpha_pre = mobius_apply(g0, gamma)
         g = Su11Element.sending_to_zero(beta, rotation=-0.5 * float(np.angle(alpha_pre)))

@@ -24,16 +24,12 @@ __all__ = [
     "adjugate_and_det",
     "poly_roots",
     "fix_phase",
-    "eigen_hermitian",
     "block_band",
     "band_to_dense",
     "eigen_banded_lowest",
     "eigenvector_banded",
-    "hermitian_sqrt",
     "hermitian_inv_sqrt",
 ]
-
-_MAX_DIM = 8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -45,12 +41,10 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _square(m, max_dim=None) -> np.ndarray:
+def _square(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ContractViolation(f"expected a square matrix, got shape {a.shape}")
-    if max_dim is not None and a.shape[0] > max_dim:
-        raise ContractViolation(f"dimension {a.shape[0]} exceeds supported cap {max_dim}")
     return a
 
 
@@ -73,57 +67,24 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))) <= tol
 
 
-def _det_small(a: np.ndarray) -> complex:
-    # closed-form determinants up to 3x3, first-row cofactors above
-    n = a.shape[0]
-    if n == 1:
-        return complex(a[0, 0])
-    if n == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return complex(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
-    total = 0.0 + 0.0j
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1) ** j * a[0, j] * _det_small(minor)
-    return complex(total)
-
-
-def _adjugate_cofactor(a: np.ndarray, det_fn) -> np.ndarray:
-    n = a.shape[0]
-    adj = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * det_fn(minor)
-    return adj
-
-
 def adjugate_and_det(m) -> tuple[np.ndarray, complex]:
     """Adjugate matrix and determinant, with M @ adj == det * I up to round-off.
 
-    Cofactor expansion for dimension <= 4, LU-backed (det * inv) above that
-    with a cofactor fallback when M is numerically singular.
+    From one SVD M = U S V': adj(M) = det(U V') V diag(prod_{j != i} s_j) U'
+    and det(M) = det(U V') prod(s), so a singular M needs no special case.
     """
-    a = _square(m, max_dim=_MAX_DIM)
+    a = _square(m)
     n = a.shape[0]
     if n == 1:
         return np.array([[1.0 + 0.0j]]), complex(a[0, 0])
-    if n <= 4:
-        adj = _adjugate_cofactor(a, _det_small)
-        # determinant from the same cofactors keeps M @ adj = det * I consistent
-        det = complex(np.dot(a[0, :], adj[:, 0]))
-        return adj, det
-    det = complex(np.linalg.det(a))
-    scale = float(np.max(np.abs(a))) or 1.0
-    if abs(det) > 1e-12 * scale**n:
-        return det * np.linalg.inv(a), det
-    adj = _adjugate_cofactor(a, lambda x: complex(np.linalg.det(x)))
-    return adj, det
+    u, s, vh = np.linalg.svd(a)
+    phase = complex(np.linalg.det(u @ vh))
+    # prod_{j != i} s_j without dividing by a zero singular value
+    others = np.concatenate(([1.0], np.cumprod(s[:-1]))) * np.concatenate(
+        (np.cumprod(s[:0:-1])[::-1], [1.0])
+    )
+    adj = phase * (vh.conj().T * others) @ u.conj().T
+    return adj, phase * complex(np.prod(s))
 
 
 def poly_roots(coeffs, tol: float = 1e-6) -> list[tuple[complex, int]]:
@@ -189,18 +150,6 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     return v / (v[i] / mod[i])
 
 
-def eigen_hermitian(m, tol: float = 1e-10, vectors: bool = False):
-    """Ascending real eigenvalues of a Hermitian matrix (LAPACK backed)."""
-    a = _square(m)
-    if not is_hermitian(a, tol):
-        raise ContractViolation("matrix is not Hermitian within tolerance")
-    h = 0.5 * (a + a.conj().T)
-    if vectors:
-        w, v = np.linalg.eigh(h)
-        return w, v
-    return np.linalg.eigvalsh(h)
-
-
 def block_band(diag, coup) -> np.ndarray:
     """Lower band of the Hermitian block-tridiagonal matrix with diagonal
     blocks diag[m] (symmetrized here, so the matrix is Hermitian by
@@ -252,15 +201,6 @@ def eigenvector_banded(band, lam: float) -> np.ndarray:
         x = solve_banded((kd, kd), full, x)
         x /= np.linalg.norm(x)
     return x
-
-
-def hermitian_sqrt(m, tol: float = 1e-10) -> np.ndarray:
-    """Unique positive-definite square root of a positive-definite matrix."""
-    a = _square(m)
-    if not is_positive_definite(a, tol):
-        raise ContractViolation("matrix is not positive definite")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def hermitian_inv_sqrt(m, tol: float = 1e-10) -> np.ndarray:

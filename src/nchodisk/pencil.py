@@ -29,6 +29,8 @@ __all__ = [
     "a123_from_ab",
     "decompose_pencil",
     "decompose_quadratic_pencil",
+    "pencil_kernel",
+    "pole_order_key",
     "verify_pencil_identities",
     "positivity_margin",
 ]
@@ -153,23 +155,27 @@ def _seed_from(*arrays) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def _contour_residue(a, b, bh, alpha, mult, poles, npts=64):
-    others = [al for al in poles if al != alpha]
-    gap = min((abs(alpha - al) for al in others), default=1.0)
-    radius = min(0.05 * max(1.0, abs(alpha)), 0.25 * gap)
-    k = np.arange(npts)
-    ring = radius * np.exp(2j * np.pi * k / npts)
-    vals = np.array([np.linalg.inv(_pencil_value(a, b, bh, alpha + w)) for w in ring])
-    c_m1 = np.mean(vals * ring[:, None, None], axis=0)
-    scale = max(1.0, float(np.max(np.abs(c_m1))))
-    for order in range(2, mult + 1):
-        c_mk = np.mean(vals * (ring[:, None, None] ** order), axis=0)
-        if float(np.max(np.abs(c_mk))) > 1e-8 * scale * radius ** (order - 1):
-            raise SimplePoleViolation(
-                f"pole of the inverse at {alpha} has order >= {order}; "
-                "the reduction assumes order-1 poles"
-            )
-    return c_m1
+def pencil_kernel(A, B, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right kernels of Q(alpha) = B alpha^2 + A alpha + B', as the
+    columns of (Y, X) with Y' Q(alpha) = 0 and Q(alpha) X = 0.
+
+    A singular value of Q(alpha) counts as zero when it is at most
+    1e-8 * max(1, |B| |alpha|^2 + |A| |alpha| + |B|), |.| the largest entry
+    modulus.  This is the one kernel rule of the package."""
+    a, b = as_matrix(A), as_matrix(B)
+    u, s, vh = np.linalg.svd(_pencil_value(a, b, b.conj().T, alpha))
+    anorm = float(np.max(np.abs(a)))
+    bnorm = float(np.max(np.abs(b)))
+    scale = max(1.0, bnorm * abs(alpha) ** 2 + anorm * abs(alpha) + bnorm)
+    rank = int(np.sum(s > 1e-8 * scale))
+    return u[:, rank:], vh[rank:].conj().T
+
+
+def pole_order_key(z: complex) -> tuple[float, float]:
+    """Canonical order of pencil poles: modulus to 12 digits, then the
+    principal argument.  A real pole's argument sits on the +-pi cut, so the
+    sign of its imaginary round-off decides between -r and r."""
+    return (round(abs(z), 12), float(np.angle(z)))
 
 
 def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
@@ -178,8 +184,9 @@ def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
     Determinant coefficients come from evaluation at 2p+1 roots of unity and
     interpolation.  Every pole of the inverse must have order 1
     (SimplePoleViolation otherwise); residues at simple determinant roots
-    are adj(Q(alpha)) / (det Q)'(alpha), repeated roots are certified and
-    resolved through contour Laurent coefficients.
+    are adj(Q(alpha)) / (det Q)'(alpha).  A root of multiplicity m is an
+    order-1 pole exactly when ker Q(alpha) has dimension m; its residue is
+    X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
     """
     a, b = as_matrix(A), as_matrix(B)
     p = a.shape[0]
@@ -220,10 +227,14 @@ def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
                 raise SimplePoleViolation(f"determinant derivative vanishes at pole {alpha}")
             residues.append(adj / dval)
         else:
-            # a repeated determinant root can still be an order-1 pole of the
-            # inverse (higher-dimensional kernel); certify via the Laurent
-            # coefficients on a contour and reject genuine higher-order poles
-            residues.append(_contour_residue(a, b, bh, alpha, mult, poles))
+            y, x = pencil_kernel(a, b, alpha)
+            if x.shape[1] < mult:
+                raise SimplePoleViolation(
+                    f"pole of the inverse at {alpha} has order >= 2; "
+                    "the reduction assumes order-1 poles"
+                )
+            dq = 2.0 * alpha * b + a
+            residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
 
     rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
     samples = []
@@ -271,11 +282,10 @@ class IdentityReport:
         raise KeyError(name)
 
 
-def _rank_and_kernel(m: np.ndarray, scale: float, rel_tol: float = 1e-8) -> tuple[int, int]:
-    # scale is an external magnitude: entries below rel_tol * scale count as zero
+def _rank(m: np.ndarray) -> int:
+    # singular values below 1e-8 of the largest entry modulus count as zero
     s = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(s > rel_tol * max(scale, 1e-300)))
-    return rank, m.shape[0] - rank
+    return int(np.sum(s > 1e-8 * max(float(np.max(np.abs(m))), 1e-300)))
 
 
 def verify_pencil_identities(
@@ -289,7 +299,6 @@ def verify_pencil_identities(
     identity P (2 alpha B + A) P = P.
     """
     a, b = problem.A, problem.B
-    bh = b.conj().T
     p = problem.p
     eye = np.eye(p)
     poles, residues = dec.poles, dec.residues
@@ -340,15 +349,9 @@ def verify_pencil_identities(
         checks.append(IdentityCheck("sums_singular_b", True, res4 <= tol, res4))
 
     # 5: rank P(alpha) <= dim ker Q(alpha)
-    anorm = float(np.max(np.abs(a)))
-    bnorm = float(np.max(np.abs(b)))
     worst_excess = 0
     for al, pj in zip(poles, residues):
-        q_at = _pencil_value(a, b, bh, al)
-        qscale = max(1.0, bnorm * abs(al) ** 2 + anorm * abs(al) + bnorm)
-        rank_p, _ = _rank_and_kernel(pj, float(np.max(np.abs(pj))))
-        _, ker_q = _rank_and_kernel(q_at, qscale)
-        worst_excess = max(worst_excess, rank_p - ker_q)
+        worst_excess = max(worst_excess, _rank(pj) - pencil_kernel(a, b, al)[1].shape[1])
     checks.append(IdentityCheck("rank_bound", True, worst_excess <= 0, float(max(0, worst_excess))))
 
     # 6: P (2 alpha B + A) P = P

@@ -26,7 +26,7 @@ from .errors import (
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import band_to_dense, block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
-from .pencil import NchoProblem, PencilDecomposition, decompose_pencil
+from .pencil import NchoProblem, PencilDecomposition, decompose_pencil, pole_order_key
 
 __all__ = [
     "TruncatedOperator",
@@ -220,8 +220,7 @@ def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
         raise ContinuationError(
             "no inner connection pole; the problem is ladder-diagonal, use truncation"
         )
-    key = lambda z: (round(abs(z), 12), np.angle(z))
-    inner.sort(key=key)
+    inner.sort(key=pole_order_key)
     if problem.p == 1:
         return [problem]
     if dec.zero_is_pole and len(inner) == 1:

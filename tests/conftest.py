@@ -3,6 +3,7 @@ oracles used across the test modules."""
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -86,3 +87,62 @@ def laurent_coefficients(fn, center, radius, orders, npts=64):
             np.mean(vals * (radius * np.exp(2j * np.pi * k / npts)) ** (-n))
         )
     return out
+
+
+def _csv_cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def golden_diff(expected: str, actual: str) -> str:
+    """How an output differs from its golden text, for a failure message.
+
+    Both are parsed (JSON, else CSV cells) and walked together.  Every
+    discrete difference is named: a key, a length, a string, a bool, an
+    integer or a null.  Floats that differ are summarized by the largest
+    absolute and the largest relative change (relative to the larger
+    modulus of the pair)."""
+
+    def parse(text):
+        try:
+            return json.loads(text)
+        except ValueError:
+            return [[_csv_cell(c) for c in line.split(",")] for line in text.splitlines()]
+
+    discrete: list[str] = []
+    changes: list[tuple[float, float, str]] = []
+
+    def walk(e, a, path):
+        if isinstance(e, dict) and isinstance(a, dict):
+            for k in sorted(set(e) | set(a)):
+                if k not in a or k not in e:
+                    discrete.append(f"{path}.{k}: key only in {'golden' if k in e else 'output'}")
+                else:
+                    walk(e[k], a[k], f"{path}.{k}")
+        elif isinstance(e, list) and isinstance(a, list):
+            if len(e) != len(a):
+                discrete.append(f"{path}: length {len(e)} -> {len(a)}")
+            for i, (x, y) in enumerate(zip(e, a)):
+                walk(x, y, f"{path}[{i}]")
+        elif type(e) is float and type(a) is float:
+            if e != a and not (math.isnan(e) and math.isnan(a)):
+                d = abs(a - e)
+                changes.append((d, d / max(abs(e), abs(a)), f"{path}: {e!r} -> {a!r}"))
+        elif type(e) is not type(a) or e != a:
+            discrete.append(f"{path}: {e!r} -> {a!r}")
+
+    walk(parse(expected), parse(actual), "$")
+    lines = [f"{len(discrete)} discrete difference(s)"] + [f"  {d}" for d in discrete]
+    if changes:
+        worst_abs = max(changes, key=lambda c: c[0])
+        worst_rel = max(changes, key=lambda c: c[1])
+        lines.append(f"{len(changes)} float(s) changed")
+        lines.append(f"  largest absolute change {worst_abs[0]:.3g} at {worst_abs[2]}")
+        lines.append(f"  largest relative change {worst_rel[1]:.3g} at {worst_rel[2]}")
+    elif not discrete:
+        lines.append("parsed values are equal; only the formatting differs")
+    return "\n".join(lines)

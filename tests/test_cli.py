@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, GOLDEN, random_problem
+from conftest import FIXTURES, GOLDEN, golden_diff, random_problem
 
 from nchodisk import SchemaError
 from nchodisk.cli import main, parse_problem
@@ -246,4 +246,18 @@ def test_golden_files_and_repeatability(capsys, name, argv):
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical across runs
     golden = (GOLDEN / name).read_text()
-    assert out1 == golden
+    assert out1 == golden, golden_diff(golden, out1)
+
+
+def test_golden_diff_names_discrete_and_numeric_changes():
+    msg = golden_diff(
+        '{"a": [1.0, "x", 3], "b": true, "c": 2.0}',
+        '{"a": [1.5, "y", 4], "b": false, "d": 2.0}',
+    )
+    for part in ("$.a[1]: 'x' -> 'y'", "$.a[2]: 3 -> 4", "$.b: True -> False",
+                 "$.c: key only in golden", "$.d: key only in output",
+                 "largest absolute change 0.5", "largest relative change 0.333"):
+        assert part in msg, msg
+    csv = golden_diff("i,v\n0,1.0\n1,2.0\n", "i,v\n0,1.0\n2,2.2\n")
+    assert "$[2][0]: 1 -> 2" in csv and "largest absolute change 0.2" in csv, csv
+    assert "formatting" in golden_diff('{"a": 1.0}', '{"a":1.0}')

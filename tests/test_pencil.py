@@ -12,6 +12,7 @@ from nchodisk import (
     decompose_pencil,
     decompose_quadratic_pencil,
     mu_from_harmonic,
+    pencil_kernel,
     positivity_margin,
     standard_ncho_problem,
     verify_pencil_identities,
@@ -103,6 +104,60 @@ def test_decompose_repeated_root_with_full_kernel():
     assert dec.reconstruction_residual < 1e-12
     report = verify_pencil_identities(dec, prob)
     assert report.all_passed, [(c.name, c.residual) for c in report.checks]
+
+
+def test_decompose_rejects_nonzero_jordan_double_root():
+    # det Q = (z^2/4 + z + 1/4)^2 again, but ker Q(alpha) is one-dimensional:
+    # each double root is an order-2 pole of the inverse
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(SimplePoleViolation):
+        decompose_quadratic_pencil(a, 0.25 * np.eye(2))
+
+
+def _laurent_limit_matches(a, b, dec, eps=1e-6):
+    # independent residue: eps * Q(alpha + eps)^-1 -> P_j as eps -> 0, taken
+    # symmetrically in eps so the O(eps / pole gap) term cancels
+    def inv_q(z):
+        return np.linalg.inv(b * z * z + a * z + b.conj().T)
+
+    for al, pj in zip(dec.poles, dec.residues):
+        limit = 0.5 * eps * (inv_q(al + eps) - inv_q(al - eps))
+        assert np.max(np.abs(limit - pj)) < 1e-5 * np.max(np.abs(pj)), al
+
+
+def test_residues_match_laurent_limit_random():
+    rng = np.random.default_rng(77)
+    for k in range(9):
+        prob = random_problem(rng, p=1 + k % 3)
+        _laurent_limit_matches(prob.A, prob.B, decompose_pencil(prob))
+
+
+def test_full_kernel_residue_matches_laurent_limit():
+    a, b = np.eye(2), 0.25 * np.eye(2)
+    _laurent_limit_matches(a, b, decompose_quadratic_pencil(a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_p9_reconstructs(seed):
+    rng = np.random.default_rng(seed)
+    a = np.eye(9) + 0.25 * random_hermitian(rng, 9)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    dec = decompose_quadratic_pencil(a, 0.3 * np.linalg.qr(g)[0])
+    assert len(dec.poles) == 18 and type(dec.detb_zero) is bool
+    assert dec.reconstruction_residual < 1e-10
+
+
+def test_pencil_kernel_dimensions():
+    # Q(alpha) = 0 at the full-kernel double root, rank one at a simple root
+    al = -2.0 + SQ3
+    y, x = pencil_kernel(np.eye(2), 0.25 * np.eye(2), al)
+    assert y.shape == x.shape == (2, 2)
+    b = np.array([[0.25, 0.0], [0.0, 0.5]])
+    y, x = pencil_kernel(np.eye(2), b, al)
+    q = b * al * al + np.eye(2) * al + b.conj().T
+    assert x.shape == (2, 1) and np.max(np.abs(q @ x)) < 1e-12
+    assert np.max(np.abs(y.conj().T @ q)) < 1e-12
+    assert pencil_kernel(np.eye(2), b, 0.5)[1].shape == (2, 0)
 
 
 def test_identities_p1_quarter():

@@ -19,7 +19,6 @@ from nchodisk import (
     connection_determinant,
     connection_polarizations,
     eigen_banded_lowest,
-    eigen_hermitian,
     eigenfunction_profile,
     eigenvector_banded,
     gauge_problem,
@@ -89,7 +88,7 @@ def test_banded_eigenvalues_match_dense(p):
     rng = np.random.default_rng(50 + p)
     for order in (16, 32, 64, 128):
         op = build_truncated(random_problem(rng, p=p), order)
-        dense = eigen_hermitian(op.matrix)[:6]
+        dense = np.linalg.eigvalsh(op.matrix)[:6]
         band = eigen_banded_lowest(op.band, 6)
         assert np.max(np.abs(band - dense) / np.maximum(1.0, np.abs(dense))) < 1e-12
 
@@ -111,11 +110,11 @@ def test_banded_inverse_iteration_matches_dense_eigh(p):
 
 def test_truncation_diagonal_cases():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
-    vals = eigen_hermitian(build_truncated(prob, 16).matrix)[:4]
+    vals = np.linalg.eigvalsh(build_truncated(prob, 16).matrix)[:4]
     assert np.allclose(vals, [0.5, 2.5, 4.5, 6.5], atol=1e-12)
 
     prob2 = NchoProblem(p=2, mu=0.5, A=np.diag([1.0, 2.0]), B=np.zeros((2, 2)), C0=np.zeros((2, 2)))
-    vals = eigen_hermitian(build_truncated(prob2, 16).matrix)[:4]
+    vals = np.linalg.eigvalsh(build_truncated(prob2, 16).matrix)[:4]
     expect = sorted([2 * m + 0.5 for m in range(3)] + [2 * (2 * m + 0.5) for m in range(3)])[:4]
     assert np.allclose(vals, expect, atol=1e-12)
 
@@ -139,8 +138,8 @@ def test_truncation_monotone_in_order():
     rng = np.random.default_rng(10)
     for _ in range(20):
         prob = random_problem(rng, p=1 + int(rng.integers(0, 2)))
-        v1 = eigen_hermitian(build_truncated(prob, 64).matrix)[:4]
-        v2 = eigen_hermitian(build_truncated(prob, 128).matrix)[:4]
+        v1 = np.linalg.eigvalsh(build_truncated(prob, 64).matrix)[:4]
+        v2 = np.linalg.eigvalsh(build_truncated(prob, 128).matrix)[:4]
         assert np.all(v2 <= v1 + 1e-12)
 
 
@@ -152,7 +151,7 @@ def test_boundedness_gives_lower_bound_on_a():
     for _ in range(6):
         prob = random_problem(rng, p=2)
         bare = prob.with_matrices(C0=np.zeros((2, 2)))
-        c_low = float(eigen_hermitian(build_truncated(bare, 64).matrix)[0])
+        c_low = float(np.linalg.eigvalsh(build_truncated(bare, 64).matrix)[0])
         a_min = float(np.linalg.eigvalsh(prob.A)[0])
         assert a_min >= c_low / prob.mu - 1e-9
 
