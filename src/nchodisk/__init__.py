@@ -60,7 +60,6 @@ from .linalg import (
     is_hermitian,
     is_positive_definite,
     is_unitary,
-    poly_roots,
 )
 from .pencil import (
     NchoProblem,

@@ -19,6 +19,7 @@ from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_u
 from .pencil import (
     NchoProblem,
     decompose_pencil,
+    pole_angle,
     pole_order_key,
     positivity_margin,
 )
@@ -262,13 +263,13 @@ def standardize_p2(problem: NchoProblem, tol: float = 1e-9):
         beta, gamma = sorted(inner, key=pole_order_key)
         g0 = Su11Element.sending_to_zero(beta)
         alpha_pre = mobius_apply(g0, gamma)
-        g = Su11Element.sending_to_zero(beta, rotation=-0.5 * float(np.angle(alpha_pre)))
+        g = Su11Element.sending_to_zero(beta, rotation=-0.5 * pole_angle(alpha_pre))
         transcript.append({"kind": "mobius", "a": _c_pair(g.a), "b": _c_pair(g.b)})
         cur = transform_problem(g, cur)
     else:
         if not dec.zero_is_pole or len(inner) != 1:
             raise NotGenericError("three-root case must have poles {0, alpha, 1/conj(alpha)}")
-        theta = -0.5 * float(np.angle(inner[0]))
+        theta = -0.5 * pole_angle(inner[0])
         if theta != 0.0:
             g = Su11Element.rotation(theta)
             transcript.append({"kind": "mobius", "a": _c_pair(g.a), "b": _c_pair(g.b)})

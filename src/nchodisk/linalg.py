@@ -1,20 +1,18 @@
-"""Dense complex linear algebra on small matrices, banded Hermitian
-eigensolvers for the truncated operators, and the polynomial roots used by
-every other module.
+"""Dense complex linear algebra on small matrices (adjugates, phase
+normalization, Hermitian checks and inverse square roots) and the banded
+Hermitian eigensolvers of the truncated operators.
 
 Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  A
 banded Hermitian matrix H is stored as its lower band, ``band[d, j] =
 H[j + d, j]`` (the layout of ``scipy.linalg.eig_banded`` with lower=True).
-Polynomial coefficients are ascending: ``coeffs[k]`` multiplies ``z**k``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 from scipy.linalg import eig_banded, solve_banded
 
-from .errors import ContractViolation, DegeneratePencil
+from .errors import ContractViolation
 
 __all__ = [
     "as_matrix",
@@ -22,7 +20,6 @@ __all__ = [
     "is_positive_definite",
     "is_unitary",
     "adjugate_and_det",
-    "poly_roots",
     "fix_phase",
     "block_band",
     "band_to_dense",
@@ -85,60 +82,6 @@ def adjugate_and_det(m) -> tuple[np.ndarray, complex]:
     )
     adj = phase * (vh.conj().T * others) @ u.conj().T
     return adj, phase * complex(np.prod(s))
-
-
-def poly_roots(coeffs, tol: float = 1e-6) -> list[tuple[complex, int]]:
-    """All complex roots of an ascending-coefficient polynomial.
-
-    Roots are the eigenvalues of the companion matrix (numpy polyroots).
-    Raw roots closer than tol * max(1, |root|) are merged into one entry; a
-    double root comes back split by about sqrt(eps) * |root|, which the
-    default tol covers.  Simple nonzero roots then get a Newton polish, a
-    step kept only while it reduces |p|.  Returns (root, multiplicity)
-    pairs sorted by (re, im).  Raises DegeneratePencil for the zero
-    polynomial.
-    """
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size == 0:
-        raise DegeneratePencil("empty coefficient list")
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        raise DegeneratePencil("zero polynomial has no well-defined roots")
-    deg = c.size - 1
-    while deg > 0 and abs(c[deg]) <= 1e-14 * scale:
-        deg -= 1
-    c = c[: deg + 1]
-    if deg == 0:
-        return []
-    nzero = 0
-    while nzero < deg and abs(c[nzero]) <= 1e-14 * scale:
-        nzero += 1
-    core = c[nzero:]
-    allroots = np.concatenate([np.zeros(nzero, dtype=complex), npoly.polyroots(core)])
-    allroots = allroots[np.lexsort((allroots.imag, allroots.real))]
-    clusters: list[list[complex]] = []
-    for r in allroots:
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(r - center) <= tol * max(1.0, abs(center)):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    z = np.array([sum(cl) / len(cl) for cl in clusters], dtype=complex)
-    mult = np.array([len(cl) for cl in clusters])
-    simple = (mult == 1) & (z != 0)
-    dcore = npoly.polyder(core)
-    for _ in range(4):
-        pv = npoly.polyval(z, core)
-        dv = npoly.polyval(z, dcore)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        z_new = z - pv / dv
-        better = simple & (np.abs(npoly.polyval(z_new, core)) <= np.abs(pv))
-        z = np.where(better, z_new, z)
-    merged = [(complex(r), int(m)) for r, m in zip(z, mult)]
-    merged.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return merged
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

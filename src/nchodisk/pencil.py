@@ -10,13 +10,13 @@ matrices drive the whole reduction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
+from scipy.linalg import eigvals
 
 from .errors import ContractViolation, DegeneratePencil, SimplePoleViolation
-from .linalg import adjugate_and_det, as_matrix, is_hermitian, poly_roots
+from .linalg import as_matrix, is_hermitian
 
 __all__ = [
     "NchoProblem",
@@ -30,6 +30,7 @@ __all__ = [
     "decompose_pencil",
     "decompose_quadratic_pencil",
     "pencil_kernel",
+    "pole_angle",
     "pole_order_key",
     "verify_pencil_identities",
     "positivity_margin",
@@ -131,17 +132,11 @@ class NchoProblem:
 class PencilDecomposition:
     """Partial fraction data of Q(z)^-1 = sum_j P_j / (z - alpha_j)."""
 
-    det_coeffs: np.ndarray
     poles: list[complex]
     residues: list[np.ndarray]
     zero_is_pole: bool
     detb_zero: bool
     reconstruction_residual: float
-    sample_points: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def degree(self) -> int:
-        return len(self.det_coeffs) - 1
 
 
 def _pencil_value(A, B, Bh, z):
@@ -171,21 +166,35 @@ def pencil_kernel(A, B, alpha) -> tuple[np.ndarray, np.ndarray]:
     return u[:, rank:], vh[rank:].conj().T
 
 
+def pole_angle(z: complex) -> float:
+    """Principal argument of z, with an imaginary part of at most 1e-12 |z|
+    read as 0, so a real negative pole has argument pi whatever the sign of
+    its round-off."""
+    z = complex(z)
+    if abs(z.imag) <= 1e-12 * abs(z):
+        z = complex(z.real, 0.0)
+    return float(np.angle(z))
+
+
 def pole_order_key(z: complex) -> tuple[float, float]:
-    """Canonical order of pencil poles: modulus to 12 digits, then the
-    principal argument.  A real pole's argument sits on the +-pi cut, so the
-    sign of its imaginary round-off decides between -r and r."""
-    return (round(abs(z), 12), float(np.angle(z)))
+    """Canonical order of pencil poles: modulus to 12 digits, then
+    pole_angle, so +r sorts before -r."""
+    return (round(abs(z), 12), pole_angle(z))
+
+
+def _annulus_point(rng) -> complex:
+    return rng.uniform(0.2, 2.5) * np.exp(2j * np.pi * rng.uniform())
 
 
 def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
     """Partial fraction decomposition of (B z^2 + A z + B')^{-1}.
 
-    Determinant coefficients come from evaluation at 2p+1 roots of unity and
-    interpolation.  Every pole of the inverse must have order 1
-    (SimplePoleViolation otherwise); residues at simple determinant roots
-    are adj(Q(alpha)) / (det Q)'(alpha).  A root of multiplicity m is an
-    order-1 pole exactly when ker Q(alpha) has dimension m; its residue is
+    The poles are the finite eigenvalues of the linearization
+    [[0, I], [-B', -A]] - z [[I, 0], [0, B]] (QZ).  With k = dim ker B' =
+    dim ker B, the k eigenvalues nearest infinity are dropped and the k of
+    smallest modulus are exactly 0.  Eigenvalues within a relative 1e-6 form
+    one pole; a pole of m eigenvalues has order 1 exactly when ker Q(alpha)
+    has dimension m (SimplePoleViolation otherwise).  Every residue is
     X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
     """
     a, b = as_matrix(A), as_matrix(B)
@@ -193,68 +202,68 @@ def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ContractViolation("A and B must be square matrices of one size")
     bh = b.conj().T
-    npts = 2 * p + 1
-    nodes = np.exp(2j * np.pi * np.arange(npts) / npts)
-    vals = np.array([np.linalg.det(_pencil_value(a, b, bh, z)) for z in nodes])
-    vander = nodes[:, None] ** np.arange(npts)[None, :]
-    coeffs = np.linalg.solve(vander, vals)
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        raise DegeneratePencil("pencil determinant vanishes identically")
-    coeffs[np.abs(coeffs) <= 1e-12 * scale] = 0.0
-
-    _, detb = adjugate_and_det(b)
-    bnorm = max(1.0, float(np.max(np.abs(b))))
-    detb_zero = abs(detb) <= 1e-10 * bnorm**p
-    if detb_zero:
-        # det Q(0) = conj(det B) and the leading coefficient is det B; pin both
-        coeffs[0] = 0.0
-        coeffs[-1] = 0.0
-        if not np.any(np.abs(coeffs) > 0):
-            raise DegeneratePencil("pencil determinant vanishes identically")
-
-    root_list = poly_roots(coeffs)
-    poles = [r for r, _ in root_list]
-    zero_is_pole = any(r == 0 for r in poles)
-
-    dcoeffs = npoly.polyder(coeffs)
-    residues = []
-    for alpha, mult in root_list:
-        if mult == 1:
-            adj, _ = adjugate_and_det(_pencil_value(a, b, bh, alpha))
-            dval = npoly.polyval(alpha, dcoeffs)
-            if abs(dval) <= 1e-14 * max(1.0, scale):
-                raise SimplePoleViolation(f"determinant derivative vanishes at pole {alpha}")
-            residues.append(adj / dval)
-        else:
-            y, x = pencil_kernel(a, b, alpha)
-            if x.shape[1] < mult:
-                raise SimplePoleViolation(
-                    f"pole of the inverse at {alpha} has order >= 2; "
-                    "the reduction assumes order-1 poles"
-                )
-            dq = 2.0 * alpha * b + a
-            residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
-
     rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
-    samples = []
+    if pencil_kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
+        raise DegeneratePencil("pencil determinant vanishes identically")
+
+    eye, zero = np.eye(p), np.zeros((p, p))
+    alpha, beta = eigvals(
+        np.block([[zero, eye], [-bh, -a]]),
+        np.block([[eye, zero], [zero, b]]),
+        homogeneous_eigvals=True,
+    )
+    k = pencil_kernel(a, b, 0.0)[1].shape[1]
+    finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
+    if np.any(beta[finite] == 0):
+        # 0 and infinity are roots of det Q of one multiplicity, here above k
+        raise SimplePoleViolation(
+            f"more than dim ker B' = {k} pencil eigenvalues at infinity; "
+            "the reduction assumes order-1 poles"
+        )
+    eigs = alpha[finite] / beta[finite]
+    eigs[np.argsort(np.abs(eigs))[:k]] = 0.0
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+
+    clusters: list[list[complex]] = []
+    for r in eigs:
+        for cl in clusters:
+            center = sum(cl) / len(cl)
+            if abs(r - center) <= 1e-6 * max(1.0, abs(center)):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    centers = sorted(
+        ((complex(sum(cl) / len(cl)), len(cl)) for cl in clusters),
+        key=lambda cm: (cm[0].real, cm[0].imag),
+    )
+    poles, residues = [], []
+    for al, mult in centers:
+        y, x = pencil_kernel(a, b, al)
+        if x.shape[1] != mult:
+            raise SimplePoleViolation(
+                f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
+                f"{x.shape[1]}; the reduction assumes order-1 poles"
+            )
+        dq = 2.0 * al * b + a
+        poles.append(al)
+        residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
+
+    samples = 0
     residual = 0.0
-    eye = np.eye(p)
-    while len(samples) < 16:
-        z = rng.uniform(0.2, 2.5) * np.exp(2j * np.pi * rng.uniform())
+    while samples < 16:
+        z = _annulus_point(rng)
         if any(abs(z - al) < 0.1 for al in poles):
             continue
-        samples.append(z)
+        samples += 1
         recon = sum(pj / (z - al) for al, pj in zip(poles, residues))
         residual = max(residual, float(np.max(np.abs(recon @ _pencil_value(a, b, bh, z) - eye))))
     return PencilDecomposition(
-        det_coeffs=coeffs,
         poles=poles,
         residues=residues,
-        zero_is_pole=zero_is_pole,
-        detb_zero=detb_zero,
+        zero_is_pole=k > 0,
+        detb_zero=k > 0,
         reconstruction_residual=residual,
-        sample_points=np.array(samples),
     )
 
 
@@ -389,20 +398,15 @@ def positivity_margin(problem: NchoProblem, grid_size: int = 256) -> PositivityC
     a, b = problem.A, problem.B
     bh = b.conj().T
     phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    best = np.inf
-    best_phi = 0.0
-    for phi in phis:
-        z = np.exp(1j * phi)
-        w = np.linalg.eigvalsh(b * z + a + bh * np.conj(z))
-        if w[0] < best:
-            best = float(w[0])
-            best_phi = float(phi)
+    z = np.exp(1j * phis)[:, None, None]
+    least = np.linalg.eigvalsh(b * z + a + bh * np.conj(z))[:, 0]
+    i = int(np.argmin(least))
     bnorm = float(np.linalg.norm(b, 2))
     lip = 2.0 * np.pi * bnorm / grid_size
     return PositivityCertificate(
-        margin=best,
-        argmin_phi=best_phi,
+        margin=float(least[i]),
+        argmin_phi=float(phis[i]),
         lipschitz_bound=lip,
-        certified_margin=best - lip,
+        certified_margin=float(least[i]) - lip,
         grid_size=grid_size,
     )

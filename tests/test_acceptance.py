@@ -328,8 +328,11 @@ def test_criterion_07_group_and_gauge_invariance():
         worst_spectrum = max(worst_spectrum, float(np.max(np.abs(gauged - base))))
         dec0 = decompose_pencil(prob)
         dec1 = decompose_pencil(moved_prob)
-        sphere0 = list(dec0.poles) + [complex("inf")] * (2 * prob.p - dec0.degree)
-        sphere1 = list(dec1.poles) + [complex("inf")] * (2 * prob.p - dec1.degree)
+        # a pole counts rank P_j times; the rest of the 2p roots sit at infinity
+        finite0 = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec0.residues)
+        finite1 = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec1.residues)
+        sphere0 = list(dec0.poles) + [complex("inf")] * (2 * prob.p - finite0)
+        sphere1 = list(dec1.poles) + [complex("inf")] * (2 * prob.p - finite1)
         for al in sphere0:
             img = mobius_apply(g, al)
             worst_pole = max(worst_pole, min(chordal_distance(img, x) for x in sphere1))

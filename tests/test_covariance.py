@@ -145,9 +145,11 @@ def test_poles_move_by_mobius():
         dec = decompose_pencil(prob)
         ga, gb = transform_ab(g, prob.A, prob.B)
         dec_g = decompose_quadratic_pencil(ga, gb)
-        # sphere multiset: finite roots plus infinity with deficiency multiplicity
+        # sphere multiset: finite roots plus infinity with deficiency
+        # multiplicity; a pole counts rank P_j times
         def sphere_roots(dec_, p):
-            pts = list(dec_.poles) + [INFINITY] * (2 * p - dec_.degree)
+            finite = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec_.residues)
+            pts = list(dec_.poles) + [INFINITY] * (2 * p - finite)
             return pts
 
         images = [mobius_apply(g, al) for al in sphere_roots(dec, prob.p)]

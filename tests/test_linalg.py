@@ -3,15 +3,11 @@ import pytest
 
 from nchodisk import (
     ContractViolation,
-    DegeneratePencil,
     adjugate_and_det,
     is_hermitian,
     is_positive_definite,
-    poly_roots,
 )
 from nchodisk.linalg import fix_phase
-
-SQ3 = np.sqrt(3.0)
 
 
 def test_adjugate_1x1():
@@ -54,52 +50,6 @@ def test_adjugate_singular_large():
     assert abs(det) < 1e-8
     # adjugate of a matrix of rank <= n-2 vanishes
     assert np.max(np.abs(adj)) < 1e-8
-
-
-def test_poly_roots_symmetric_pair():
-    roots = poly_roots([-1.0, 0.0, 1.0])
-    vals = sorted(r.real for r, _ in roots)
-    assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
-
-
-def test_poly_roots_quadratic_pencil_values():
-    roots = poly_roots([0.25, 1.0, 0.25])
-    vals = [r for r, _ in roots]
-    assert abs(vals[0] - (-2.0 - np.sqrt(3))) < 1e-10
-    assert abs(vals[1] - (-2.0 + np.sqrt(3))) < 1e-10
-    assert all(m == 1 for _, m in roots)
-
-
-def test_poly_roots_double_zero():
-    roots = poly_roots([0.0, 0.0, 1.0])
-    assert roots == [(0.0 + 0.0j, 2)]
-
-
-def test_poly_roots_zero_polynomial():
-    with pytest.raises(DegeneratePencil):
-        poly_roots([0.0, 0.0])
-
-
-def test_poly_roots_reexpansion_property():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        deg = int(rng.integers(2, 9))
-        coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        roots = poly_roots(coeffs, tol=1e-10)
-        rebuilt = np.array([1.0 + 0.0j])
-        for r, mult in roots:
-            for _ in range(mult):
-                rebuilt = np.convolve(rebuilt, [-r, 1.0])
-        rebuilt *= coeffs[-1]
-        assert np.max(np.abs(rebuilt - coeffs)) < 1e-8 * np.max(np.abs(coeffs))
-
-
-def test_poly_roots_merges_a_split_double_root():
-    # (z^2 + 4 z + 1)^2: the raw double roots come back split by ~sqrt(eps)
-    roots = poly_roots(np.convolve([1.0, 4.0, 1.0], [1.0, 4.0, 1.0]))
-    assert [m for _, m in roots] == [2, 2]
-    assert abs(roots[0][0] - (-2.0 - SQ3)) < 1e-12
-    assert abs(roots[1][0] - (-2.0 + SQ3)) < 1e-12
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])

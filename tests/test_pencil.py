@@ -5,6 +5,7 @@ from conftest import random_hermitian, random_problem
 
 from nchodisk import (
     ContractViolation,
+    DegeneratePencil,
     NchoProblem,
     SimplePoleViolation,
     a123_from_ab,
@@ -17,6 +18,7 @@ from nchodisk import (
     standard_ncho_problem,
     verify_pencil_identities,
 )
+from nchodisk.pencil import pole_angle, pole_order_key
 
 SQ3 = np.sqrt(3.0)
 
@@ -93,6 +95,12 @@ def test_decompose_rejects_repeated_root():
         decompose_quadratic_pencil(np.eye(2), b)
 
 
+def test_decompose_rejects_singular_pencil():
+    # Q(z) = diag(z^2/2 + z, 0) is singular at every z
+    with pytest.raises(DegeneratePencil):
+        decompose_quadratic_pencil(np.diag([1.0, 0.0]), np.diag([0.5, 0.0]))
+
+
 def test_decompose_repeated_root_with_full_kernel():
     # det Q = (z^2/4 + z + 1/4)^2: each double root is an order-1 pole of the
     # inverse whose kernel is all of C^2
@@ -145,6 +153,29 @@ def test_decompose_p9_reconstructs(seed):
     dec = decompose_quadratic_pencil(a, 0.3 * np.linalg.qr(g)[0])
     assert len(dec.poles) == 18 and type(dec.detb_zero) is bool
     assert dec.reconstruction_residual < 1e-10
+
+
+@pytest.mark.parametrize("p", [5, 6, 8, 12])
+def test_identities_random_large_p(p):
+    # pole moduli span about 5e-3 to 200, so the coefficients of det Q span
+    # many orders of magnitude
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        a = np.eye(p) + 0.25 * random_hermitian(rng, p)
+        b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        b *= 0.15 * np.linalg.eigvalsh(a)[0] / np.linalg.norm(b, 2)
+        prob = NchoProblem(p=p, mu=1.0, A=a, B=b, C0=np.zeros((p, p)))
+        dec = decompose_pencil(prob)
+        assert dec.detb_zero is False and len(dec.poles) == 2 * p
+        report = verify_pencil_identities(dec, prob)
+        assert report.all_passed, [(c.name, c.residual) for c in report.checks]
+
+
+def test_pole_order_ignores_imaginary_round_off():
+    r = 2.0 - SQ3
+    assert pole_order_key(-r + 1e-16j) == pole_order_key(-r - 1e-16j)
+    assert sorted([-r - 1e-16j, r + 1e-16j], key=pole_order_key)[0] == r + 1e-16j
+    assert pole_angle(-0.5 + 1e-16j) == pole_angle(-0.5 - 1e-16j) == np.pi
 
 
 def test_pencil_kernel_dimensions():
@@ -217,13 +248,30 @@ def test_positivity_gauge_invariance():
     assert abs(cert0.margin - cert1.margin) < 1e-10
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("grid", [256, 4096])
+def test_positivity_matches_pointwise_eigvalsh(p, grid):
+    rng = np.random.default_rng(10 * p + grid)
+    prob = random_problem(rng, p=p)
+    best, best_phi = np.inf, 0.0
+    for phi in 2.0 * np.pi * np.arange(grid) / grid:
+        z = np.exp(1j * phi)
+        w = np.linalg.eigvalsh(prob.B * z + prob.A + prob.B.conj().T * np.conj(z))
+        if w[0] < best:
+            best, best_phi = float(w[0]), float(phi)
+    cert = positivity_margin(prob, grid)
+    assert (cert.margin, cert.argmin_phi) == (best, best_phi)
+
+
 def test_degree_bound_and_detb():
     rng = np.random.default_rng(11)
     for k in range(10):
         prob = random_problem(rng, p=2)
         dec = decompose_pencil(prob)
-        assert dec.degree <= 2 * prob.p
-        assert (dec.degree < 2 * prob.p) == dec.detb_zero
+        # finite poles with multiplicity: a pole counts rank P_j times
+        degree = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec.residues)
+        assert degree <= 2 * prob.p
+        assert (degree < 2 * prob.p) == dec.detb_zero
 
 
 def test_problem_validation():
