@@ -54,7 +54,6 @@ from .heun import (
     standard_ncho_problem,
 )
 from .linalg import (
-    adjugate_and_det,
     eigen_banded_lowest,
     eigenvector_banded,
     is_hermitian,

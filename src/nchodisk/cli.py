@@ -252,15 +252,16 @@ def _cmd_spectrum(args):
     problem, extras = parse_problem(args.problem)
     tol = args.tol if args.tol is not None else float(extras.get("tol", 1e-10))
     out = {}
+    seeds = None
     if args.method in ("trunc", "both"):
-        res = spectrum_truncated(problem, args.count, tol=tol)
+        seeds = spectrum_truncated(problem, args.count, tol=tol)
         out["truncation"] = {
-            "eigenvalues": [float(v) for v in res.eigenvalues],
-            "convergence": [float(v) for v in res.convergence],
-            "orders": list(res.orders),
+            "eigenvalues": [float(v) for v in seeds.eigenvalues],
+            "convergence": [float(v) for v in seeds.convergence],
+            "orders": list(seeds.orders),
         }
     if args.method in ("connect", "both"):
-        res = spectrum_connection(problem, args.count, tol=tol)
+        res = spectrum_connection(problem, args.count, tol=tol, seeds=seeds)
         out["connection"] = {
             "eigenvalues": [float(v) for v in res.eigenvalues],
             "residuals": [float(v) for v in res.convergence],

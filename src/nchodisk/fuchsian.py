@@ -10,7 +10,7 @@ import numpy as np
 
 from .covariance import INFINITY, Su11Element, is_infinity, mobius_apply, transform_problem
 from .errors import ContractViolation
-from .pencil import NchoProblem, PencilDecomposition, decompose_pencil, pencil_kernel
+from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil, pencil_kernel
 
 __all__ = [
     "FuchsianSystem",
@@ -31,7 +31,6 @@ class FuchsianSystem:
     singular_points: list[complex]
     residues: list[np.ndarray]
     residue_at_infinity: np.ndarray
-    detb_zero: bool
     problem: NchoProblem | None = None
     decomposition: PencilDecomposition | None = None
 
@@ -67,7 +66,6 @@ def build_fuchsian(
         singular_points=list(dec.poles),
         residues=residues,
         residue_at_infinity=r_inf,
-        detb_zero=dec.detb_zero,
         problem=problem,
         decomposition=dec,
     )
@@ -121,9 +119,7 @@ def exponents_at(system: FuchsianSystem, j: int) -> PoleExponents:
         rhs = v.conj().T @ (pj @ c) @ v - 0.5 * prob.mu * np.eye(rank_p)
         shift_residual = float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))
 
-    rscale = max(float(np.max(np.abs(r))), 1e-300)
-    s_r = np.linalg.svd(r, compute_uv=False)
-    rank_r = int(np.sum(s_r > 1e-8 * rscale))
+    rank_r = _rank(r)
     return PoleExponents(
         values=vals,
         residue_rank=rank_r,
@@ -168,7 +164,6 @@ def transform_fuchsian(
         singular_points=points,
         residues=residues,
         residue_at_infinity=r_inf,
-        detb_zero=new_dec is not None and new_dec.detb_zero,
         problem=new_problem,
         decomposition=new_dec,
     )

@@ -1,5 +1,5 @@
 """Scalar second-order reduction for p = 2 problems in standard form:
-Heun-type parameters, exponent tables, closed forms for the classical
+Heun-type parameters and their Riemann scheme, closed forms for the classical
 two-level oscillator family, and the large-mu confluence to (asymmetric)
 Rabi / Jaynes-Cummings data."""
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .covariance import INFINITY
 from .errors import ContractViolation, PositivityError
-from .linalg import adjugate_and_det, as_matrix
+from .linalg import as_matrix
 from .pencil import NchoProblem
 
 __all__ = [
@@ -40,7 +40,8 @@ class HeunParameters:
 
     n_singularities is 5 (generic, with an apparent point at epsilon) or 4
     (the B = B' branch, plain Heun).  scheme maps each singularity label to
-    its pair of characteristic exponents.
+    its pair of characteristic exponents; the coefficients p and q and the
+    apparent-point check are read off scheme and singular_locations.
     """
 
     alpha: complex
@@ -59,43 +60,36 @@ class HeunParameters:
     def fuchs_sum(self) -> complex:
         return sum(e for pair in self.scheme.values() for e in pair)
 
-    def coefficient_p(self, z: complex) -> complex:
-        """First-order coefficient of f'' + p f' + q f = 0."""
-        mu = self.mu
-        al = self.alpha
-        if self.n_singularities == 4:
-            out = 1.0 / al
-            return (
-                (-self.kappa0 + mu / 2) / z
-                + (1 - self.kappa1 + mu / 2) / (z - al)
-                + (1 + self.kappa1 + mu / 2) / (z - out)
-            )
+    def _p_residues(self) -> list[tuple[str, complex, complex]]:
+        """(label, location, residue of p) at each finite singular point;
+        by the Fuchs relation the residue is 1 - e1 - e2."""
         if self.coalescent:
             raise ContractViolation("coalescent case has no closed coefficient form")
-        out = 1.0 / np.conj(al)
-        return (
-            (-self.kappa0 + mu / 2) / z
-            + (1 - self.kappa1 + mu / 2) / (z - al)
-            + (1 + np.conj(self.kappa1) + mu / 2) / (z - out)
-            - 1.0 / (z - self.epsilon)
-        )
+        return [
+            (k, self.singular_locations[k], 1.0 - e1 - e2)
+            for k, (e1, e2) in self.scheme.items()
+            if k != "infinity"
+        ]
+
+    def _q_numerator(self, z: complex) -> complex:
+        """q(z) (z - inner)(z - outer) without its pole at the apparent
+        point; the constant is the product of the exponents at infinity."""
+        e_inf = self.scheme["infinity"]
+        return e_inf[0] * e_inf[1] + self.q1 / z
+
+    def coefficient_p(self, z: complex) -> complex:
+        """First-order coefficient of f'' + p f' + q f = 0."""
+        return sum(a / (z - s) for _, s, a in self._p_residues())
 
     def coefficient_q(self, z: complex) -> complex:
         """Zero-order coefficient of f'' + p f' + q f = 0."""
-        mu = self.mu
-        al = self.alpha
-        if self.n_singularities == 4:
-            out = 1.0 / al
-            return (mu * (1 - self.kappa0 + mu / 2) * z + self.q1) / (z * (z - al) * (z - out))
         if self.coalescent:
             raise ContractViolation("coalescent case has no closed coefficient form")
-        out = 1.0 / np.conj(al)
-        den2 = (z - al) * (z - out)
-        return (
-            mu * (-np.conj(self.kappa0) + mu / 2) / den2
-            + self.q1 / (z * den2)
-            + self.q2 / (den2 * (z - self.epsilon))
-        )
+        num = self._q_numerator(z)
+        if self.epsilon is not None:
+            num += self.q2 / (z - self.epsilon)
+        loc = self.singular_locations
+        return num / ((z - loc["inner"]) * (z - loc["outer"]))
 
 
 def _check_standard_form(problem: NchoProblem, tol: float) -> None:
@@ -112,44 +106,55 @@ def _check_standard_form(problem: NchoProblem, tol: float) -> None:
         raise ContractViolation("standard form requires 2|b1| + |b2|^2 < 1")
 
 
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Adjugate of a 2 x 2 matrix: m @ _adj(m) == det(m) I."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
 def _kappa0(problem: NchoProblem, c: np.ndarray) -> complex:
-    adj_bh, _ = adjugate_and_det(problem.B.conj().T)
-    adj_a, _ = adjugate_and_det(problem.A)
-    return complex(np.trace(adj_bh @ c) / np.trace(adj_a @ problem.B.conj().T))
+    bh = problem.B.conj().T
+    return complex(np.trace(_adj(bh) @ c) / np.trace(_adj(problem.A) @ bh))
 
 
 def _kappa1(problem: NchoProblem, c: np.ndarray, alpha: complex, outer: complex) -> complex:
     g = problem.B * alpha + problem.A + problem.B.conj().T / alpha
-    adj_g, _ = adjugate_and_det(g)
-    adj_a, _ = adjugate_and_det(problem.A)
-    return complex(np.trace(adj_g @ c) / ((alpha - outer) * np.trace(adj_a @ problem.B)))
+    denom = (alpha - outer) * np.trace(_adj(problem.A) @ problem.B)
+    return complex(np.trace(_adj(g) @ c) / denom)
 
 
 def _q1(problem: NchoProblem, c: np.ndarray) -> complex:
-    adj_a, _ = adjugate_and_det(problem.A)
-    _, det_shift = adjugate_and_det(c - 0.5 * problem.mu * problem.A)
-    return complex(det_shift / np.trace(adj_a @ problem.B))
+    m = c - 0.5 * problem.mu * problem.A
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return complex(det / np.trace(_adj(problem.A) @ problem.B))
 
 
 def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) -> HeunParameters:
     """Parameters of the single second-order equation equivalent to the
     standard-form system at the given lambda.
 
-    Degrades to the 4-point Heun data when b2 = 0; reports the coalescent
-    case (c3 = -mu/2 with b2 != 0) with epsilon and q2 omitted.
+    Gives the 4-point Heun data when b2 = 0 (b1 must then be real), and
+    otherwise the 5-point data with an apparent point at epsilon; reports
+    the coalescent case (c3 = -mu/2 with b2 != 0) with epsilon and q2
+    omitted.
     """
     _check_standard_form(problem, tol)
     b1, b2 = problem.B[0, 0], problem.B[0, 1]
-    if abs(b2) <= 1e-10 * max(1.0, abs(b1)):
-        return heun_equation_4pt(problem, lam, tol=tol)
+    four_point = abs(b2) <= 1e-10 * max(1.0, abs(b1))
+    if four_point:
+        if abs(b1.imag) > 1e-8 * max(1.0, abs(b1)):
+            raise ContractViolation("4-point branch requires real b1 (rotate the problem first)")
+        # real arithmetic keeps alpha and the outer pole exactly real
+        b1 = float(b1.real)
+        s, disc = 1.0, 1.0 - 4.0 * b1 * b1
+    else:
+        s = 1.0 - abs(b2) ** 2
+        disc = s**2 - 4.0 * abs(b1) ** 2
     mu = problem.mu
     c = problem.c_matrix(lam)
-    c3 = c[1, 1]
 
-    disc = (1.0 - abs(b2) ** 2) ** 2 - 4.0 * abs(b1) ** 2
     root = math.sqrt(disc)
-    alpha = (-(1.0 - abs(b2) ** 2) + root) / (2.0 * b1)
-    alt = (-(1.0 - abs(b2) ** 2) - root) / (2.0 * b1)
+    alpha = (-s + root) / (2.0 * b1)
+    alt = (-s - root) / (2.0 * b1)
     if abs(alpha) > abs(alt):
         alpha = alt
     outer = 1.0 / np.conj(alpha)
@@ -158,11 +163,10 @@ def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) 
     kappa1 = _kappa1(problem, c, alpha, outer)
     q1 = _q1(problem, c)
 
-    coalescent = bool(abs(c3 + mu / 2) <= 1e-10 * max(1.0, abs(c3)))
-    if coalescent:
-        epsilon = None
-        q2 = None
-    else:
+    c3 = c[1, 1]
+    coalescent = not four_point and bool(abs(c3 + mu / 2) <= 1e-10 * max(1.0, abs(c3)))
+    epsilon = q2 = None
+    if not (four_point or coalescent):
         c1, c2, c21 = c[0, 0], c[0, 1], c[1, 0]
         epsilon = complex(c2 / (b2 * (c3 + mu / 2)))
         q2 = complex(
@@ -173,14 +177,23 @@ def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) 
             / (b1 * b2 * (c3 + mu / 2))
         )
 
+    if four_point:
+        outer_exp, infinity_exp = -kappa1 - mu / 2, 1.0 - kappa0 + mu / 2
+    else:
+        outer_exp, infinity_exp = -np.conj(kappa1) - mu / 2, -np.conj(kappa0) + mu / 2
     scheme = {
         "zero": (0.0 + 0.0j, 1.0 + kappa0 - mu / 2),
         "inner": (0.0 + 0.0j, kappa1 - mu / 2),
-        "outer": (0.0 + 0.0j, -np.conj(kappa1) - mu / 2),
-        "infinity": (complex(mu), -np.conj(kappa0) + mu / 2),
+        "outer": (0.0 + 0.0j, outer_exp),
+        "infinity": (complex(mu), infinity_exp),
     }
-    locations = {"zero": 0.0 + 0.0j, "inner": alpha, "outer": outer, "infinity": INFINITY}
-    if not coalescent:
+    locations = {
+        "zero": 0.0 + 0.0j,
+        "inner": complex(alpha),
+        "outer": complex(outer),
+        "infinity": INFINITY,
+    }
+    if epsilon is not None:
         scheme["apparent"] = (0.0 + 0.0j, 2.0 + 0.0j)
         locations["apparent"] = epsilon
     return HeunParameters(
@@ -192,7 +205,7 @@ def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) 
         q1=q1,
         epsilon=epsilon,
         q2=q2,
-        n_singularities=5,
+        n_singularities=4 if four_point else 5,
         scheme=scheme,
         singular_locations=locations,
         coalescent=coalescent,
@@ -201,74 +214,23 @@ def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) 
 
 def heun_equation_4pt(problem: NchoProblem, lam: complex, tol: float = 1e-8) -> HeunParameters:
     """Plain Heun data for the B = B' branch (b2 = 0, b1 real)."""
-    _check_standard_form(problem, tol)
-    b1, b2 = problem.B[0, 0], problem.B[0, 1]
-    if abs(b2) > 1e-10 * max(1.0, abs(b1)):
+    params = heun_like_parameters(problem, lam, tol=tol)
+    if params.n_singularities != 4:
         raise ContractViolation("b2 != 0: use heun_like_parameters")
-    if abs(b1.imag) > 1e-8 * max(1.0, abs(b1)):
-        raise ContractViolation("4-point branch requires real b1 (rotate the problem first)")
-    b1r = float(b1.real)
-    mu = problem.mu
-    c = problem.c_matrix(lam)
-
-    root = math.sqrt(1.0 - 4.0 * b1r * b1r)
-    alpha = (-1.0 + root) / (2.0 * b1r)
-    alt = (-1.0 - root) / (2.0 * b1r)
-    if abs(alpha) > abs(alt):
-        alpha = alt
-    outer = 1.0 / alpha
-
-    kappa0 = _kappa0(problem, c)
-    kappa1 = _kappa1(problem, c, alpha, outer)
-    q1 = _q1(problem, c)
-
-    scheme = {
-        "zero": (0.0 + 0.0j, 1.0 + kappa0 - mu / 2),
-        "inner": (0.0 + 0.0j, kappa1 - mu / 2),
-        "outer": (0.0 + 0.0j, -kappa1 - mu / 2),
-        "infinity": (complex(mu), 1.0 - kappa0 + mu / 2),
-    }
-    locations = {
-        "zero": 0.0 + 0.0j,
-        "inner": complex(alpha),
-        "outer": complex(outer),
-        "infinity": INFINITY,
-    }
-    return HeunParameters(
-        alpha=complex(alpha),
-        kappa0=kappa0,
-        kappa1=kappa1,
-        mu=mu,
-        lam=complex(lam),
-        q1=q1,
-        epsilon=None,
-        q2=None,
-        n_singularities=4,
-        scheme=scheme,
-        singular_locations=locations,
-    )
+    return params
 
 
 def apparent_singularity_residual(params: HeunParameters) -> float:
     """No-log solvability residual of the exponent-0 Frobenius series at the
     apparent point; zero means trivial local monodromy."""
-    if params.n_singularities != 5 or params.epsilon is None:
+    if params.epsilon is None:
         raise ContractViolation("apparent point exists only in the 5-point case")
-    mu, al, eps = params.mu, params.alpha, params.epsilon
-    outer = 1.0 / np.conj(al)
-    # residues of p at the other three singular points
-    p_res = {
-        0.0 + 0.0j: -params.kappa0 + mu / 2,
-        al: 1.0 - params.kappa1 + mu / 2,
-        outer: 1.0 + np.conj(params.kappa1) + mu / 2,
-    }
-    p1 = sum(a / (eps - s) for s, a in p_res.items())
-    d_in, d_out = eps - al, eps - outer
+    eps = params.epsilon
+    p1 = sum(a / (eps - s) for k, s, a in params._p_residues() if k != "apparent")
+    d_in = eps - params.singular_locations["inner"]
+    d_out = eps - params.singular_locations["outer"]
     q_apparent = params.q2 / (d_in * d_out)
-    q_analytic_at_eps = (
-        mu * (-np.conj(params.kappa0) + mu / 2) / (d_in * d_out)
-        + params.q1 / (eps * d_in * d_out)
-    )
+    q_analytic_at_eps = params._q_numerator(eps) / (d_in * d_out)
     dg = -params.q2 * (d_in + d_out) / (d_in * d_in * d_out * d_out)
     q2_taylor = q_analytic_at_eps + dg
     # series f = 1 + c1 w + ...; the order-2 equation is resonant and its

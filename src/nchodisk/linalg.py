@@ -1,6 +1,6 @@
-"""Dense complex linear algebra on small matrices (adjugates, phase
-normalization, Hermitian checks and inverse square roots) and the banded
-Hermitian eigensolvers of the truncated operators.
+"""Dense complex linear algebra on small matrices (phase normalization,
+Hermitian checks and inverse square roots) and the banded Hermitian
+eigensolvers of the truncated operators.
 
 Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  A
 banded Hermitian matrix H is stored as its lower band, ``band[d, j] =
@@ -19,7 +19,6 @@ __all__ = [
     "is_hermitian",
     "is_positive_definite",
     "is_unitary",
-    "adjugate_and_det",
     "fix_phase",
     "block_band",
     "band_to_dense",
@@ -62,26 +61,6 @@ def is_positive_definite(m, tol: float = 1e-10) -> bool:
 def is_unitary(m, tol: float = 1e-10) -> bool:
     a = _square(m)
     return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))) <= tol
-
-
-def adjugate_and_det(m) -> tuple[np.ndarray, complex]:
-    """Adjugate matrix and determinant, with M @ adj == det * I up to round-off.
-
-    From one SVD M = U S V': adj(M) = det(U V') V diag(prod_{j != i} s_j) U'
-    and det(M) = det(U V') prod(s), so a singular M needs no special case.
-    """
-    a = _square(m)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([[1.0 + 0.0j]]), complex(a[0, 0])
-    u, s, vh = np.linalg.svd(a)
-    phase = complex(np.linalg.det(u @ vh))
-    # prod_{j != i} s_j without dividing by a zero singular value
-    others = np.concatenate(([1.0], np.cumprod(s[:-1]))) * np.concatenate(
-        (np.cumprod(s[:0:-1])[::-1], [1.0])
-    )
-    adj = phase * (vh.conj().T * others) @ u.conj().T
-    return adj, phase * complex(np.prod(s))
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _MAX_ORDER = 8192  # truncation order cap of every doubling loop
+_SEED_TOL = 1e-9  # truncation tolerance of the seeds spectrum_connection computes itself
 
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
@@ -258,9 +259,9 @@ def _connection_t(
     c0 = fix_phase(c0 / np.linalg.norm(c0))
 
     nonzero = [(al, r) for al, r in zip(poles, residues) if al != 0]
-    radius0 = min(abs(al) for al, _ in nonzero)
+    # alpha is the nonzero pole nearest the origin, so the series at the
+    # origin converges at z_start like 0.35^n
     z_start = 0.35 * alpha
-    ratio = abs(z_start) / radius0
 
     # Frobenius series at the origin for the exponent-zero solution, with
     # H_k = -sum_j R_j / a_j^{k+1} laid out as one row block [H_0 | H_1 | ...]
@@ -297,8 +298,7 @@ def _connection_t(
         else:
             quiet = 0
     else:
-        if ratio > 0.9:
-            raise ContinuationError("series at the origin converges too slowly")
+        raise ContinuationError(f"series at the origin did not settle in {hmax} terms")
 
     d_alpha = min(abs(alpha - al) for al in poles if al != alpha)
     r_match = 0.35 * d_alpha
@@ -417,12 +417,15 @@ def refine_eigenvalue(
 
 
 def spectrum_connection(
-    problem: NchoProblem, count: int, tol: float = 1e-10, seed_tol: float = 1e-9
+    problem: NchoProblem, count: int, tol: float = 1e-10, seeds: SpectrumResult | None = None
 ) -> SpectrumResult:
-    """Truncation seeds refined on the connection determinant.  The
-    polarizations and their pencil decompositions do not depend on lam and
-    are built once for all seeds."""
-    seeds = spectrum_truncated(problem, count, tol=seed_tol)
+    """Truncation seeds refined on the connection determinant.  seeds, when
+    given, is the caller's spectrum_truncated(problem, count) result;
+    without it the seeds are computed here at tolerance _SEED_TOL.
+    The polarizations and their pencil decompositions do not depend on lam
+    and are built once for all seeds."""
+    if seeds is None:
+        seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
     polarizations = [(config, None) for config in connection_polarizations(problem)]
     values = []
     residuals = []

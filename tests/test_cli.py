@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_diff, random_problem
 
-from nchodisk import SchemaError
+from nchodisk import SchemaError, cli, spectral
 from nchodisk.cli import main, parse_problem
 
 SQ3 = math.sqrt(3.0)
@@ -16,6 +16,23 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_spectrum_both_runs_the_truncation_once(capsys, monkeypatch):
+    calls = []
+    real = spectral.spectrum_truncated
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectrum_truncated", counted)
+    monkeypatch.setattr(cli, "spectrum_truncated", counted)
+    argv = ["spectrum", str(FIXTURES / "classical_eta01_mu15.json"), "--method", "both"]
+    code, out = run_cli(capsys, argv + ["--count", "3"])
+    assert code == 0 and len(calls) == 1
+    payload = json.loads(out)
+    assert payload["max_disagreement"] < 1e-6
 
 
 def test_parse_p1_fixture():

@@ -96,6 +96,14 @@ def test_four_point_wrong_branch_error():
         heun_equation_4pt(prob, 0.5)
 
 
+def test_four_point_branch_requires_real_b1():
+    b = np.array([[0.2j, 0.0], [0.0, 0.0]])
+    prob = NchoProblem(p=2, mu=1.0, A=np.eye(2), B=b, C0=np.eye(2))
+    for build in (heun_like_parameters, heun_equation_4pt):
+        with pytest.raises(ContractViolation, match="requires real b1"):
+            build(prob, 0.3)
+
+
 def test_five_point_route_independence_random():
     rng = np.random.default_rng(77)
     for _ in range(8):
@@ -168,6 +176,10 @@ def test_coalescent_case_reported():
     params = heun_like_parameters(prob, 0.0)
     assert params.coalescent
     assert params.epsilon is None and params.q2 is None
+    with pytest.raises(ContractViolation):
+        params.coefficient_p(0.5)
+    with pytest.raises(ContractViolation):
+        params.coefficient_q(0.5)
 
 
 def test_confluent_limit_decoupled():

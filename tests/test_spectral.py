@@ -171,6 +171,14 @@ def test_connection_determinant_zeros_and_signs():
     assert np.sign(t_mid1.real) != np.sign(t_mid2.real)
 
 
+def test_connection_series_that_does_not_settle_raises():
+    # far up the spectrum the Frobenius coefficients at the origin overflow
+    # before they decay
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ContinuationError, match="did not settle"):
+            connection_determinant(P1, 3000.0)
+
+
 def test_connection_rejects_ladder_diagonal():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
     with pytest.raises(ContinuationError):
