@@ -68,7 +68,11 @@ def parse_problem(source) -> tuple[NchoProblem, dict]:
         data = source
     else:
         try:
-            text = sys.stdin.read() if source == "-" else open(source, "r", encoding="utf-8").read()
+            if source == "-":
+                text = sys.stdin.read()
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
         except OSError as exc:
             raise SchemaError(f"cannot read problem file: {exc}", path=str(source))
         try:

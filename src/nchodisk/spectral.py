@@ -48,6 +48,10 @@ __all__ = [
 
 _MAX_ORDER = 8192  # truncation order cap of every doubling loop
 _SEED_TOL = 1e-9  # truncation tolerance of the seeds spectrum_connection computes itself
+_STEP_FRACTION = 0.4  # a Taylor step is at most this times the distance to the nearest pole
+# arcs of the loop around the inner pole: the fewest whose chord, 2 sin(pi / n)
+# times the radius, fits in one Taylor step from a point on the circle
+_LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
 
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
@@ -158,14 +162,14 @@ def _taylor_step(poles, residues, f, z0, target, order=30):
     """One Taylor step of df/dz = sum_j R_j/(z - a_j) f from z0 toward target.
 
     poles is an array of the a_j and residues a stacked (J, p, p) array.
-    Returns (new_z, new_f).  Step length obeys 0.4x the distance to the
-    nearest singularity; the tail of the order-30 series is checked and the
-    step halved if it is not negligible."""
+    Returns (new_z, new_f).  Step length obeys _STEP_FRACTION times the
+    distance to the nearest singularity; the tail of the order-30 series
+    is checked and the step halved if it is not negligible."""
     dist = float(np.min(np.abs(z0 - poles)))
     if dist <= 0:
         raise ContinuationError("transport hit a singular point")
     remaining = target - z0
-    h_len = min(abs(remaining), 0.4 * dist)
+    h_len = min(abs(remaining), _STEP_FRACTION * dist)
     direction = remaining / abs(remaining)
     p = f.shape[0]
     # Taylor coefficients of the coefficient matrix at z0, as one row block
@@ -210,6 +214,13 @@ def _transport(poles, residues, f, z0, z1, order=30, max_steps=5000):
 def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
     """Möbius configurations the connection determinant can run in, one per
     inner pencil pole.  Polarization 0 is the canonical one."""
+    return [config for config, _ in _polarizations(problem)]
+
+
+def _polarizations(problem: NchoProblem) -> list[tuple[NchoProblem, PencilDecomposition | None]]:
+    """connection_polarizations(problem), each paired with its pencil
+    decomposition when it is already known (the configuration is problem
+    itself, decomposed here) and None otherwise."""
     if problem.p > 2:
         raise ContractViolation("connection method supports p <= 2")
     dec = decompose_pencil(problem)
@@ -223,13 +234,14 @@ def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
         )
     inner.sort(key=pole_order_key)
     if problem.p == 1:
-        return [problem]
+        return [(problem, dec)]
     if dec.zero_is_pole and len(inner) == 1:
         swap = Su11Element.sending_to_zero(inner[0])
-        return [problem, transform_problem(swap, problem)]
+        return [(problem, dec), (transform_problem(swap, problem), None)]
     if len(inner) == 2:
         return [
-            transform_problem(Su11Element.sending_to_zero(beta), problem) for beta in inner
+            (transform_problem(Su11Element.sending_to_zero(beta), problem), None)
+            for beta in inner
         ]
     raise ContinuationError("unsupported pole configuration for the connection method")
 
@@ -278,27 +290,35 @@ def _connection_t(
     w_scale = max(1.0, float(np.max(np.abs(w0))))
     zpow = 1.0 + 0.0j
     quiet = 0
-    for n in range(1, hmax):
-        start = (hmax - n) * p
-        rhs = hrow[:, : n * p].dot(coeffs[start:])
-        gap = min(abs(n - wv) for wv in w0)
-        if gap <= 1e-9 * w_scale:
-            raise ResonanceError(
-                f"exponent at the origin within {gap:.2e} of a positive integer"
-            )
-        cn = np.linalg.solve(n * np.eye(p) - r0, rhs)
-        coeffs[start - p : start] = cn
-        zpow *= z_start
-        term = cn * zpow
-        val += term
-        if float(np.linalg.norm(term)) <= 1e-16 * max(1.0, float(np.linalg.norm(val))):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ContinuationError(f"series at the origin did not settle in {hmax} terms")
+    # far up the spectrum the coefficients overflow before they decay; stop
+    # at the first non-finite term instead of running the rest on inf/nan
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(1, hmax):
+                start = (hmax - n) * p
+                rhs = hrow[:, : n * p].dot(coeffs[start:])
+                gap = min(abs(n - wv) for wv in w0)
+                if gap <= 1e-9 * w_scale:
+                    raise ResonanceError(
+                        f"exponent at the origin within {gap:.2e} of a positive integer"
+                    )
+                cn = np.linalg.solve(n * np.eye(p) - r0, rhs)
+                coeffs[start - p : start] = cn
+                zpow *= z_start
+                term = cn * zpow
+                val += term
+                if float(np.linalg.norm(term)) <= 1e-16 * max(1.0, float(np.linalg.norm(val))):
+                    quiet += 1
+                    if quiet >= 3:
+                        break
+                else:
+                    quiet = 0
+            else:
+                raise ContinuationError(f"series at the origin did not settle in {hmax} terms")
+    except FloatingPointError:
+        raise ContinuationError(
+            f"series at the origin did not settle: term {n} overflowed"
+        ) from None
 
     d_alpha = min(abs(alpha - al) for al in poles if al != alpha)
     r_match = 0.35 * d_alpha
@@ -306,12 +326,11 @@ def _connection_t(
     f_match = _transport(poles, residues, val, z_start, z_match)
 
     theta0 = np.angle(z_match - alpha)
-    arcs = 12
     f_loop = f_match
     z_cur = z_match
-    for k in range(1, arcs + 1):
-        z_next = z_match if k == arcs else alpha + r_match * np.exp(
-            1j * (theta0 + 2.0 * np.pi * k / arcs)
+    for k in range(1, _LOOP_ARCS + 1):
+        z_next = z_match if k == _LOOP_ARCS else alpha + r_match * np.exp(
+            1j * (theta0 + 2.0 * np.pi * k / _LOOP_ARCS)
         )
         f_loop = _transport(poles, residues, f_loop, z_cur, z_next)
         z_cur = z_next
@@ -338,10 +357,11 @@ def connection_determinant(problem: NchoProblem, lam: complex, polarization: int
     axis for real-matrix problems).  Eigenfunctions whose exponent at the
     origin is a positive integer are visible in the other polarization; see
     connection_polarizations."""
-    configs = connection_polarizations(problem)
+    configs = _polarizations(problem)
     if not 0 <= polarization < len(configs):
         raise ContractViolation(f"polarization must be in range 0..{len(configs) - 1}")
-    return _connection_t(configs[polarization], lam)
+    config, dec = configs[polarization]
+    return _connection_t(config, lam, dec)
 
 
 @dataclass
@@ -354,8 +374,14 @@ class RefineResult:
 def _refine_in_config(
     config: NchoProblem, dec: PencilDecomposition, seed: float, tol: float
 ) -> tuple[float, float]:
+    # brentq evaluates the bracket ends again and returns a point it has
+    # evaluated, so each T value is computed once and looked up after
+    seen: dict[float, complex] = {}
+
     def t_of(lam):
-        return _connection_t(config, lam, dec)
+        if lam not in seen:
+            seen[lam] = _connection_t(config, lam, dec)
+        return seen[lam]
 
     t_seed = t_of(seed)
     if abs(t_seed) < tol:
@@ -402,7 +428,7 @@ def refine_eigenvalue(
     decomposition is stored back into the list, so the seeds of one spectrum
     call share it."""
     if polarizations is None:
-        polarizations = [(config, None) for config in connection_polarizations(problem)]
+        polarizations = _polarizations(problem)
     failures = []
     for idx, (config, dec) in enumerate(polarizations):
         try:
@@ -426,7 +452,7 @@ def spectrum_connection(
     and are built once for all seeds."""
     if seeds is None:
         seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
-    polarizations = [(config, None) for config in connection_polarizations(problem)]
+    polarizations = _polarizations(problem)
     values = []
     residuals = []
     for s in seeds.eigenvalues:

@@ -173,10 +173,47 @@ def test_connection_determinant_zeros_and_signs():
 
 def test_connection_series_that_does_not_settle_raises():
     # far up the spectrum the Frobenius coefficients at the origin overflow
-    # before they decay
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ContinuationError, match="did not settle"):
-            connection_determinant(P1, 3000.0)
+    # before they decay; the series stops there, with no overflow warning
+    with pytest.raises(ContinuationError, match="did not settle"):
+        connection_determinant(P1, 3000.0)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_connection_determinant_decomposes_once(monkeypatch):
+    calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
+    connection_determinant(P1, 1.2)
+    assert len(calls) == 1
+
+
+def test_refinement_evaluates_each_lambda_once(monkeypatch):
+    prob = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)  # beta gamma = 1.02
+    calls = _counting(monkeypatch, spectral, "_connection_t")
+    spectrum_connection(prob, 5)
+    lams = [args[1] for args in calls]
+    assert len(set(lams)) == len(lams)
+    assert len(lams) <= 20
+
+
+def test_loop_arcs_are_single_taylor_steps(monkeypatch):
+    # the chord of each arc around the inner pole fits in one Taylor step
+    assert 2.0 * np.sin(np.pi / spectral._LOOP_ARCS) <= spectral._STEP_FRACTION
+    steps = _counting(monkeypatch, spectral, "_taylor_step")
+    for lam in (-1.0, 1.2, 3.0):
+        steps.clear()
+        connection_determinant(P1, lam)
+        assert len(steps) <= 22
 
 
 def test_connection_rejects_ladder_diagonal():
@@ -279,14 +316,7 @@ def test_spectrum_connection_decomposes_each_polarization_once(monkeypatch, coun
     prob = _classical_eta01()
     seeds = spectrum_truncated(prob, count, tol=1e-9).eigenvalues
     separate = [refine_eigenvalue(prob, float(s)) for s in seeds]
-    calls = []
-    real = pencil.decompose_quadratic_pencil
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pencil, "decompose_quadratic_pencil", counted)
+    calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
     result = spectrum_connection(prob, count)
     assert len(calls) <= 3
     assert result.eigenvalues.tolist() == [r.value for r in separate]
