@@ -9,14 +9,13 @@ from .covariance import (
     apply_transcript,
     chordal_distance,
     gauge_problem,
-    gauge_unitary,
     inverse_transcript,
     is_infinity,
     mobius_apply,
-    normalize_a,
     normalize_problem,
     standardize_p2,
     transform_ab,
+    transform_decomposition,
     transform_problem,
 )
 from .errors import (

@@ -166,7 +166,7 @@ def _cmd_verify_pencil(args):
         ],
         "all_passed": report.all_passed,
         "poles": [_c_pair(al) for al in dec.poles],
-        "det_b_zero": dec.detb_zero,
+        "det_b_zero": dec.zero_is_pole,
         "zero_is_pole": dec.zero_is_pole,
         "reconstruction_residual": dec.reconstruction_residual,
     }

@@ -1,6 +1,7 @@
 """Disk automorphism group action: Möbius maps on singularities, the
-induced (A, B) transform, unitary gauge, A-normalization, and the p=2
-standardization pipeline with a replayable transcript."""
+induced (A, B) transform and its pushforward of the pencil decomposition,
+unitary gauge, A-normalization, and the p=2 standardization pipeline with
+a replayable transcript."""
 
 from __future__ import annotations
 
@@ -18,7 +19,11 @@ from .errors import (
 from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_unitary
 from .pencil import (
     NchoProblem,
+    PencilDecomposition,
+    _reconstruction_residual,
+    _seed_from,
     decompose_pencil,
+    pencil_kernel,
     pole_angle,
     pole_order_key,
     positivity_margin,
@@ -31,9 +36,8 @@ __all__ = [
     "Su11Element",
     "mobius_apply",
     "transform_ab",
-    "gauge_unitary",
-    "normalize_a",
     "transform_problem",
+    "transform_decomposition",
     "gauge_problem",
     "normalize_problem",
     "standardize_p2",
@@ -137,23 +141,41 @@ def transform_ab(g: Su11Element, A, B) -> tuple[np.ndarray, np.ndarray]:
     return ga, gb
 
 
-def gauge_unitary(U, A, B, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u = as_matrix(U)
-    if not is_unitary(u):
-        raise ContractViolation("gauge matrix must be unitary")
-    uh = u.conj().T
-    return u @ as_matrix(A) @ uh, u @ as_matrix(B) @ uh, u @ as_matrix(C) @ uh
-
-
-def normalize_a(A, B, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Congruence by the inverse positive-definite square root of A."""
-    s = hermitian_inv_sqrt(A)
-    return s @ as_matrix(A) @ s, s @ as_matrix(B) @ s, s @ as_matrix(C) @ s
-
-
 def transform_problem(g: Su11Element, problem: NchoProblem) -> NchoProblem:
     ga, gb = transform_ab(g, problem.A, problem.B)
     return problem.with_matrices(A=ga, B=gb)
+
+
+def transform_decomposition(
+    g: Su11Element, dec: PencilDecomposition, problem: NchoProblem
+) -> PencilDecomposition:
+    """Pencil decomposition of transform_problem(g, problem) from dec, the
+    decomposition of problem, without a QZ.
+
+    Each pole moves by the Möbius rule with its residue unchanged; the pole
+    sent to infinity drops out, and when infinity is a root of problem's
+    pencil (dec.zero_is_pole) its image is a pole with residue -sum_j P_j.
+    The transformed pencil's kernel at 0 decides whether the image nearest
+    0 is exactly 0."""
+    ga, gb = transform_ab(g, problem.A, problem.B)
+    moved = [(mobius_apply(g, al), pj) for al, pj in zip(dec.poles, dec.residues)]
+    if dec.zero_is_pole:
+        moved.append((mobius_apply(g, INFINITY), -sum(dec.residues)))
+    moved = [(complex(w), pj) for w, pj in moved if not is_infinity(w)]
+    moved.sort(key=lambda pr: abs(pr[0]))
+    zero_is_pole = pencil_kernel(ga, gb, 0.0)[1].shape[1] > 0
+    if zero_is_pole:
+        moved[0] = (0j, moved[0][1])
+    moved.sort(key=lambda pr: (pr[0].real, pr[0].imag))
+    poles = [al for al, _ in moved]
+    residues = [pj for _, pj in moved]
+    rng = np.random.default_rng(_seed_from(ga, gb))
+    return PencilDecomposition(
+        poles=poles,
+        residues=residues,
+        zero_is_pole=zero_is_pole,
+        reconstruction_residual=_reconstruction_residual(ga, gb, poles, residues, rng),
+    )
 
 
 def _congruence_problem(w: np.ndarray, problem: NchoProblem) -> NchoProblem:

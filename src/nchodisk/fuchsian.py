@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import INFINITY, Su11Element, is_infinity, mobius_apply, transform_problem
-from .errors import ContractViolation
+from .covariance import Su11Element, transform_decomposition, transform_problem
 from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil, pencil_kernel
 
 __all__ = [
@@ -31,8 +30,8 @@ class FuchsianSystem:
     singular_points: list[complex]
     residues: list[np.ndarray]
     residue_at_infinity: np.ndarray
-    problem: NchoProblem | None = None
-    decomposition: PencilDecomposition | None = None
+    problem: NchoProblem
+    decomposition: PencilDecomposition
 
     @property
     def p(self) -> int:
@@ -74,11 +73,9 @@ def build_fuchsian(
 def residue_at_infinity_formula(system: FuchsianSystem) -> np.ndarray:
     """Closed form for the residue at infinity: mu I when det B != 0, and
     mu I - P0' (mu A / 2 + C) when det B = 0."""
-    if system.problem is None or system.decomposition is None:
-        raise ContractViolation("system lacks its source problem")
     prob, dec = system.problem, system.decomposition
     eye = np.eye(prob.p)
-    if not dec.detb_zero:
+    if not dec.zero_is_pole:
         return prob.mu * eye
     zero_idx = dec.poles.index(0.0)
     p0h = dec.residues[zero_idx].conj().T
@@ -103,8 +100,6 @@ def exponents_at(system: FuchsianSystem, j: int) -> PoleExponents:
     vals = np.linalg.eigvals(r)
     vals = vals[np.lexsort((vals.imag, vals.real))]
     prob, dec = system.problem, system.decomposition
-    if prob is None or dec is None:
-        raise ContractViolation("system lacks its source problem")
     pj = dec.residues[j]
     ker_dim = pencil_kernel(prob.A, prob.B, system.singular_points[j])[1].shape[1]
     u, s_p, _ = np.linalg.svd(pj)
@@ -129,41 +124,10 @@ def exponents_at(system: FuchsianSystem, j: int) -> PoleExponents:
     )
 
 
-def transform_fuchsian(
-    g: Su11Element, system: FuchsianSystem, problem: NchoProblem | None = None
-) -> FuchsianSystem:
-    """Push the system forward along a disk automorphism.
-
-    Finite poles move by the Möbius rule with their residues unchanged; a
-    pole sent to infinity folds into the residue at infinity; the image of
-    infinity (when finite) acquires the residue -(sum_j R_j + mu I)."""
-    prob = problem if problem is not None else system.problem
-    mu = system.mu
-    eye = np.eye(system.p)
-    moved: list[tuple[complex, np.ndarray]] = []
-    for al, r in zip(system.singular_points, system.residues):
-        image = mobius_apply(g, al)
-        if is_infinity(image):
-            continue
-        moved.append((complex(image), r))
-    g_inf = mobius_apply(g, INFINITY)
-    total = sum(system.residues) if system.residues else np.zeros_like(eye)
-    extra = -(total + mu * eye)
-    scale = max(1.0, float(np.max(np.abs(total))))
-    if not is_infinity(g_inf) and float(np.max(np.abs(extra))) > 1e-12 * scale:
-        moved.append((complex(g_inf), extra))
-    moved.sort(key=lambda pr: (pr[0].real, pr[0].imag))
-    points = [pt for pt, _ in moved]
-    residues = [r for _, r in moved]
-    r_inf = -sum(residues) if residues else np.zeros_like(eye)
-    new_problem = transform_problem(g, prob) if prob is not None else None
-    new_dec = decompose_pencil(new_problem) if new_problem is not None else None
-    return FuchsianSystem(
-        mu=mu,
-        lam=system.lam,
-        singular_points=points,
-        residues=residues,
-        residue_at_infinity=r_inf,
-        problem=new_problem,
-        decomposition=new_dec,
-    )
+def transform_fuchsian(g: Su11Element, system: FuchsianSystem) -> FuchsianSystem:
+    """Push the system forward along a disk automorphism: the system of the
+    transformed problem at the same lam, built on the pushed-forward pencil
+    decomposition (transform_decomposition), so no QZ runs."""
+    prob, dec = system.problem, system.decomposition
+    moved = transform_decomposition(g, dec, prob)
+    return build_fuchsian(transform_problem(g, prob), system.lam, moved)

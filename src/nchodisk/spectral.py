@@ -13,7 +13,7 @@ from itertools import islice
 import numpy as np
 from scipy.optimize import brentq
 
-from .covariance import Su11Element, transform_problem
+from .covariance import Su11Element, transform_decomposition, transform_problem
 from .errors import (
     ContinuationError,
     ContractViolation,
@@ -217,10 +217,10 @@ def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
     return [config for config, _ in _polarizations(problem)]
 
 
-def _polarizations(problem: NchoProblem) -> list[tuple[NchoProblem, PencilDecomposition | None]]:
+def _polarizations(problem: NchoProblem) -> list[tuple[NchoProblem, PencilDecomposition]]:
     """connection_polarizations(problem), each paired with its pencil
-    decomposition when it is already known (the configuration is problem
-    itself, decomposed here) and None otherwise."""
+    decomposition: problem's own, decomposed here, pushed forward along the
+    Möbius map of the configuration (transform_decomposition)."""
     if problem.p > 2:
         raise ContractViolation("connection method supports p <= 2")
     dec = decompose_pencil(problem)
@@ -236,19 +236,19 @@ def _polarizations(problem: NchoProblem) -> list[tuple[NchoProblem, PencilDecomp
     if problem.p == 1:
         return [(problem, dec)]
     if dec.zero_is_pole and len(inner) == 1:
-        swap = Su11Element.sending_to_zero(inner[0])
-        return [(problem, dec), (transform_problem(swap, problem), None)]
-    if len(inner) == 2:
-        return [
-            (transform_problem(Su11Element.sending_to_zero(beta), problem), None)
-            for beta in inner
-        ]
-    raise ContinuationError("unsupported pole configuration for the connection method")
+        swaps = [Su11Element.sending_to_zero(inner[0])]
+        configs = [(problem, dec)]
+    elif len(inner) == 2:
+        swaps = [Su11Element.sending_to_zero(beta) for beta in inner]
+        configs = []
+    else:
+        raise ContinuationError("unsupported pole configuration for the connection method")
+    return configs + [
+        (transform_problem(g, problem), transform_decomposition(g, dec, problem)) for g in swaps
+    ]
 
 
-def _connection_t(
-    problem: NchoProblem, lam: complex, dec: PencilDecomposition | None = None
-) -> complex:
+def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) -> complex:
     system = build_fuchsian(problem, lam, dec)
     poles = system.singular_points
     residues = system.residues
@@ -417,24 +417,19 @@ def refine_eigenvalue(
     problem: NchoProblem,
     seed: float,
     tol: float = 1e-10,
-    polarizations: list[tuple[NchoProblem, PencilDecomposition | None]] | None = None,
+    polarizations: list[tuple[NchoProblem, PencilDecomposition]] | None = None,
 ) -> RefineResult:
     """Bracketed root refinement of the connection determinant near a seed
     (seeds come from truncation).  Tries each polarization in turn.
 
     polarizations, when given, lists the configurations of
-    connection_polarizations(problem), each with its pencil decomposition or
-    None.  A configuration is decomposed when it is first tried and the
-    decomposition is stored back into the list, so the seeds of one spectrum
-    call share it."""
+    connection_polarizations(problem), each with its pencil decomposition,
+    so the seeds of one spectrum call share them."""
     if polarizations is None:
         polarizations = _polarizations(problem)
     failures = []
     for idx, (config, dec) in enumerate(polarizations):
         try:
-            if dec is None:
-                dec = decompose_pencil(config)
-                polarizations[idx] = (config, dec)
             value, residual = _refine_in_config(config, dec, seed, tol)
             return RefineResult(value=value, residual=residual, polarization=idx)
         except (RefinementError, ResonanceError, ContinuationError) as exc:
@@ -449,7 +444,7 @@ def spectrum_connection(
     given, is the caller's spectrum_truncated(problem, count) result;
     without it the seeds are computed here at tolerance _SEED_TOL.
     The polarizations and their pencil decompositions do not depend on lam
-    and are built once for all seeds."""
+    and are built once for all seeds, from one decomposition of problem."""
     if seeds is None:
         seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
     polarizations = _polarizations(problem)

@@ -86,7 +86,7 @@ def test_criterion_01_pencil_identity_suite():
     n_singular_b = 0
     for prob in instances:
         dec = decompose_pencil(prob)
-        n_singular_b += int(dec.detb_zero)
+        n_singular_b += int(dec.zero_is_pole)
         report = verify_pencil_identities(dec, prob, tol=1e-9)
         worst = max(worst, max(c.residual for c in report.checks))
         if not report.all_passed:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import FIXTURES, random_problem
 
 from nchodisk import (
     INFINITY,
@@ -13,16 +13,19 @@ from nchodisk import (
     chordal_distance,
     decompose_pencil,
     decompose_quadratic_pencil,
-    gauge_unitary,
+    gauge_problem,
     inverse_transcript,
     is_infinity,
     mobius_apply,
-    normalize_a,
+    normalize_problem,
     positivity_margin,
     standard_ncho_problem,
     standardize_p2,
     transform_ab,
+    transform_decomposition,
+    transform_problem,
 )
+from nchodisk.cli import parse_problem
 
 
 def random_group_element(rng, bmax=0.5):
@@ -163,15 +166,16 @@ def test_gauge_unitary_examples():
     a = np.diag([2.0, 1.0]).astype(complex)
     b = 0.5 * np.array([[0, 1j], [-1j, 0]])
     c = np.zeros((2, 2))
-    ua, ub, uc = gauge_unitary(np.eye(2), a, b, c)
-    assert np.allclose(ua, a) and np.allclose(ub, b)
+    prob = NchoProblem(p=2, mu=1.0, A=a, B=b, C0=c)
+    gauged = gauge_problem(np.eye(2), prob)
+    assert np.allclose(gauged.A, a) and np.allclose(gauged.B, b)
     # rows are the conjugated eigenvectors of the skew coupling: the gauge
     # diagonalizes it to (1/2) diag(1, -1)
     u = np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0)
-    _, ub, _ = gauge_unitary(u, np.eye(2), b, c)
-    assert np.max(np.abs(ub - np.diag([0.5, -0.5]))) < 1e-12
+    gauged = gauge_problem(u, prob.with_matrices(A=np.eye(2)))
+    assert np.max(np.abs(gauged.B - np.diag([0.5, -0.5]))) < 1e-12
     with pytest.raises(ContractViolation):
-        gauge_unitary(2.0 * np.eye(2), a, b, c)
+        gauge_problem(2.0 * np.eye(2), prob)
 
 
 def test_gauge_preserves_poles():
@@ -179,8 +183,8 @@ def test_gauge_preserves_poles():
     prob = random_problem(rng, p=2)
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     dec0 = decompose_pencil(prob)
-    ua, ub, _ = gauge_unitary(u, prob.A, prob.B, prob.C0)
-    dec1 = decompose_quadratic_pencil(ua, ub)
+    gauged = gauge_problem(u, prob)
+    dec1 = decompose_quadratic_pencil(gauged.A, gauged.B)
     for al in dec0.poles:
         assert min(abs(al - x) for x in dec1.poles) < 1e-10
 
@@ -188,12 +192,44 @@ def test_gauge_preserves_poles():
 def test_normalize_a_diagonal():
     a = np.diag([4.0, 1.0]).astype(complex)
     b = np.array([[0.1, 0.2], [0.3, 0.4]], dtype=complex)
-    na, nb, _ = normalize_a(a, b, np.zeros((2, 2)))
-    assert np.max(np.abs(na - np.eye(2))) < 1e-12
+    prob = NchoProblem(p=2, mu=1.0, A=a, B=b, C0=np.zeros((2, 2)))
+    normed, _ = normalize_problem(prob)
+    assert np.max(np.abs(normed.A - np.eye(2))) < 1e-12
     d = np.diag([0.5, 1.0])
-    assert np.max(np.abs(nb - d @ b @ d)) < 1e-12
+    assert np.max(np.abs(normed.B - d @ b @ d)) < 1e-12
     with pytest.raises(ContractViolation):
-        normalize_a(np.diag([1.0, -1.0]), b, np.zeros((2, 2)))
+        normalize_problem(prob.with_matrices(A=np.diag([1.0, -1.0])))
+
+
+def _pushforward_problems(name):
+    if name.startswith("random_p"):
+        rng = np.random.default_rng(8)
+        return [random_problem(rng, int(name[-1])) for _ in range(3)]
+    if name == "standardized_p2":
+        return [standardize_p2(standard_ncho_problem(2.0, 3.0, 0.2, 1.5))[0]]
+    return [parse_problem(str(FIXTURES / f"{name}.json"))[0]]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["random_p1", "random_p2", "random_p3", "random_p4", "standardized_p2"]
+    + ["classical_eta0", "classical_eta01_mu15", "classical_mu_nk", "degenerate_b0"]
+    + ["p1_a123", "p1_quarter"],
+)
+def test_transform_decomposition_matches_qz(name):
+    generic = Su11Element(np.sqrt(1.09) * np.exp(0.7j), 0.3 * np.exp(-1.1j))
+    for prob in _pushforward_problems(name):
+        dec = decompose_pencil(prob)
+        inner = [al for al in dec.poles if al != 0 and abs(al) < 1.0]
+        moves = [generic, Su11Element.rotation(0.4)]
+        for g in moves + [Su11Element.sending_to_zero(al) for al in inner]:
+            got = transform_decomposition(g, dec, prob)
+            ref = decompose_pencil(transform_problem(g, prob))
+            assert len(got.poles) == len(ref.poles)
+            assert got.zero_is_pole == ref.zero_is_pole
+            for al, pj, al_ref, pj_ref in zip(got.poles, got.residues, ref.poles, ref.residues):
+                assert abs(al - al_ref) <= 1e-10 * max(1.0, abs(al_ref))
+                assert np.max(np.abs(pj - pj_ref)) <= 1e-10 * max(1.0, np.max(np.abs(pj_ref)))
 
 
 def test_standardize_classical_family():

@@ -25,3 +25,16 @@ def test_package_imports_resolve():
             names = [a.name for a in node.names]
             assert all(hasattr(module, n) for n in names), node.module
             assert all(hasattr(nchodisk, n) for n in names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_its_imports(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

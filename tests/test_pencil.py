@@ -61,7 +61,7 @@ def test_ab_rejects_non_hermitian():
 def test_decompose_p1_quarter_pencil():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.25]], C0=[[0.0]])
     dec = decompose_pencil(prob)
-    assert not dec.detb_zero and not dec.zero_is_pole
+    assert not dec.zero_is_pole
     assert abs(dec.poles[0] - (-2.0 - SQ3)) < 1e-10
     assert abs(dec.poles[1] - (-2.0 + SQ3)) < 1e-10
     assert abs(dec.residues[1][0, 0] - 2.0 / SQ3) < 1e-10
@@ -72,7 +72,7 @@ def test_decompose_p1_quarter_pencil():
 def test_decompose_linear_pencil():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
     dec = decompose_pencil(prob)
-    assert dec.detb_zero and dec.zero_is_pole
+    assert dec.zero_is_pole
     assert dec.poles == [0.0]
     assert abs(dec.residues[0][0, 0] - 1.0) < 1e-12
 
@@ -81,7 +81,7 @@ def test_decompose_standard_form_pole_layout():
     b1, b2 = 0.2 * np.exp(0.3j), 0.3
     b = np.array([[b1, b2], [0.0, 0.0]])
     dec = decompose_quadratic_pencil(np.eye(2), b)
-    assert dec.detb_zero and dec.zero_is_pole
+    assert dec.zero_is_pole
     inner = [al for al in dec.poles if al != 0 and abs(al) < 1]
     outer = [al for al in dec.poles if abs(al) > 1]
     assert len(inner) == 1 and len(outer) == 1
@@ -151,7 +151,7 @@ def test_decompose_p9_reconstructs(seed):
     a = np.eye(9) + 0.25 * random_hermitian(rng, 9)
     g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     dec = decompose_quadratic_pencil(a, 0.3 * np.linalg.qr(g)[0])
-    assert len(dec.poles) == 18 and type(dec.detb_zero) is bool
+    assert len(dec.poles) == 18 and type(dec.zero_is_pole) is bool
     assert dec.reconstruction_residual < 1e-10
 
 
@@ -166,7 +166,7 @@ def test_identities_random_large_p(p):
         b *= 0.15 * np.linalg.eigvalsh(a)[0] / np.linalg.norm(b, 2)
         prob = NchoProblem(p=p, mu=1.0, A=a, B=b, C0=np.zeros((p, p)))
         dec = decompose_pencil(prob)
-        assert dec.detb_zero is False and len(dec.poles) == 2 * p
+        assert dec.zero_is_pole is False and len(dec.poles) == 2 * p
         report = verify_pencil_identities(dec, prob)
         assert report.all_passed, [(c.name, c.residual) for c in report.checks]
 
@@ -271,7 +271,7 @@ def test_degree_bound_and_detb():
         # finite poles with multiplicity: a pole counts rank P_j times
         degree = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec.residues)
         assert degree <= 2 * prob.p
-        assert (degree < 2 * prob.p) == dec.detb_zero
+        assert (degree < 2 * prob.p) == dec.zero_is_pole
 
 
 def test_problem_validation():

@@ -195,6 +195,13 @@ def test_connection_determinant_decomposes_once(monkeypatch):
     calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
     connection_determinant(P1, 1.2)
     assert len(calls) == 1
+    # both polarizations are Möbius images of the problem: its decomposition
+    # is pushed forward, not recomputed
+    prob = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)
+    for polarization in (0, 1):
+        calls.clear()
+        connection_determinant(prob, 3.0, polarization)
+        assert len(calls) == 1
 
 
 def test_refinement_evaluates_each_lambda_once(monkeypatch):
@@ -214,6 +221,18 @@ def test_loop_arcs_are_single_taylor_steps(monkeypatch):
         steps.clear()
         connection_determinant(P1, lam)
         assert len(steps) <= 22
+
+
+def test_connection_near_positivity_boundary_matches_tight_truncation():
+    prob = standard_ncho_problem(2.0, 1.005 / 2, 0.1, 1.5)
+    ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
+    conn = spectrum_connection(prob, 5).eigenvalues
+    assert np.max(np.abs(conn - ref)) < 1e-12
+
+
+def test_connection_residuals_small_at_bg_1001():
+    prob = standard_ncho_problem(2.0, 1.001 / 2, 0.1, 1.5)
+    assert spectrum_connection(prob, 5).convergence.max() < 1e-3
 
 
 def test_connection_rejects_ladder_diagonal():
@@ -312,13 +331,13 @@ def _classical_eta01():
 
 
 @pytest.mark.parametrize("count", [1, 4])
-def test_spectrum_connection_decomposes_each_polarization_once(monkeypatch, count):
+def test_spectrum_connection_decomposes_once(monkeypatch, count):
     prob = _classical_eta01()
     seeds = spectrum_truncated(prob, count, tol=1e-9).eigenvalues
     separate = [refine_eigenvalue(prob, float(s)) for s in seeds]
     calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
     result = spectrum_connection(prob, count)
-    assert len(calls) <= 3
+    assert len(calls) == 1
     assert result.eigenvalues.tolist() == [r.value for r in separate]
     assert result.convergence.tolist() == [r.residual for r in separate]
 
