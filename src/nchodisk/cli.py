@@ -8,7 +8,9 @@ Complex numbers are serialized as [re, im] pairs throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -126,7 +128,11 @@ def parse_problem(source) -> tuple[NchoProblem, dict]:
     extras = {}
     for key in ("lambda", "M", "tol"):
         if key in data:
-            _require(isinstance(data[key], (int, float)), "must be a number", f"$.{key}")
+            _require(
+                isinstance(data[key], (int, float)) and math.isfinite(data[key]),
+                "must be a finite number",
+                f"$.{key}",
+            )
             extras[key] = data[key]
     return problem, extras
 
@@ -285,6 +291,8 @@ def _cmd_spectrum(args):
 def _cmd_eigenfunction(args):
     problem, extras = parse_problem(args.problem)
     tol = float(extras.get("tol", 1e-10))
+    if args.samples < 1:
+        raise ContractViolation("samples must be at least 1")
     seeds = spectrum_truncated(problem, args.index + 1, tol=tol)
     lam = float(seeds.eigenvalues[args.index])
     t_grid = np.linspace(args.tmax / args.samples, args.tmax, args.samples)
@@ -302,7 +310,10 @@ def _cmd_eigenfunction(args):
 
 
 def _cmd_confluence(args):
-    mu_list = [float(x) for x in args.mu_list.split(",") if x.strip()]
+    try:
+        mu_list = [float(x) for x in args.mu_list.split(",") if x.strip()]
+    except ValueError as exc:
+        raise SchemaError(f"--mu-list holds a non-number: {exc}", "$.mu_list")
     if not mu_list:
         raise SchemaError("empty --mu-list", "$.mu_list")
     rabi = RabiParameters(
@@ -315,7 +326,22 @@ def _cmd_confluence(args):
     return "\n".join(lines) + "\n"
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: nan and infinities are refused
+    like any other non-number (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call in the process, built on the first.
+    parse_args leaves it unchanged and returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="nchodisk",
         description="Matrix oscillator problems on the unit disk: pencil checks, "
@@ -333,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("verify-pencil", _cmd_verify_pencil)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--seed", type=int, default=None)
 
     sp = add("positivity", _cmd_positivity)
@@ -342,26 +368,26 @@ def _build_parser() -> argparse.ArgumentParser:
     add("standardize", _cmd_standardize)
 
     sp = add("fuchsian", _cmd_fuchsian)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
 
     sp = add("heun-params", _cmd_heun_params)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
 
     sp = add("spectrum", _cmd_spectrum)
     sp.add_argument("--method", choices=["trunc", "connect", "both"], default="trunc")
     sp.add_argument("--count", type=int, default=5)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite_float, default=None)
 
     sp = add("eigenfunction", _cmd_eigenfunction, csv=True)
     sp.add_argument("--index", type=int, default=0)
-    sp.add_argument("--tmax", type=float, default=8.0)
+    sp.add_argument("--tmax", type=_finite_float, default=8.0)
     sp.add_argument("--samples", type=int, default=81)
 
     sp = add("confluence", _cmd_confluence, needs_problem=False, csv=True)
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--coupling", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.0)
-    sp.add_argument("--bias", type=float, default=0.0)
+    sp.add_argument("--omega", type=_finite_float, default=1.0)
+    sp.add_argument("--coupling", type=_finite_float, required=True)
+    sp.add_argument("--delta", type=_finite_float, default=0.0)
+    sp.add_argument("--bias", type=_finite_float, default=0.0)
     sp.add_argument("--mu-list", required=True)
     sp.add_argument("--count", type=int, default=5)
 
@@ -377,8 +403,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
     except SchemaError as exc:

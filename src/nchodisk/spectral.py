@@ -67,10 +67,17 @@ def _norm_sq(mu: float, count: int) -> np.ndarray:
 # banded truncation
 
 
+def _check_tol(tol: float) -> None:
+    # tol = 0 is kept: no change is below it, so the doubling runs to the cap
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ContractViolation("tol must be non-negative and finite")
+
+
 def _settle(band_of, select, order: int, tol: float, max_order: int):
     """Double the truncation order until the eigenvalues chosen by
     select(band) move by less than tol.  Returns (values, change, band) at
     the final order; raises ConvergenceError past max_order."""
+    _check_tol(tol)
     prev = None
     last_change = float("nan")
     while True:
@@ -445,6 +452,7 @@ def spectrum_connection(
     without it the seeds are computed here at tolerance _SEED_TOL.
     The polarizations and their pencil decompositions do not depend on lam
     and are built once for all seeds, from one decomposition of problem."""
+    _check_tol(tol)
     if seeds is None:
         seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
     polarizations = _polarizations(problem)
@@ -602,6 +610,8 @@ def confluence_sweep(
     g/sqrt(mu), energy shift mu/2) with the Rabi truncation; the maximum
     absolute deviation per mu decays like 1/mu."""
     mu_values = [float(m) for m in mu_list]
+    if not all(m > 0 and math.isfinite(m) for m in mu_values):
+        raise ContractViolation("mu must be positive and finite")
     if any(b >= a for a, b in zip(mu_values[1:], mu_values[:-1])):
         raise ContractViolation("mu values must be strictly increasing")
     if count < 1:

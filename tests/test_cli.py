@@ -1,5 +1,10 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +61,14 @@ def test_parse_a123_alternative():
 def test_parse_missing_b_is_schema_error():
     with pytest.raises(SchemaError):
         parse_problem(str(FIXTURES / "bad_missing_b.json"))
+
+
+@pytest.mark.parametrize("key", ["lambda", "tol"])
+def test_parse_rejects_non_finite_extras(key):
+    data = json.loads((FIXTURES / "p1_quarter.json").read_text())
+    data[key] = math.nan
+    with pytest.raises(SchemaError, match="must be a finite number"):
+        parse_problem(data)
 
 
 def test_heun_params_random_p2_with_b2(capsys, tmp_path):
@@ -278,3 +291,122 @@ def test_golden_diff_names_discrete_and_numeric_changes():
     csv = golden_diff("i,v\n0,1.0\n1,2.0\n", "i,v\n0,1.0\n2,2.2\n")
     assert "$[2][0]: 1 -> 2" in csv and "largest absolute change 0.2" in csv, csv
     assert "formatting" in golden_diff('{"a": 1.0}', '{"a":1.0}')
+
+
+def _run_sequence(capsys, sequence):
+    """(exit code, stdout, stderr) of each main call; an argparse error is
+    its SystemExit code."""
+    results = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state(capsys, monkeypatch):
+    p1, classical = str(FIXTURES / "p1_quarter.json"), str(FIXTURES / "classical_eta0.json")
+    sequence = [
+        ["positivity", classical, "--grid-size", "4096"],
+        ["positivity", classical],
+        ["fuchsian", p1, "--lambda", "0.0"],
+        ["fuchsian", p1],
+        ["spectrum", p1, "--no-such-flag"],
+        ["verify-pencil", p1, "--json-indent", "0"],
+        ["verify-pencil", p1],
+        ["heun-params", classical, "--lambda", "3.4641016"],
+        ["standardize", classical],
+        ["positivity", p1],
+    ]
+    # each run of _build_parser's body adds the subcommands once
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(1)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli._build_parser.cache_clear()
+    try:
+        reused = _run_sequence(capsys, sequence)
+        assert len(built) == 1
+    finally:
+        cli._build_parser.cache_clear()
+
+    assert json.loads(reused[0][1])["grid_size"] == 4096
+    assert json.loads(reused[1][1])["grid_size"] == 256
+    assert reused[2][0] == 0 and reused[3][0] == 2
+    assert reused[4][0] == 2 and reused[5][0] == 0 and reused[6][0] == 0
+    assert reused[5][1] != reused[6][1]  # --json-indent does not carry over
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_sequence(capsys, sequence)
+    assert len(built) == 1 + len(sequence)
+    assert reused == fresh
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["confluence", "--coupling", "nan", "--mu-list", "20"],
+        ["fuchsian", str(FIXTURES / "p1_quarter.json"), "--lambda", "nan"],
+        ["heun-params", str(FIXTURES / "classical_eta0.json"), "--lambda", "nan"],
+        ["heun-params", str(FIXTURES / "classical_eta0.json"), "--lambda", "inf"],
+        ["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--tmax", "nan"],
+        ["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "nan"],
+        ["fuchsian", str(FIXTURES / "p1_quarter.json"), "--lambda", "abc"],
+    ],
+    ids=["coupling-nan", "fuchsian-lambda-nan", "heun-lambda-nan", "heun-lambda-inf",
+         "tmax-nan", "tol-nan", "lambda-abc"],
+)
+def test_non_finite_float_option_is_an_argparse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a finite number" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,code,kind",
+    [
+        (["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--samples", "0"], 3, "contract"),
+        (["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--samples", "-1"], 3, "contract"),
+        (["confluence", "--coupling", "0.3", "--mu-list", "20,x"], 2, "schema"),
+        (["confluence", "--coupling", "0.3", "--mu-list", "-5"], 3, "contract"),
+        (["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "-1"], 3, "contract"),
+        (["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "-1", "--method", "connect"],
+         3, "contract"),
+    ],
+    ids=["samples-0", "samples-neg", "mu-list-non-number", "mu-list-negative", "tol-neg",
+         "tol-neg-connect"],
+)
+def test_bad_argv_value_exits_with_json_error(capsys, monkeypatch, argv, code, kind):
+    builds = []
+    real = spectral.build_truncated
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_truncated", counted)
+    got, out = run_cli(capsys, argv)
+    assert got == code
+    assert json.loads(out)["error"]["type"] == kind
+    assert builds == []  # refused before any truncation is built
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nchodisk", "positivity", str(FIXTURES / "classical_eta0.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "positivity_classical.json").read_text()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_problem
+from conftest import FIXTURES, random_hermitian, random_problem
 
 from nchodisk import (
     ContractViolation,
@@ -18,7 +18,8 @@ from nchodisk import (
     standard_ncho_problem,
     verify_pencil_identities,
 )
-from nchodisk.pencil import pole_angle, pole_order_key
+from nchodisk.cli import parse_problem
+from nchodisk.pencil import _reconstruction_residual, pole_angle, pole_order_key
 
 SQ3 = np.sqrt(3.0)
 
@@ -261,6 +262,43 @@ def test_positivity_matches_pointwise_eigvalsh(p, grid):
             best, best_phi = float(w[0]), float(phi)
     cert = positivity_margin(prob, grid)
     assert (cert.margin, cert.argmin_phi) == (best, best_phi)
+
+
+def _pointwise_reconstruction_residual(a, b, poles, residues, rng):
+    bh, eye = b.conj().T, np.eye(a.shape[0])
+    samples, residual = 0, 0.0
+    while samples < 16:
+        z = rng.uniform(0.2, 2.5) * np.exp(2j * np.pi * rng.uniform())
+        if any(abs(z - al) < 0.1 for al in poles):
+            continue
+        samples += 1
+        recon = sum(pj / (z - al) for al, pj in zip(poles, residues))
+        residual = max(residual, float(np.max(np.abs(recon @ (b * z * z + a * z + bh) - eye))))
+    return residual
+
+
+def _reconstruction_problems(name):
+    if name.startswith("random_p"):
+        rng = np.random.default_rng(12)
+        return [random_problem(rng, int(name[-1])) for _ in range(4)]
+    return [parse_problem(str(FIXTURES / f"{name}.json"))[0]]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["random_p1", "random_p2", "random_p3", "random_p4"]
+    + ["classical_eta0", "classical_eta01_mu15", "classical_mu_nk", "degenerate_b0"]
+    + ["p1_a123", "p1_quarter"],
+)
+def test_reconstruction_residual_matches_pointwise_loop(name):
+    for prob in _reconstruction_problems(name):
+        dec = decompose_pencil(prob)
+        for seed in (0, 1, 2):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _reconstruction_residual(prob.A, prob.B, dec.poles, dec.residues, rng)
+            ref = _pointwise_reconstruction_residual(prob.A, prob.B, dec.poles, dec.residues, rng_ref)
+            assert got == ref
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_degree_bound_and_detb():

@@ -270,6 +270,13 @@ def test_truncation_convergence_error_with_tight_budget():
         spectrum_truncated(P1, 3, tol=0.0, max_order=256)
 
 
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_spectra_reject_bad_tol(tol):
+    for solve in (spectral.spectrum_truncated, spectral.spectrum_connection):
+        with pytest.raises(ContractViolation, match="tol must be non-negative and finite"):
+            solve(P1, 3, tol=tol)
+
+
 def test_profile_convergence_error_at_order_cap():
     with pytest.raises(ConvergenceError, match="by order 8192"):
         eigenfunction_profile(P1, SQ3 / 4.0, np.linspace(0.1, 2.0, 5), tol=0.0)
