@@ -296,7 +296,7 @@ def _cmd_eigenfunction(args):
     seeds = spectrum_truncated(problem, args.index + 1, tol=tol)
     lam = float(seeds.eigenvalues[args.index])
     t_grid = np.linspace(args.tmax / args.samples, args.tmax, args.samples)
-    profile = eigenfunction_profile(problem, lam, t_grid, tol=tol)
+    profile = eigenfunction_profile(problem, lam, t_grid, seeds=seeds)
     header = ["t"]
     for j in range(problem.p):
         header += [f"re_{j}", f"im_{j}"]
@@ -338,6 +338,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as the random
+    generator takes (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every main call in the process, built on the first.
@@ -360,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify-pencil", _cmd_verify_pencil)
     sp.add_argument("--tol", type=_finite_float, default=1e-9)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
 
     sp = add("positivity", _cmd_positivity)
     sp.add_argument("--grid-size", type=int, default=256)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .covariance import Su11Element, transform_decomposition, transform_problem
 from .errors import (
@@ -56,11 +55,8 @@ _LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
     """Squared basis norms m! / (mu)_m for m < count."""
-    out = np.empty(count)
-    out[0] = 1.0
-    for m in range(1, count):
-        out[m] = out[m - 1] * m / (mu + m - 1.0)
-    return out
+    m = np.arange(1, count)
+    return np.cumprod(np.concatenate(([1.0], m / (mu + m - 1.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +280,13 @@ def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) 
 
     # Frobenius series at the origin for the exponent-zero solution, with
     # H_k = -sum_j R_j / a_j^{k+1} laid out as one row block [H_0 | H_1 | ...]
+    # H_{n-1} is appended in step n, so 1/a_j^k is only formed for the terms
+    # the series uses: all 420 of them overflow once the inner |a_j| < 0.185
     hmax = 420
     invs = np.array([1.0 / al for al, _ in nonzero])
-    powers = np.cumprod(np.broadcast_to(invs[:, None], (len(nonzero), hmax)), axis=1)
-    hrow = np.einsum("jk,jab->akb", powers, -np.array([r for _, r in nonzero]))
-    hrow = hrow.reshape(p, hmax * p)
+    neg_res = -np.array([r for _, r in nonzero])
+    inv_pow = np.ones(len(nonzero), dtype=complex)
+    hrow = np.empty((p, hmax * p), dtype=complex)
     # coefficients newest first: c_l sits in block hmax - 1 - l, so
     # sum_l H_{n-1-l} c_l is one dot with a contiguous tail of the buffer
     coeffs = np.empty(hmax * p, dtype=complex)
@@ -302,6 +300,8 @@ def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) 
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1, hmax):
+                inv_pow *= invs
+                hrow[:, (n - 1) * p : n * p] = np.einsum("j,jab->ab", inv_pow, neg_res)
                 start = (hmax - n) * p
                 rhs = hrow[:, : n * p].dot(coeffs[start:])
                 gap = min(abs(n - wv) for wv in w0)
@@ -381,6 +381,10 @@ class RefineResult:
 def _refine_in_config(
     config: NchoProblem, dec: PencilDecomposition, seed: float, tol: float
 ) -> tuple[float, float]:
+    # imported here: scipy.optimize (with the modules it pulls in) would
+    # otherwise load at every start of the CLI, most of whose commands never refine
+    from scipy.optimize import brentq
+
     # brentq evaluates the bracket ends again and returns a point it has
     # evaluated, so each T value is computed once and looked up after
     seen: dict[float, complex] = {}
@@ -474,19 +478,29 @@ def spectrum_connection(
 # radial modes and profiles
 
 
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^m by m mod 4, exactly
+
+
+def _mode_factors(mu: float, count: int) -> np.ndarray:
+    """The factors i^m m!/(mu)_m that turn L_m^{(mu-1)}(2t) into the radial
+    mode l_m, for m < count."""
+    return _I_POWERS[np.arange(count) % 4] * _norm_sq(mu, count)
+
+
 def _laguerre_modes(mu: float, t: np.ndarray, count: int):
-    """Yield the radial modes i^m (m!/(mu)_m) L_m^{(mu-1)}(2t), without the
-    e^{-t} factor, for m = 0..count-1: one ascending pass of the three-term
-    Laguerre recurrence over all of t at once."""
+    """Yield the real Laguerre factors L_m^{(mu-1)}(2t) of the radial modes
+    for m = 0..count-1: one ascending pass of the three-term recurrence over
+    all of t at once.  The complex factor i^m m!/(mu)_m (_mode_factors) and
+    e^{-t} are left to the caller, which applies them to its coefficients
+    and to the sum, not to every mode."""
     x = 2.0 * t
     a = mu - 1.0
-    norms = _norm_sq(mu, count)
     lk_prev = np.ones_like(x)
     lk = 1.0 + a - x
     for m in range(count):
         if m >= 2:
             lk, lk_prev = ((2 * m - 1 + a - x) * lk - (m - 1 + a) * lk_prev) / m, lk
-        yield (1j**m) * norms[m] * (lk_prev if m == 0 else lk)
+        yield lk_prev if m == 0 else lk
 
 
 def laguerre_mode(m: int, mu: float, t, weighted: bool = True):
@@ -499,7 +513,7 @@ def laguerre_mode(m: int, mu: float, t, weighted: bool = True):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ContractViolation("t must be positive")
-    out = next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))
+    out = _mode_factors(mu, m + 1)[m] * next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))
     if weighted:
         out = out * np.exp(-t_arr)
     return out if out.shape else complex(out)
@@ -521,44 +535,60 @@ def eigenfunction_profile(
     t_grid,
     tol: float = 1e-10,
     match_tol: float = 1e-6,
+    seeds: SpectrumResult | None = None,
 ) -> ProfileResult:
-    """Radial profile of the eigenfunction at (or near) lam: the truncated
-    eigenvalue nearest lam is followed through the order doublings until it
-    settles, its eigenvector is found by banded inverse iteration, and the
+    """Radial profile of the eigenfunction at (or near) lam.
+
+    The eigenvalue is the truncation eigenvalue nearest lam in seeds, the
+    caller's spectrum_truncated(problem, count) result holding it; tol is
+    then not used.  Without seeds the truncated eigenvalue nearest lam is
+    followed through the order doublings until it moves by less than tol.
+    Either way the operator is built once more at the final order, the
+    eigenvector is found there by banded inverse iteration, and the
     coefficients u_m recovered through the basis norms are summed against
-    the radial modes on t_grid."""
+    the radial modes on t_grid: the real Laguerre factors times the complex
+    p-vectors i^m (m!/(mu)_m) u_m, with e^{-t} applied once to the sum."""
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(t_arr <= 0):
         raise ContractViolation("t grid must be positive")
     p, mu = problem.p, problem.mu
 
-    def nearest(band):
-        # lowest k eigenvalues, k grown until they reach past lam
-        n = band.shape[1]
-        k = min(8, n)
-        while True:
-            vals = eigen_banded_lowest(band, k)
-            if vals[-1] >= lam or k == n:
-                return vals[[int(np.argmin(np.abs(vals - lam)))]]
-            k = min(2 * k, n)
+    if seeds is None:
 
-    vals, _, band = _settle(
-        lambda order: build_truncated(problem, order).band, nearest, 64, tol, _MAX_ORDER
-    )
-    value = float(vals[0])
+        def nearest(band):
+            # lowest k eigenvalues, k grown until they reach past lam
+            n = band.shape[1]
+            k = min(8, n)
+            while True:
+                vals = eigen_banded_lowest(band, k)
+                if vals[-1] >= lam or k == n:
+                    return vals[[int(np.argmin(np.abs(vals - lam)))]]
+                k = min(2 * k, n)
+
+        vals, change, band = _settle(
+            lambda order: build_truncated(problem, order).band, nearest, 64, tol, _MAX_ORDER
+        )
+        order = band.shape[1] // p
+        seeds = SpectrumResult(
+            eigenvalues=vals, method="truncation", convergence=change, orders=(order // 2, order)
+        )
+    value = float(seeds.eigenvalues[int(np.argmin(np.abs(seeds.eigenvalues - lam)))])
     if abs(value - lam) > match_tol * max(1.0, abs(lam)):
         raise NotAnEigenvalueError(
             f"{lam} is not within {match_tol:g} of a truncated eigenvalue (nearest {value})"
         )
-    order = band.shape[1] // p
-    vec = eigenvector_banded(band, value)
+    order = seeds.orders[1]
+    vec = eigenvector_banded(build_truncated(problem, order).band, value)
     vec = fix_phase(vec / np.linalg.norm(vec))
     u = vec.reshape(order, p) / np.sqrt(_norm_sq(mu, order))[:, None]
 
-    weight = np.exp(-t_arr)
-    values = np.zeros((t_arr.size, p), dtype=complex)
-    for m, mode in enumerate(_laguerre_modes(mu, t_arr, order)):
-        values += (mode * weight)[:, None] * u[m][None, :]
+    # real arithmetic: the complex p-vector of mode m as a column of 2p reals,
+    # summed into rows that run along t
+    coef = (_mode_factors(mu, order)[:, None] * u).view(float)[:, :, None]
+    acc = np.zeros((2 * p, t_arr.size))
+    for c, lag in zip(coef, _laguerre_modes(mu, t_arr, order)):
+        acc += c * lag
+    values = np.ascontiguousarray((acc * np.exp(-t_arr)).T).view(complex)
     return ProfileResult(
         t=t_arr,
         values=values,
@@ -586,6 +616,9 @@ def _rabi_band(rabi: RabiParameters, order: int) -> np.ndarray:
 
 
 def rabi_truncated_spectrum(rabi: RabiParameters, count: int, tol: float = 1e-10) -> np.ndarray:
+    # for omega <= 0 the lowest eigenvalues never settle: the doubling would run to the cap
+    if not (rabi.omega > 0 and math.isfinite(rabi.omega)):
+        raise ContractViolation("omega must be positive and finite")
     vals, _, _ = _settle(
         lambda order: _rabi_band(rabi, order),
         lambda band: eigen_banded_lowest(band, count),

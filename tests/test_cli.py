@@ -201,6 +201,26 @@ def test_eigenfunction_csv(capsys):
     assert len(first) == 3
 
 
+def test_eigenfunction_solves_each_truncation_order_once(capsys, monkeypatch):
+    # the truncation seeds of the requested eigenvalue are handed to the
+    # profile, which neither settles the order again nor grows k past them
+    solves = []
+    real = spectral.eigen_banded_lowest
+
+    def counted(band, count):
+        solves.append((band.shape[1], count))
+        return real(band, count)
+
+    monkeypatch.setattr(spectral, "eigen_banded_lowest", counted)
+    for name, index in (("p1_quarter.json", 0), ("classical_eta01_mu15.json", 2)):
+        solves.clear()
+        code, _ = run_cli(capsys, ["eigenfunction", str(FIXTURES / name), "--index", str(index)])
+        assert code == 0
+        sizes = [n for n, _ in solves]
+        assert len(sizes) >= 2 and len(set(sizes)) == len(sizes), solves
+        assert {count for _, count in solves} == {index + 1}, solves
+
+
 def test_confluence_csv(capsys):
     code, out = run_cli(
         capsys,
@@ -371,6 +391,34 @@ def test_non_finite_float_option_is_an_argparse_error(capsys, argv):
     assert captured.out == "" and "expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_negative_seed_is_an_argparse_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-pencil", str(FIXTURES / "p1_quarter.json"), "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize("omega", ["0", "-1"])
+def test_confluence_non_positive_omega_is_refused_at_once(capsys, monkeypatch, omega):
+    # the Rabi ladder is unbounded below: without the check it runs to the order cap
+    bands = []
+    real = spectral._rabi_band
+
+    def counted(*args, **kwargs):
+        bands.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_rabi_band", counted)
+    code, out = run_cli(
+        capsys, ["confluence", "--coupling", "0.3", "--mu-list", "20", "--omega", omega]
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "contract"
+    assert bands == []
+
+
 @pytest.mark.parametrize(
     "argv,code,kind",
     [
@@ -410,3 +458,18 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / "positivity_classical.json").read_text()
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the root refinement imports it when it first runs; a fresh CLI process
+    # whose command never refines does not pay for it
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nchodisk.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

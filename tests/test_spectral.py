@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
@@ -464,6 +466,46 @@ def test_profile_rejects_non_eigenvalue():
         eigenfunction_profile(P1, 1.0, np.linspace(0.1, 2.0, 5))
 
 
+def _profile_problems():
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name.startswith("bad_"):
+            continue
+        out.append(parse_problem(str(path))[0])
+    return out + [standard_ncho_problem(2.0, 1.02 / 2.0, 0.1, 1.5)]
+
+
+def test_profile_from_seeds_matches_self_settled():
+    t = np.linspace(0.05, 8.0, 33)
+    for prob in _profile_problems():
+        for index in (0, 3, 7):
+            seeds = spectrum_truncated(prob, index + 1)
+            lam = float(seeds.eigenvalues[index])
+            given = eigenfunction_profile(prob, lam, t, seeds=seeds)
+            settled = eigenfunction_profile(prob, lam, t)
+            assert given.order == settled.order == seeds.orders[1]
+            assert abs(given.eigenvalue - settled.eigenvalue) <= 1e-12 * max(1.0, abs(lam))
+            scale = np.max(np.abs(settled.values))
+            assert np.max(np.abs(given.values - settled.values)) <= 1e-12 * scale
+
+
+def test_profile_from_seeds_rejects_non_eigenvalue():
+    seeds = spectrum_truncated(P1, 3)
+    with pytest.raises(NotAnEigenvalueError):
+        eigenfunction_profile(P1, 1.0, np.linspace(0.1, 2.0, 5), seeds=seeds)
+
+
+def test_profile_sum_matches_modes():
+    # the real-arithmetic sum equals the coefficients against laguerre_mode
+    t = np.linspace(0.1, 6.0, 13)
+    prof = eigenfunction_profile(P1, SQ3 / 4.0, t)
+    expect = sum(
+        laguerre_mode(m, P1.mu, t)[:, None] * prof.coefficients[m]
+        for m in range(prof.order)
+    )
+    assert np.max(np.abs(prof.values - expect)) < 1e-14 * np.max(np.abs(expect))
+
+
 def test_rabi_truncation_decoupled_pattern():
     rabi = RabiParameters(omega=1.0, g_coupling=0.0, Delta=0.5, eps_bias=0.0)
     vals = rabi_truncated_spectrum(rabi, 5)
@@ -483,3 +525,16 @@ def test_confluence_sweep_rate():
     assert d[0] > d[1] > d[2] > 0
     for hi, lo in zip(d[:-1], d[1:]):
         assert 0.15 < lo / hi < 0.45
+
+
+def test_connection_with_small_inner_pole_agrees_without_warning():
+    # inner pole |alpha| ~ 0.025: 1 / alpha^k overflows long before k = 420,
+    # but the series at the origin settles after a few dozen terms
+    prob = NchoProblem(p=1, mu=1.0, A=[[1.0]], B=[[0.05]], C0=[[0.0]])
+    inner = [al for al in pencil.decompose_pencil(prob).poles if 0 < abs(al) < 1]
+    assert abs(inner[0]) < 0.185
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trunc = spectrum_truncated(prob, 3)
+        conn = spectrum_connection(prob, 3, seeds=trunc)
+    assert np.max(np.abs(conn.eigenvalues - trunc.eigenvalues)) < 1e-8
