@@ -448,10 +448,15 @@ def test_bad_argv_value_exits_with_json_error(capsys, monkeypatch, argv, code, k
     assert builds == []  # refused before any truncation is built
 
 
-def test_python_dash_m_runs_the_cli():
+def _env_with_src():
     env = dict(os.environ)
     src = str(Path(cli.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _env_with_src()
     done = subprocess.run(
         [sys.executable, "-m", "nchodisk", "positivity", str(FIXTURES / "classical_eta0.json")],
         env=env, capture_output=True, text=True, timeout=120,
@@ -463,9 +468,7 @@ def test_python_dash_m_runs_the_cli():
 def test_import_does_not_load_scipy_optimize():
     # the root refinement imports it when it first runs; a fresh CLI process
     # whose command never refines does not pay for it
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _env_with_src()
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, nchodisk.cli; print('scipy.optimize' in sys.modules)"],
