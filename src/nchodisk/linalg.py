@@ -76,7 +76,8 @@ def block_band(diag, coup) -> np.ndarray:
     """Lower band of the Hermitian block-tridiagonal matrix with diagonal
     blocks diag[m] (symmetrized here, so the matrix is Hermitian by
     construction) and blocks coup[m] coupling block m+1 to block m below the
-    diagonal.  For p x p blocks the band has 2p rows (bandwidth 2p - 1)."""
+    diagonal.  For p x p blocks the band has 2p rows (bandwidth 2p - 1);
+    when every coup[m] is upper triangular its last p - 1 rows are zero."""
     order, p = diag.shape[0], diag.shape[1]
     diag = 0.5 * (diag + diag.conj().transpose(0, 2, 1))
     band = np.zeros((2 * p, p * order), dtype=complex)
@@ -98,9 +99,16 @@ def band_to_dense(band) -> np.ndarray:
 
 def eigen_banded_lowest(band, count: int) -> np.ndarray:
     """The count lowest eigenvalues, ascending, of a banded Hermitian matrix
-    (LAPACK zhbevx with index selection; no eigenvectors)."""
+    (LAPACK zhbevx with index selection; no eigenvectors).
+
+    Outer diagonals that are exactly zero are dropped first: the reduction
+    to tridiagonal form costs about n^2 kd, so a block band whose coupling
+    blocks are upper triangular (the Schur gauge of the truncation) goes to
+    LAPACK with p + 1 rows instead of 2p."""
+    rows = np.flatnonzero(np.any(band != 0, axis=1))
+    kd = int(rows[-1]) if rows.size else 0
     return eig_banded(
-        band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
+        band[: kd + 1], lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
 
 

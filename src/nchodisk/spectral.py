@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from scipy.linalg import schur
 
-from .covariance import Su11Element, transform_decomposition, transform_problem
+from .covariance import Su11Element, gauge_problem, transform_decomposition, transform_problem
 from .errors import (
     ContinuationError,
     ContractViolation,
@@ -97,7 +98,9 @@ def _settle(band_of, select, order: int, tol: float, max_order: int):
 class TruncatedOperator:
     """Symmetrized truncation of the ladder operator, shifted by -2 C0 so the
     eigenproblem is standard Hermitian, stored as its lower band (see
-    linalg.block_band; 2p rows, bandwidth 2p - 1).
+    linalg.block_band; 2p rows, bandwidth 2p - 1).  Solves that need only
+    eigenvalues build it in the Schur gauge of B (_schur_gauged), where the
+    last p - 1 rows are zero and LAPACK gets p + 1 rows.
 
     Diagonal blocks are A (2m + mu); the blocks coupling modes m and m+1
     carry 2 B sqrt((m+1)(m+mu)), with B on the sub-diagonal side as dictated
@@ -126,6 +129,16 @@ def build_truncated(problem: NchoProblem, order: int) -> TruncatedOperator:
     return TruncatedOperator(order=order, mu=mu, problem=problem, band=block_band(diag, coup))
 
 
+def _schur_gauged(problem: NchoProblem) -> NchoProblem:
+    """problem in the unitary gauge U = Z* of the complex Schur form
+    B = Z T Z*: the same spectrum, with B set to the exact factor T.  T is
+    upper triangular, so every coupling entry of the band lies at most p
+    diagonals below the main one; recomputing Z* B Z instead would leave
+    round-off below the diagonal and the outer diagonals nonzero."""
+    t, z = schur(problem.B, output="complex")
+    return gauge_problem(z.conj().T, problem).with_matrices(B=t)
+
+
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
@@ -141,11 +154,13 @@ def spectrum_truncated(
     start_order: int = 64,
     max_order: int = _MAX_ORDER,
 ) -> SpectrumResult:
-    """Lowest eigenvalues by doubling the truncation order until they settle."""
+    """Lowest eigenvalues by doubling the truncation order until they settle,
+    solved in the Schur gauge of B (_schur_gauged)."""
     if count < 1:
         raise ContractViolation("count must be at least 1")
+    gauged = _schur_gauged(problem)
     vals, change, band = _settle(
-        lambda order: build_truncated(problem, order).band,
+        lambda order: build_truncated(gauged, order).band,
         lambda band: eigen_banded_lowest(band, count),
         max(start_order, 8, -(-count // problem.p)),
         tol,
@@ -554,19 +569,24 @@ def eigenfunction_profile(
     p, mu = problem.p, problem.mu
 
     if seeds is None:
+        # lowest k eigenvalues, k grown until they reach past lam.  The k that
+        # did at one order starts the next: truncation eigenvalues only fall
+        # as the order grows, so no smaller k reaches past lam there
+        k = 8
 
         def nearest(band):
-            # lowest k eigenvalues, k grown until they reach past lam
+            nonlocal k
             n = band.shape[1]
-            k = min(8, n)
+            k = min(k, n)
             while True:
                 vals = eigen_banded_lowest(band, k)
                 if vals[-1] >= lam or k == n:
                     return vals[[int(np.argmin(np.abs(vals - lam)))]]
                 k = min(2 * k, n)
 
+        gauged = _schur_gauged(problem)
         vals, change, band = _settle(
-            lambda order: build_truncated(problem, order).band, nearest, 64, tol, _MAX_ORDER
+            lambda order: build_truncated(gauged, order).band, nearest, 64, tol, _MAX_ORDER
         )
         order = band.shape[1] // p
         seeds = SpectrumResult(
@@ -607,11 +627,14 @@ _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _rabi_band(rabi: RabiParameters, order: int) -> np.ndarray:
+    # the Rabi ladder conjugated by the Hadamard matrix, which swaps sigma1
+    # and sigma3: the coupling g sqrt(m) sigma3 is diagonal, so the band
+    # handed to LAPACK has 3 rows instead of 4
     m = np.arange(order)
     diag = rabi.omega * m[:, None, None] * np.eye(2) + (
-        rabi.Delta * _SIGMA3 + rabi.eps_bias * _SIGMA1
+        rabi.Delta * _SIGMA1 + rabi.eps_bias * _SIGMA3
     )
-    coup = rabi.g_coupling * np.sqrt(m[1:])[:, None, None] * _SIGMA1
+    coup = rabi.g_coupling * np.sqrt(m[1:])[:, None, None] * _SIGMA3
     return block_band(diag, coup)
 
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eig_banded
 from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
 
 from conftest import FIXTURES, random_problem, scalar_closed_eigenvalue
@@ -32,8 +34,9 @@ from nchodisk import (
     standard_ncho_problem,
     transform_problem,
 )
-from nchodisk import pencil, spectral
+from nchodisk import linalg, pencil, spectral
 from nchodisk.cli import parse_problem
+from nchodisk.linalg import block_band
 from nchodisk.spectral import _norm_sq
 
 SQ3 = np.sqrt(3.0)
@@ -127,6 +130,94 @@ def test_truncation_requires_standard_family():
     )
     with pytest.raises(ContractViolation):
         build_truncated(prob, 16)
+
+
+def _fixture_problems():
+    return [
+        parse_problem(str(path))[0]
+        for path in sorted(FIXTURES.glob("*.json"))
+        if not path.name.startswith("bad_")
+    ]
+
+
+def _lowest_ungauged(band, count):
+    """The count lowest eigenvalues of a band as built, every row handed to
+    LAPACK: the reference for the Schur-gauged solves."""
+    return eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1))
+
+
+def _norm_bound(band):
+    """Upper bound on the spectral norm of the Hermitian matrix of a lower
+    band: the largest modulus of the main diagonal plus twice that of each
+    other diagonal."""
+    peaks = np.abs(band).max(axis=1)
+    return peaks[0] + 2.0 * peaks[1:].sum()
+
+
+# The Schur-gauged matrix is a unitary similarity of the ungauged one plus
+# the round-off of the Schur factorization and of the gauge products, a few
+# eps ||H|| in norm; each banded solve is backward stable to a few eps ||H||
+# more.  By Weyl's inequality no eigenvalue moves by more than their sum.
+# Measured: at most 0.27 eps ||H|| on the cases below.
+_GAUGE_ROUND_OFF = 8.0 * np.finfo(float).eps
+
+
+def _gauged_cases():
+    rng = np.random.default_rng(70)
+    cases = [(random_problem(rng, p=p), 5) for p in (1, 2, 3, 4) for _ in range(2)]
+    cases += [(prob, 8) for prob in _fixture_problems()]
+    return cases + [
+        (standard_ncho_problem(2.0, bg / 2.0, 0.1, 1.5), 5) for bg in (1.5, 1.05, 1.02, 1.005)
+    ]
+
+
+def test_gauged_truncation_matches_ungauged_band(monkeypatch):
+    rows = _counting(monkeypatch, linalg, "eig_banded")
+    for prob, count in _gauged_cases():
+        rows.clear()
+        res = spectrum_truncated(prob, count)
+        band = build_truncated(prob, res.orders[1]).band
+        ref = _lowest_ungauged(band, count)
+        assert np.max(np.abs(res.eigenvalues - ref)) <= _GAUGE_ROUND_OFF * _norm_bound(band)
+        # the alpha = beta doubles of the decoupled fixtures come out twice
+        assert np.sum(np.diff(res.eigenvalues) < 1e-8) == np.sum(np.diff(ref) < 1e-8)
+        # degenerate_b0, the one case with B = 0, also has diagonal A and C0:
+        # only the main diagonal is left
+        want = prob.p + 1 if np.any(prob.B) else 1
+        assert {args[0].shape[0] for args in rows} == {want}
+
+
+def test_truncation_without_coupling_hands_p_rows(monkeypatch):
+    # B = 0 leaves the diagonal blocks A (2m + mu) - 2 C0, here dense
+    a = np.array([[1.0, 0.3j], [-0.3j, 1.5]])
+    c0 = np.array([[0.2, 0.1], [0.1, -0.1]])
+    prob = NchoProblem(p=2, mu=1.0, A=a, B=np.zeros((2, 2)), C0=c0)
+    rows = _counting(monkeypatch, linalg, "eig_banded")
+    res = spectrum_truncated(prob, 6)
+    assert {args[0].shape[0] for args in rows} == {2}
+    blocks = np.concatenate([np.linalg.eigvalsh(a * (2 * m + 1.0) - 2.0 * c0) for m in range(4)])
+    assert np.max(np.abs(res.eigenvalues - np.sort(blocks)[:6])) < 1e-12
+
+
+def _rabi_band_sigma1_coupling(rabi, order):
+    """The Rabi ladder in the basis of its sigma1 coupling (4 band rows)."""
+    sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma3 = np.diag([1.0, -1.0])
+    m = np.arange(order)
+    diag = rabi.omega * m[:, None, None] * np.eye(2) + rabi.Delta * sigma3 + rabi.eps_bias * sigma1
+    coup = rabi.g_coupling * np.sqrt(m[1:])[:, None, None] * sigma1
+    return block_band(diag, coup)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.3, 1.0])
+def test_rabi_truncation_matches_sigma1_coupling_band(monkeypatch, g):
+    rabi = RabiParameters(omega=1.0, g_coupling=g, Delta=0.5, eps_bias=0.2)
+    rows = _counting(monkeypatch, linalg, "eig_banded")
+    vals = rabi_truncated_spectrum(rabi, 6)
+    assert {args[0].shape[0] for args in rows} == {3 if g else 2}
+    band = _rabi_band_sigma1_coupling(rabi, rows[-1][0].shape[1] // 2)
+    ref = _lowest_ungauged(band, 6)
+    assert np.max(np.abs(vals - ref)) <= _GAUGE_ROUND_OFF * _norm_bound(band)
 
 
 def test_scalar_closed_form_spectrum():
@@ -389,6 +480,29 @@ def test_spectrum_invariance_under_group_and_gauge():
         assert np.max(np.abs(gauged.eigenvalues - base)) < 1e-9
 
 
+def _unitary(entries, p):
+    """Unitary Q factor of the p x p complex matrix read off entries."""
+    z = np.array(entries[: 2 * p * p]).view(complex).reshape(p, p)
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18),
+)
+def test_truncated_spectrum_is_gauge_invariant(p, seed, entries):
+    prob = random_problem(np.random.default_rng(seed), p=p)
+    base = spectrum_truncated(prob, 5)
+    moved = spectrum_truncated(gauge_problem(_unitary(entries, p), prob), 5)
+    assert moved.orders == base.orders
+    band = build_truncated(prob, base.orders[1]).band
+    # both are Schur-gauged solves of unitarily similar matrices
+    bound = 2.0 * _GAUGE_ROUND_OFF * _norm_bound(band)
+    assert np.max(np.abs(moved.eigenvalues - base.eigenvalues)) <= bound
+
+
 def test_standardized_connection_sees_original_spectrum():
     # standardization reparameterizes lambda through lam_coeff; the connection
     # determinant on the standardized problem must vanish at the original values
@@ -467,12 +581,7 @@ def test_profile_rejects_non_eigenvalue():
 
 
 def _profile_problems():
-    out = []
-    for path in sorted(FIXTURES.glob("*.json")):
-        if path.name.startswith("bad_"):
-            continue
-        out.append(parse_problem(str(path))[0])
-    return out + [standard_ncho_problem(2.0, 1.02 / 2.0, 0.1, 1.5)]
+    return _fixture_problems() + [standard_ncho_problem(2.0, 1.02 / 2.0, 0.1, 1.5)]
 
 
 def test_profile_from_seeds_matches_self_settled():
@@ -493,6 +602,18 @@ def test_profile_from_seeds_rejects_non_eigenvalue():
     seeds = spectrum_truncated(P1, 3)
     with pytest.raises(NotAnEigenvalueError):
         eigenfunction_profile(P1, 1.0, np.linspace(0.1, 2.0, 5), seeds=seeds)
+
+
+def test_profile_settle_solves_each_order_once(monkeypatch):
+    # k grows from 8 to 16 at the first order and is carried to the next
+    # ones, each solved once (the k = 8 restart solved every order twice)
+    prob = standard_ncho_problem(2.0, 1.02 / 2.0, 0.1, 1.5)
+    lam = float(spectrum_truncated(prob, 11).eigenvalues[10])
+    calls = _counting(monkeypatch, spectral, "eigen_banded_lowest")
+    prof = eigenfunction_profile(prob, lam, np.linspace(0.1, 3.0, 5))
+    solves = [(band.shape[1], k) for band, k in calls]
+    assert solves == [(128, 8), (128, 16), (256, 16), (512, 16), (1024, 16)]
+    assert abs(prof.eigenvalue - lam) <= 1e-9 * abs(lam)
 
 
 def test_profile_sum_matches_modes():
