@@ -606,7 +606,7 @@ def test_profile_from_seeds_rejects_non_eigenvalue():
 
 def test_profile_settle_solves_each_order_once(monkeypatch):
     # k grows from 8 to 16 at the first order and is carried to the next
-    # ones, each solved once (the k = 8 restart solved every order twice)
+    # ones, each solved once
     prob = standard_ncho_problem(2.0, 1.02 / 2.0, 0.1, 1.5)
     lam = float(spectrum_truncated(prob, 11).eigenvalues[10])
     calls = _counting(monkeypatch, spectral, "eigen_banded_lowest")
