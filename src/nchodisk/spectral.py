@@ -52,6 +52,7 @@ _STEP_FRACTION = 0.4  # a Taylor step is at most this times the distance to the 
 # arcs of the loop around the inner pole: the fewest whose chord, 2 sin(pi / n)
 # times the radius, fits in one Taylor step from a point on the circle
 _LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
+_MAX_STEPS = 5000  # transport steps on one leg, or in one batch of propagators
 
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
@@ -176,57 +177,60 @@ def spectrum_truncated(
 # connection determinant
 
 
-def _taylor_step(poles, residues, f, z0, target, order=30):
-    """One Taylor step of df/dz = sum_j R_j/(z - a_j) f from z0 toward target.
-
-    poles is an array of the a_j and residues a stacked (J, p, p) array.
-    Returns (new_z, new_f).  Step length obeys _STEP_FRACTION times the
-    distance to the nearest singularity; the tail of the order-30 series
-    is checked and the step halved if it is not negligible."""
-    dist = float(np.min(np.abs(z0 - poles)))
-    if dist <= 0:
-        raise ContinuationError("transport hit a singular point")
-    remaining = target - z0
-    h_len = min(abs(remaining), _STEP_FRACTION * dist)
-    direction = remaining / abs(remaining)
-    p = f.shape[0]
-    # Taylor coefficients of the coefficient matrix at z0, as one row block
-    # [M_0 | M_1 | ...]:  M_k = sum_j R_j (-1)^k / (z0 - a_j)^{k+1}
-    invs = 1.0 / (z0 - poles)
-    powers = (-1.0) ** np.arange(order) * invs[:, None] ** (np.arange(order) + 1)
-    mrow = np.einsum("jk,jab->akb", powers, residues).reshape(p, order * p)
-    # Solution coefficients newest first: c_n sits in block order - n, so
-    # (n + 1) c_{n+1} = sum_k M_k c_{n-k} is one dot with a contiguous tail.
-    # They do not depend on the step length; only the sum below does.
-    coeffs = np.empty((order + 1) * p, dtype=complex)
-    coeffs[order * p :] = f
-    for n in range(order):
-        start = (order - n) * p
-        coeffs[start - p : start] = mrow[:, : (n + 1) * p].dot(coeffs[start:]) / (n + 1)
-    stack = coeffs.reshape(order + 1, p)
-    top = float(np.linalg.norm(stack[0]))
-    degrees = np.arange(order, -1, -1)
-    while True:
-        h = h_len * direction
-        val = (h**degrees).dot(stack)
-        tail = top * abs(h) ** order
-        if tail <= 1e-12 * max(1.0, float(np.linalg.norm(val))):
-            # a full step lands on target exactly, not a rounding away from it
-            return (target if h_len == abs(remaining) else z0 + h), val
-        h_len *= 0.5
-        if h_len < 1e-14 * max(1.0, abs(z0)):
-            raise ContinuationError("step size underflow during transport")
-
-
-def _transport(poles, residues, f, z0, z1, order=30, max_steps=5000):
-    poles = np.asarray(poles, dtype=complex)
-    residues = np.asarray(residues, dtype=complex)
-    z, val = z0, f
-    for _ in range(max_steps):
+def _path_steps(poles, z0, z1):
+    """(start, end) of every Taylor step on the straight leg from z0 to z1:
+    each is at most _STEP_FRACTION times the distance from its start to the
+    nearest of poles (an array), so the plan does not depend on lam."""
+    steps = []
+    z = z0
+    for _ in range(_MAX_STEPS):
         if z == z1:
-            return val
-        z, val = _taylor_step(poles, residues, val, z, z1, order=order)
+            return steps
+        dist = float(np.min(np.abs(z - poles)))
+        if dist <= 0:
+            raise ContinuationError("transport hit a singular point")
+        remaining = z1 - z
+        h_len = _STEP_FRACTION * dist
+        # a full step lands on z1 exactly, not a rounding away from it
+        z_next = z1 if abs(remaining) <= h_len else z + h_len * remaining / abs(remaining)
+        steps.append((z, z_next))
+        z = z_next
     raise ContinuationError("too many transport steps")
+
+
+def _step_propagators(poles, residues, steps):
+    """Propagators Phi_s of df/dz = sum_j R_j/(z - a_j) f over every step
+    (z0, z1) of steps, stacked (len(steps), p, p): the order-30 Taylor series
+    at z0 summed at z1, one recurrence for all steps.  With h = z1 - z0,
+    w_j = h/(z0 - a_j) and D_n = h^n C_n the terms (D_0 = I),
+    (n + 1) D_{n+1} = sum_j w_j R_j S_{j,n} with S_{j,n} = D_n - w_j S_{j,n-1}.
+    A step whose last term exceeds 1e-12 times its propagator is split in
+    two, and the halves of all such steps run as one more batch."""
+    if len(steps) > _MAX_STEPS:
+        raise ContinuationError("too many transport steps")
+    z0, z1 = np.array(steps, dtype=complex).T
+    h = z1 - z0
+    n_poles, p = residues.shape[:2]
+    w = (h[:, None] / (z0[:, None] - poles))[:, :, None, None]
+    # [w_1 R_1 | w_2 R_2 | ...] per step: the sum over j is one product with
+    # the S_{j,n} stacked in a column
+    wr = (w * residues).transpose(0, 2, 1, 3).reshape(len(h), p, n_poles * p)
+    d = np.broadcast_to(np.eye(p, dtype=complex), (len(h), p, p))
+    s = np.zeros((len(h), n_poles, p, p), dtype=complex)
+    phi = d.copy()
+    for n in range(30):
+        s = d[:, None] - w * s
+        d = wr @ s.reshape(len(h), n_poles * p, p) / (n + 1)
+        phi += d
+    split = np.linalg.norm(d, axis=(1, 2)) > 1e-12 * np.linalg.norm(phi, axis=(1, 2))
+    if split.any():
+        a, b = z0[split], z1[split]
+        if np.any(np.abs(b - a) < 2e-14 * np.maximum(1.0, np.abs(a))):
+            raise ContinuationError("step size underflow during transport")
+        mid = a + 0.5 * (b - a)
+        halves = _step_propagators(poles, residues, np.stack([a, mid, mid, b], 1).reshape(-1, 2))
+        phi[split] = halves[1::2] @ halves[::2]
+    return phi
 
 
 def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
@@ -293,43 +297,34 @@ def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) 
     # origin converges at z_start like 0.35^n
     z_start = 0.35 * alpha
 
-    # Frobenius series at the origin for the exponent-zero solution, with
-    # H_k = -sum_j R_j / a_j^{k+1} laid out as one row block [H_0 | H_1 | ...]
-    # H_{n-1} is appended in step n, so 1/a_j^k is only formed for the terms
-    # the series uses: all 420 of them overflow once the inner |a_j| < 0.185
+    # Frobenius series at the origin for the exponent-zero solution, summed
+    # as its terms e_n = c_n z_start^n.  With q_j = z_start/a_j (|q_j| <= 0.35)
+    # and t_{j,m} = e_m + q_j t_{j,m-1}, (n - R_0) e_n = -sum_j q_j R_j t_{j,n-1}:
+    # each term costs O(J) and no power of 1/a_j is formed
     hmax = 420
-    invs = np.array([1.0 / al for al, _ in nonzero])
-    neg_res = -np.array([r for _, r in nonzero])
-    inv_pow = np.ones(len(nonzero), dtype=complex)
-    hrow = np.empty((p, hmax * p), dtype=complex)
-    # coefficients newest first: c_l sits in block hmax - 1 - l, so
-    # sum_l H_{n-1-l} c_l is one dot with a contiguous tail of the buffer
-    coeffs = np.empty(hmax * p, dtype=complex)
-    coeffs[-p:] = c0
+    q = np.array([z_start / al for al, _ in nonzero])
+    qrow = -np.hstack([qj * r for qj, (_, r) in zip(q, nonzero)])
+    t_j = np.tile(c0, (len(nonzero), 1))
     val = c0.astype(complex).copy()
-    w_scale = max(1.0, float(np.max(np.abs(w0))))
-    zpow = 1.0 + 0.0j
+    gaps = np.min(np.abs(np.arange(1, hmax)[:, None] - w0), axis=1)
+    resonant = np.flatnonzero(gaps <= 1e-9 * max(1.0, float(np.max(np.abs(w0))))).tolist()
+    n_res = resonant[0] + 1 if resonant else hmax
+    solvers = np.linalg.inv(np.arange(1, n_res)[:, None, None] * np.eye(p) - r0)
     quiet = 0
-    # far up the spectrum the coefficients overflow before they decay; stop
-    # at the first non-finite term instead of running the rest on inf/nan
+    # far up the spectrum the terms overflow before they decay; stop at the
+    # first non-finite term instead of running the rest on inf/nan
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1, hmax):
-                inv_pow *= invs
-                hrow[:, (n - 1) * p : n * p] = np.einsum("j,jab->ab", inv_pow, neg_res)
-                start = (hmax - n) * p
-                rhs = hrow[:, : n * p].dot(coeffs[start:])
-                gap = min(abs(n - wv) for wv in w0)
-                if gap <= 1e-9 * w_scale:
+                if n == n_res:
                     raise ResonanceError(
-                        f"exponent at the origin within {gap:.2e} of a positive integer"
+                        f"exponent at the origin within {gaps[n - 1]:.2e} of a positive integer"
                     )
-                cn = np.linalg.solve(n * np.eye(p) - r0, rhs)
-                coeffs[start - p : start] = cn
-                zpow *= z_start
-                term = cn * zpow
+                term = solvers[n - 1] @ (qrow @ t_j.ravel())
+                t_j = term + q[:, None] * t_j
                 val += term
-                if float(np.linalg.norm(term)) <= 1e-16 * max(1.0, float(np.linalg.norm(val))):
+                # hypot: the 2-norm of a p-vector at a fraction of np.linalg.norm's cost
+                if math.hypot(*term.view(float)) <= 1e-16 * max(1.0, math.hypot(*val.view(float))):
                     quiet += 1
                     if quiet >= 3:
                         break
@@ -342,30 +337,38 @@ def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) 
             f"series at the origin did not settle: term {n} overflowed"
         ) from None
 
+    # the leg to z_match and the loop of _LOOP_ARCS arcs around alpha back
+    # to it, each arc one step, transported as one batch of propagators
     d_alpha = min(abs(alpha - al) for al in poles if al != alpha)
     r_match = 0.35 * d_alpha
     z_match = alpha * (1.0 - r_match / abs(alpha))
-    f_match = _transport(poles, residues, val, z_start, z_match)
-
-    theta0 = np.angle(z_match - alpha)
-    f_loop = f_match
-    z_cur = z_match
-    for k in range(1, _LOOP_ARCS + 1):
-        z_next = z_match if k == _LOOP_ARCS else alpha + r_match * np.exp(
-            1j * (theta0 + 2.0 * np.pi * k / _LOOP_ARCS)
-        )
-        f_loop = _transport(poles, residues, f_loop, z_cur, z_next)
-        z_cur = z_next
+    angles = np.angle(z_match - alpha) + 2.0 * np.pi * np.arange(1, _LOOP_ARCS) / _LOOP_ARCS
+    path = [z_start, z_match, *(alpha + r_match * np.exp(1j * angles)), z_match]
+    pole_arr = np.array(poles)
+    legs = [_path_steps(pole_arr, a, b) for a, b in zip(path[:-1], path[1:])]
+    steps = [step for leg in legs for step in leg]
 
     wa, va = np.linalg.eig(r_alpha)
     ia = int(np.argmax(np.abs(wa)))
     rho = wa[ia]
     d0 = va[:, ia]
     d0 = fix_phase(d0 / np.linalg.norm(d0))
-    deficit = complex(d0.conj() @ (f_loop - f_match))
-    denom = np.exp(rho * np.log(r_match))
-    scale = max(float(np.linalg.norm(f_match)), 1e-100)
-    t = np.exp(-1j * np.pi * rho) * deficit / (2j * denom * scale)
+    # far up the spectrum the frame or r_match^rho leaves the floating-point
+    # range: stop there instead of returning inf/nan
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            props = _step_propagators(pole_arr, np.array(residues), steps)
+            f_match = val
+            for phi in props[: len(legs[0])]:
+                f_match = phi @ f_match
+            f_loop = f_match
+            for phi in props[len(legs[0]) :]:
+                f_loop = phi @ f_loop
+            deficit = complex(d0.conj() @ (f_loop - f_match))
+            scale = max(float(np.linalg.norm(f_match)), 1e-100)
+            t = np.exp(-1j * np.pi * rho) * deficit / (2j * np.exp(rho * np.log(r_match)) * scale)
+    except FloatingPointError:
+        raise ContinuationError("transport left the floating-point range") from None
     return complex(t)
 
 

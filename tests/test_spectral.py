@@ -309,11 +309,48 @@ def test_refinement_evaluates_each_lambda_once(monkeypatch):
 def test_loop_arcs_are_single_taylor_steps(monkeypatch):
     # the chord of each arc around the inner pole fits in one Taylor step
     assert 2.0 * np.sin(np.pi / spectral._LOOP_ARCS) <= spectral._STEP_FRACTION
-    steps = _counting(monkeypatch, spectral, "_taylor_step")
+    legs = []
+    plan = spectral._path_steps
+    monkeypatch.setattr(spectral, "_path_steps", lambda *args: legs.append(plan(*args)) or legs[-1])
+    batches = _counting(monkeypatch, spectral, "_step_propagators")
     for lam in (-1.0, 1.2, 3.0):
-        steps.clear()
+        legs.clear()
+        batches.clear()
         connection_determinant(P1, lam)
-        assert len(steps) <= 22
+        # the leg to the matching point, then one step per arc
+        assert len(legs) == 1 + spectral._LOOP_ARCS
+        assert all(len(leg) == 1 for leg in legs[1:])
+        assert sum(map(len, legs)) <= 22
+        # no step is split here, so every step runs in one batch
+        assert len(batches) == 1
+        assert len(batches[0][2]) == sum(map(len, legs))
+
+
+@pytest.mark.parametrize("bg", [1.5, 1.02])
+@pytest.mark.parametrize("polarization", [0, 1])
+@pytest.mark.parametrize("lam", [0.37, 2.9])
+def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, polarization, lam):
+    # once around the inner pole alpha the frame is multiplied by a matrix
+    # similar to exp(2 pi i R_alpha)
+    batches = []
+    real = spectral._step_propagators
+
+    def recorded(poles, residues, steps):
+        batches.append((poles, residues, real(poles, residues, steps)))
+        return batches[-1][2]
+
+    monkeypatch.setattr(spectral, "_step_propagators", recorded)
+    connection_determinant(standard_ncho_problem(2.0, bg / 2, 0.1, 1.5), lam, polarization)
+    # split halves return before the batch that asked for them
+    poles, residues, props = batches[-1]
+    (j,) = [k for k, a in enumerate(poles) if a != 0 and abs(a) < 1.0]
+    loop = np.eye(2)
+    for phi in props[-spectral._LOOP_ARCS :]:
+        loop = phi @ loop
+    got = np.linalg.eigvals(loop)
+    want = np.exp(2j * np.pi * np.linalg.eigvals(residues[j]))
+    assert max(np.min(np.abs(got - w)) for w in want) < 1e-11
+    assert max(np.min(np.abs(want - g)) for g in got) < 1e-11
 
 
 def test_connection_near_positivity_boundary_matches_tight_truncation():
@@ -409,6 +446,7 @@ def _closed_form_transport(poles, residues, f0, z0, z):
         ([0.5, -0.3 + 0.4j], [0.7, -1.2 + 0.3j]),
         ([0.0, 0.6j, 1.5], [0.25, 1.5 - 0.5j, -0.4]),
         ([0.2 - 0.6j], [3.3]),
+        ([0.5, -0.3 + 0.4j], [6.0, -5.2 + 0.3j]),
     ],
 )
 @pytest.mark.parametrize(
@@ -416,14 +454,21 @@ def _closed_form_transport(poles, residues, f0, z0, z):
     [(0.1 + 0.05j, 0.12 + 0.06j, False), (-0.6 - 0.5j, 0.9 - 0.2j, True)],
     ids=["short", "multi-step"],
 )
-def test_transport_matches_closed_form_p1(poles, residues, z0, z1, many_steps):
+def test_transport_matches_closed_form_p1(monkeypatch, poles, residues, z0, z1, many_steps):
     # a Taylor step is at most 0.4x the distance to the nearest pole
     nearest = min(abs(z0 - a) for a in poles)
     assert (abs(z1 - z0) > 0.8 * nearest) == many_steps
+    batches = _counting(monkeypatch, spectral, "_step_propagators")
     f0 = np.array([0.8 - 0.3j])
-    got = spectral._transport(poles, [np.array([[r]]) for r in residues], f0, z0, z1)
+    steps = spectral._path_steps(np.array(poles), z0, z1)
+    got = f0
+    for phi in spectral._step_propagators(np.array(poles), np.reshape(residues, (-1, 1, 1)), steps):
+        got = phi @ got
     want = _closed_form_transport(poles, residues, f0[0], z0, z1)
     assert abs(got[0] - want) <= 1e-12 * abs(want)
+    if many_steps and max(map(abs, residues)) > 5:
+        # residues this large need more than the planned steps
+        assert len(batches) > 1
 
 
 def _classical_eta01():
