@@ -311,6 +311,7 @@ def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) 
     n_res = resonant[0] + 1 if resonant else hmax
     solvers = np.linalg.inv(np.arange(1, n_res)[:, None, None] * np.eye(p) - r0)
     quiet = 0
+    term_max = 0.0
     # far up the spectrum the terms overflow before they decay; stop at the
     # first non-finite term instead of running the rest on inf/nan
     try:
@@ -324,7 +325,9 @@ def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) 
                 t_j = term + q[:, None] * t_j
                 val += term
                 # hypot: the 2-norm of a p-vector at a fraction of np.linalg.norm's cost
-                if math.hypot(*term.view(float)) <= 1e-16 * max(1.0, math.hypot(*val.view(float))):
+                term_norm = math.hypot(*term.view(float))
+                term_max = max(term_max, term_norm)
+                if term_norm <= 1e-16 * max(1.0, math.hypot(*val.view(float))):
                     quiet += 1
                     if quiet >= 3:
                         break
@@ -336,6 +339,15 @@ def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) 
         raise ContinuationError(
             f"series at the origin did not settle: term {n} overflowed"
         ) from None
+    # far up the spectrum the terms grow far above their sum before they
+    # decay, and the sum keeps only about 16 - log10(term_max / |sum|) digits:
+    # past a ratio of 1e8 fewer than half are left, and near 1e16 the sum, and
+    # with it the sign of T, is round-off
+    val_norm = math.hypot(*val.view(float))
+    if term_max > 1e8 * val_norm:
+        raise ContinuationError(
+            f"series at the origin cancels: terms up to {term_max:.1e} sum to {val_norm:.1e}"
+        )
 
     # the leg to z_match and the loop of _LOOP_ARCS arcs around alpha back
     # to it, each arc one step, transported as one batch of propagators

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, random_hermitian, random_problem
 
@@ -7,6 +10,7 @@ from nchodisk import (
     ContractViolation,
     DegeneratePencil,
     NchoProblem,
+    SchemaError,
     SimplePoleViolation,
     a123_from_ab,
     ab_from_a123,
@@ -262,6 +266,126 @@ def test_positivity_matches_pointwise_eigvalsh(p, grid):
             best, best_phi = float(w[0]), float(phi)
     cert = positivity_margin(prob, grid)
     assert (cert.margin, cert.argmin_phi) == (best, best_phi)
+
+
+def _full_grid_certificate(prob, grid):
+    """(margin, argmin_phi, certified_margin) of solving every grid point in
+    one eigvalsh stack, and the least eigenvalue at every point."""
+    phis = 2.0 * np.pi * np.arange(grid) / grid
+    z = np.exp(1j * phis)[:, None, None]
+    least = np.linalg.eigvalsh(prob.B * z + prob.A + prob.B.conj().T * np.conj(z))[:, 0]
+    i = int(np.argmin(least))
+    lip = 2.0 * np.pi * float(np.linalg.norm(prob.B, 2)) / grid
+    return (float(least[i]), float(phis[i]), float(least[i]) - lip), least
+
+
+def _closed_form_tie_problem():
+    # least eigenvalue 2 - |cos phi|: the minimum 1 is attained at phi = 0 and pi
+    return NchoProblem(
+        p=2,
+        mu=0.5,
+        A=np.diag([2.0, 2.0]),
+        B=0.5 * np.array([[0, 1j], [-1j, 0]]),
+        C0=np.zeros((2, 2)),
+    )
+
+
+def _exactness_problem(kind, p, grid, rng):
+    a = random_hermitian(rng, p)
+    b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    if kind == "b_zero":
+        b = np.zeros((p, p))
+    elif kind == "tie":
+        return _closed_form_tie_problem()
+    prob = NchoProblem(p=p, mu=1.0, A=a, B=b, C0=np.zeros((p, p)))
+    target = {"admissible": rng.uniform(0.05, 1.0), "boundary": 1e-6, "negative": -rng.uniform(0.01, 0.5)}
+    if kind in target:
+        # shifting A by a multiple of I shifts every grid value alike
+        shift = _full_grid_certificate(prob, grid)[0][0] - target[kind]
+        prob = prob.with_matrices(A=a - shift * np.eye(p))
+    return prob
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    p=st.integers(1, 6),
+    grid=st.sampled_from([64, 65, 100, 257, 1000, 4096]),
+    kind=st.sampled_from(["admissible", "boundary", "negative", "b_zero", "tie"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_positivity_equals_full_grid_bit_for_bit(p, grid, kind, seed):
+    prob = _exactness_problem(kind, p, grid, np.random.default_rng(seed))
+    cert = positivity_margin(prob, grid)
+    expected = _full_grid_certificate(prob, grid)[0]
+    assert (cert.margin, cert.argmin_phi, cert.certified_margin) == expected
+    if kind == "boundary":
+        assert abs(cert.margin - 1e-6) < 1e-9
+    if kind == "negative":
+        assert not cert.certified
+
+
+def _weyl_rule_count(prob, grid):
+    """Points the two-pass rule of positivity_margin solves, decided one
+    point at a time from the full-grid values."""
+    least = _full_grid_certificate(prob, grid)[1]
+    step = max(1, grid // 64)
+    bnorm = float(np.linalg.norm(prob.B, 2))
+    reach = 4.0 * bnorm * np.sin(np.pi * np.arange(step + 1) / grid)
+    slack = 1024.0 * np.finfo(float).eps * (float(np.linalg.norm(prob.A)) + 2.0 * bnorm)
+    coarse_min = min(least[::step])
+    count = math.ceil(grid / step)
+    for i in range(grid):
+        lo = i - i % step
+        if i == lo:
+            continue
+        hi = min(lo + step, grid)  # point grid is point 0
+        bound = max(least[lo] - reach[i - lo], least[hi % grid] - reach[hi - i])
+        count += bound <= coarse_min + slack
+    return count
+
+
+def _work_count_problems():
+    probs = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            probs[path.stem] = parse_problem(str(path))[0]
+        except (ContractViolation, SchemaError):
+            continue
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    probs["b_zero"] = NchoProblem(p=2, mu=1.0, A=eye, B=zero, C0=zero)
+    # circle values that differ only by round-off: the slack keeps them all
+    probs["round_off_b"] = NchoProblem(p=2, mu=1.0, A=eye, B=1e-16 * np.ones((2, 2)), C0=zero)
+    # minimum at the last coarse point of grid 4096: the points after it are
+    # pruned only by their bound from point 0
+    theta = np.pi - 2.0 * np.pi * 63 / 64
+    probs["min_before_wrap"] = NchoProblem(
+        p=1, mu=1.0, A=[[1.0]], B=[[0.25 * np.exp(1j * theta)]], C0=[[0.0]]
+    )
+    return probs
+
+
+@pytest.mark.parametrize("name", sorted(_work_count_problems()))
+def test_positivity_solves_only_points_the_weyl_bound_keeps(monkeypatch, name):
+    prob = _work_count_problems()[name]
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counted(m):
+        solved.append(m.shape[0])
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    positivity_margin(prob, 64)
+    assert sum(solved) == 64
+    solved.clear()
+    positivity_margin(prob, 4096)
+    monkeypatch.undo()
+    assert sum(solved) == _weyl_rule_count(prob, 4096)
+    if np.linalg.norm(prob.B, 2) < 1e-12:
+        # every circle value ties with the minimum up to round-off
+        assert sum(solved) == 4096
+    else:
+        assert sum(solved) <= 1024
 
 
 def _pointwise_reconstruction_residual(a, b, poles, residues, rng):

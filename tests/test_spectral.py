@@ -271,6 +271,14 @@ def test_connection_series_that_does_not_settle_raises():
         connection_determinant(P1, 3000.0)
 
 
+def test_connection_series_that_cancels_raises():
+    # at lam = 150 the terms reach ~1e9 and sum to ~2e-7 where the exact sum
+    # is ~6e-16: the sign of T would be round-off
+    with pytest.raises(ContinuationError, match="cancels"):
+        connection_determinant(P1, 150.0)
+    assert abs(connection_determinant(P1, 2.0)) > 0.2
+
+
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's arguments."""
     calls = []
