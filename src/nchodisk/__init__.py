@@ -23,7 +23,6 @@ from .errors import (
     ContractViolation,
     ConvergenceError,
     DegeneratePencil,
-    NotAnEigenvalueError,
     NotGenericError,
     PositivityError,
     RefinementError,
@@ -75,7 +74,6 @@ from .pencil import (
 )
 from .spectral import (
     SpectrumResult,
-    TruncatedOperator,
     build_truncated,
     confluence_sweep,
     connection_determinant,

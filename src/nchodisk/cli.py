@@ -293,10 +293,11 @@ def _cmd_eigenfunction(args):
     tol = float(extras.get("tol", 1e-10))
     if args.samples < 1:
         raise ContractViolation("samples must be at least 1")
+    if args.index < 0:
+        raise ContractViolation(f"index must be at least 0 (got {args.index})")
     seeds = spectrum_truncated(problem, args.index + 1, tol=tol)
-    lam = float(seeds.eigenvalues[args.index])
     t_grid = np.linspace(args.tmax / args.samples, args.tmax, args.samples)
-    profile = eigenfunction_profile(problem, lam, t_grid, seeds=seeds)
+    profile = eigenfunction_profile(problem, seeds, args.index, t_grid)
     header = ["t"]
     for j in range(problem.p):
         header += [f"re_{j}", f"im_{j}"]

@@ -51,7 +51,3 @@ class ResonanceError(ContinuationError):
 
 class RefinementError(SolverError):
     """Root refinement of the connection determinant failed."""
-
-
-class NotAnEigenvalueError(SolverError):
-    """Requested spectral value is not close to any computed eigenvalue."""

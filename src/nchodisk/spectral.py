@@ -18,18 +18,16 @@ from .errors import (
     ContinuationError,
     ContractViolation,
     ConvergenceError,
-    NotAnEigenvalueError,
     PositivityError,
     RefinementError,
     ResonanceError,
 )
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
-from .linalg import band_to_dense, block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
+from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
 from .pencil import NchoProblem, PencilDecomposition, decompose_pencil, pole_order_key
 
 __all__ = [
-    "TruncatedOperator",
     "SpectrumResult",
     "RefineResult",
     "ProfileResult",
@@ -71,21 +69,28 @@ def _check_tol(tol: float) -> None:
         raise ContractViolation("tol must be non-negative and finite")
 
 
-def _settle(band_of, select, order: int, tol: float, max_order: int):
-    """Double the truncation order until the eigenvalues chosen by
-    select(band) move by less than tol.  Returns (values, change, band) at
-    the final order; raises ConvergenceError past max_order."""
+def _settle(band_of, count: int, order: int, tol: float):
+    """Double the truncation order until the lowest count eigenvalues of
+    band_of(order) move by less than tol.  Returns (values, change, band) at
+    the final order; raises ConvergenceError past _MAX_ORDER, and
+    ContractViolation before any band is built when the start order leaves
+    no second order below the cap to compare with."""
     _check_tol(tol)
+    if 2 * order > _MAX_ORDER:
+        raise ContractViolation(
+            f"count {count} needs start order {order}, above {_MAX_ORDER // 2}: "
+            f"the order cap {_MAX_ORDER} leaves no second order to compare"
+        )
     prev = None
     last_change = float("nan")
     while True:
-        if order > max_order:
+        if order > _MAX_ORDER:
             raise ConvergenceError(
                 f"eigenvalues did not settle to {tol:g} by order {order // 2} "
                 f"(last change {last_change:g})"
             )
         band = band_of(order)
-        vals = select(band)
+        vals = eigen_banded_lowest(band, count)
         if prev is not None:
             change = np.abs(vals - prev)
             last_change = float(np.max(change))
@@ -95,30 +100,17 @@ def _settle(band_of, select, order: int, tol: float, max_order: int):
         order *= 2
 
 
-@dataclass(eq=False)
-class TruncatedOperator:
+def build_truncated(problem: NchoProblem, order: int) -> np.ndarray:
     """Symmetrized truncation of the ladder operator, shifted by -2 C0 so the
-    eigenproblem is standard Hermitian, stored as its lower band (see
-    linalg.block_band; 2p rows, bandwidth 2p - 1).  Solves that need only
-    eigenvalues build it in the Schur gauge of B (_schur_gauged), where the
-    last p - 1 rows are zero and LAPACK gets p + 1 rows.
+    eigenproblem is standard Hermitian, as its lower band (see
+    linalg.block_band; 2p rows, bandwidth 2p - 1; linalg.band_to_dense
+    expands it).  Solves that need only eigenvalues build it in the Schur
+    gauge of B (_schur_gauged), where the last p - 1 rows are zero and
+    LAPACK gets p + 1 rows.
 
     Diagonal blocks are A (2m + mu); the blocks coupling modes m and m+1
     carry 2 B sqrt((m+1)(m+mu)), with B on the sub-diagonal side as dictated
     by the ladder action on monomials."""
-
-    order: int
-    mu: float
-    problem: NchoProblem
-    band: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense expansion of the band; Hermitian by construction."""
-        return band_to_dense(self.band)
-
-
-def build_truncated(problem: NchoProblem, order: int) -> TruncatedOperator:
     if order < 8:
         raise ContractViolation("truncation order must be at least 8")
     if not problem.has_standard_lam():
@@ -127,7 +119,7 @@ def build_truncated(problem: NchoProblem, order: int) -> TruncatedOperator:
     m = np.arange(order)
     diag = problem.A * (2 * m + mu)[:, None, None] - 2.0 * problem.C0
     coup = 2.0 * problem.B * np.sqrt(m[1:] * (m[:-1] + mu))[:, None, None]
-    return TruncatedOperator(order=order, mu=mu, problem=problem, band=block_band(diag, coup))
+    return block_band(diag, coup)
 
 
 def _schur_gauged(problem: NchoProblem) -> NchoProblem:
@@ -143,34 +135,22 @@ def _schur_gauged(problem: NchoProblem) -> NchoProblem:
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
-    method: str
     convergence: np.ndarray
     orders: tuple[int, int]
 
 
-def spectrum_truncated(
-    problem: NchoProblem,
-    count: int,
-    tol: float = 1e-10,
-    start_order: int = 64,
-    max_order: int = _MAX_ORDER,
-) -> SpectrumResult:
-    """Lowest eigenvalues by doubling the truncation order until they settle,
-    solved in the Schur gauge of B (_schur_gauged)."""
+def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> SpectrumResult:
+    """Lowest eigenvalues by doubling the truncation order from 64 (or the
+    least order holding count of them) until they settle, solved in the
+    Schur gauge of B (_schur_gauged)."""
     if count < 1:
         raise ContractViolation("count must be at least 1")
     gauged = _schur_gauged(problem)
     vals, change, band = _settle(
-        lambda order: build_truncated(gauged, order).band,
-        lambda band: eigen_banded_lowest(band, count),
-        max(start_order, 8, -(-count // problem.p)),
-        tol,
-        max_order,
+        lambda order: build_truncated(gauged, order), count, max(64, -(-count // problem.p)), tol
     )
     order = band.shape[1] // problem.p
-    return SpectrumResult(
-        eigenvalues=vals, method="truncation", convergence=change, orders=(order // 2, order)
-    )
+    return SpectrumResult(eigenvalues=vals, convergence=change, orders=(order // 2, order))
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +213,14 @@ def _step_propagators(poles, residues, steps):
     return phi
 
 
-def connection_polarizations(problem: NchoProblem) -> list[NchoProblem]:
+def connection_polarizations(
+    problem: NchoProblem,
+) -> list[tuple[NchoProblem, PencilDecomposition]]:
     """Möbius configurations the connection determinant can run in, one per
-    inner pencil pole.  Polarization 0 is the canonical one."""
-    return [config for config, _ in _polarizations(problem)]
-
-
-def _polarizations(problem: NchoProblem) -> list[tuple[NchoProblem, PencilDecomposition]]:
-    """connection_polarizations(problem), each paired with its pencil
-    decomposition: problem's own, decomposed here, pushed forward along the
-    Möbius map of the configuration (transform_decomposition)."""
+    inner pencil pole, each paired with its pencil decomposition: problem's
+    own, decomposed here, pushed forward along the Möbius map of the
+    configuration (transform_decomposition).  Polarization 0 is the
+    canonical one."""
     if problem.p > 2:
         raise ContractViolation("connection method supports p <= 2")
     dec = decompose_pencil(problem)
@@ -394,7 +372,7 @@ def connection_determinant(problem: NchoProblem, lam: complex, polarization: int
     axis for real-matrix problems).  Eigenfunctions whose exponent at the
     origin is a positive integer are visible in the other polarization; see
     connection_polarizations."""
-    configs = _polarizations(problem)
+    configs = connection_polarizations(problem)
     if not 0 <= polarization < len(configs):
         raise ContractViolation(f"polarization must be in range 0..{len(configs) - 1}")
     config, dec = configs[polarization]
@@ -463,11 +441,11 @@ def refine_eigenvalue(
     """Bracketed root refinement of the connection determinant near a seed
     (seeds come from truncation).  Tries each polarization in turn.
 
-    polarizations, when given, lists the configurations of
-    connection_polarizations(problem), each with its pencil decomposition,
-    so the seeds of one spectrum call share them."""
+    polarizations, when given, is connection_polarizations(problem), so the
+    seeds of one spectrum call share the configurations and their pencil
+    decompositions."""
     if polarizations is None:
-        polarizations = _polarizations(problem)
+        polarizations = connection_polarizations(problem)
     failures = []
     for idx, (config, dec) in enumerate(polarizations):
         try:
@@ -489,7 +467,7 @@ def spectrum_connection(
     _check_tol(tol)
     if seeds is None:
         seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
-    polarizations = _polarizations(problem)
+    polarizations = connection_polarizations(problem)
     values = []
     residuals = []
     for s in seeds.eigenvalues:
@@ -497,10 +475,7 @@ def spectrum_connection(
         values.append(r.value)
         residuals.append(r.residual)
     return SpectrumResult(
-        eigenvalues=np.array(values),
-        method="connection",
-        convergence=np.array(residuals),
-        orders=seeds.orders,
+        eigenvalues=np.array(values), convergence=np.array(residuals), orders=seeds.orders
     )
 
 
@@ -560,60 +535,25 @@ class ProfileResult:
 
 
 def eigenfunction_profile(
-    problem: NchoProblem,
-    lam: float,
-    t_grid,
-    tol: float = 1e-10,
-    match_tol: float = 1e-6,
-    seeds: SpectrumResult | None = None,
+    problem: NchoProblem, seeds: SpectrumResult, index: int, t_grid
 ) -> ProfileResult:
-    """Radial profile of the eigenfunction at (or near) lam.
+    """Radial profile of the eigenfunction of eigenvalue seeds.eigenvalues[index],
+    seeds being the caller's spectrum_truncated(problem, count) result.
 
-    The eigenvalue is the truncation eigenvalue nearest lam in seeds, the
-    caller's spectrum_truncated(problem, count) result holding it; tol is
-    then not used.  Without seeds the truncated eigenvalue nearest lam is
-    followed through the order doublings until it moves by less than tol.
-    Either way the operator is built once more at the final order, the
+    The operator is built once more at the final order of seeds, the
     eigenvector is found there by banded inverse iteration, and the
     coefficients u_m recovered through the basis norms are summed against
     the radial modes on t_grid: the real Laguerre factors times the complex
     p-vectors i^m (m!/(mu)_m) u_m, with e^{-t} applied once to the sum."""
+    if not 0 <= index < len(seeds.eigenvalues):
+        raise ContractViolation(f"index must be in range 0..{len(seeds.eigenvalues) - 1}")
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(t_arr <= 0):
         raise ContractViolation("t grid must be positive")
     p, mu = problem.p, problem.mu
-
-    if seeds is None:
-        # lowest k eigenvalues, k grown until they reach past lam.  The k that
-        # did at one order starts the next: truncation eigenvalues only fall
-        # as the order grows, so no smaller k reaches past lam there
-        k = 8
-
-        def nearest(band):
-            nonlocal k
-            n = band.shape[1]
-            k = min(k, n)
-            while True:
-                vals = eigen_banded_lowest(band, k)
-                if vals[-1] >= lam or k == n:
-                    return vals[[int(np.argmin(np.abs(vals - lam)))]]
-                k = min(2 * k, n)
-
-        gauged = _schur_gauged(problem)
-        vals, change, band = _settle(
-            lambda order: build_truncated(gauged, order).band, nearest, 64, tol, _MAX_ORDER
-        )
-        order = band.shape[1] // p
-        seeds = SpectrumResult(
-            eigenvalues=vals, method="truncation", convergence=change, orders=(order // 2, order)
-        )
-    value = float(seeds.eigenvalues[int(np.argmin(np.abs(seeds.eigenvalues - lam)))])
-    if abs(value - lam) > match_tol * max(1.0, abs(lam)):
-        raise NotAnEigenvalueError(
-            f"{lam} is not within {match_tol:g} of a truncated eigenvalue (nearest {value})"
-        )
+    value = float(seeds.eigenvalues[index])
     order = seeds.orders[1]
-    vec = eigenvector_banded(build_truncated(problem, order).band, value)
+    vec = eigenvector_banded(build_truncated(problem, order), value)
     vec = fix_phase(vec / np.linalg.norm(vec))
     u = vec.reshape(order, p) / np.sqrt(_norm_sq(mu, order))[:, None]
 
@@ -657,13 +597,7 @@ def rabi_truncated_spectrum(rabi: RabiParameters, count: int, tol: float = 1e-10
     # for omega <= 0 the lowest eigenvalues never settle: the doubling would run to the cap
     if not (rabi.omega > 0 and math.isfinite(rabi.omega)):
         raise ContractViolation("omega must be positive and finite")
-    vals, _, _ = _settle(
-        lambda order: _rabi_band(rabi, order),
-        lambda band: eigen_banded_lowest(band, count),
-        max(64, count),
-        tol,
-        _MAX_ORDER,
-    )
+    vals, _, _ = _settle(lambda order: _rabi_band(rabi, order), count, max(64, count), tol)
     return vals
 
 

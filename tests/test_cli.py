@@ -429,23 +429,35 @@ def test_confluence_non_positive_omega_is_refused_at_once(capsys, monkeypatch, o
         (["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "-1"], 3, "contract"),
         (["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "-1", "--method", "connect"],
          3, "contract"),
+        # start orders above half the order cap leave no second order to compare
+        (["spectrum", str(FIXTURES / "p1_quarter.json"), "--count", "100000"], 3, "contract"),
+        (["confluence", "--coupling", "0.3", "--mu-list", "20", "--count", "100000"],
+         3, "contract"),
+        (["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--index", "-1"], 3, "contract"),
     ],
     ids=["samples-0", "samples-neg", "mu-list-non-number", "mu-list-negative", "tol-neg",
-         "tol-neg-connect"],
+         "tol-neg-connect", "count-past-cap", "confluence-count-past-cap", "index-neg"],
 )
 def test_bad_argv_value_exits_with_json_error(capsys, monkeypatch, argv, code, kind):
     builds = []
-    real = spectral.build_truncated
+    for name in ("build_truncated", "_rabi_band"):
 
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
+        def counted(*args, real=getattr(spectral, name), **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "build_truncated", counted)
+        monkeypatch.setattr(spectral, name, counted)
     got, out = run_cli(capsys, argv)
     assert got == code
     assert json.loads(out)["error"]["type"] == kind
     assert builds == []  # refused before any truncation is built
+
+
+def test_negative_index_error_names_the_index(capsys):
+    argv = ["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--index", "-1"]
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert "index must be at least 0" in json.loads(out)["error"]["message"]
 
 
 def _env_with_src():

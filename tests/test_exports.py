@@ -38,3 +38,20 @@ def test_module_uses_its_imports(name):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_error_class_is_raised_or_caught():
+    # an exception class that no raise and no except names is dead API
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    named = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                exc = node.type
+            else:
+                continue
+            named |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
+    assert sorted(classes - named) == []

@@ -13,7 +13,6 @@ from nchodisk import (
     ContractViolation,
     ConvergenceError,
     NchoProblem,
-    NotAnEigenvalueError,
     RabiParameters,
     ResonanceError,
     Su11Element,
@@ -36,7 +35,7 @@ from nchodisk import (
 )
 from nchodisk import linalg, pencil, spectral
 from nchodisk.cli import parse_problem
-from nchodisk.linalg import block_band
+from nchodisk.linalg import band_to_dense, block_band
 from nchodisk.spectral import _norm_sq
 
 SQ3 = np.sqrt(3.0)
@@ -46,7 +45,7 @@ P1 = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.25]], C0=[[0.0]])
 
 def test_truncation_blocks_reproduce_ladder_action():
     prob = random_problem(np.random.default_rng(0), p=2, mu=0.8)
-    op = build_truncated(prob, 16)
+    band = build_truncated(prob, 16)
     # un-symmetrized action on monomial coefficients, symmetrized by norms
     norms = np.sqrt(_norm_sq(prob.mu, 16))
     rng = np.random.default_rng(1)
@@ -59,13 +58,13 @@ def test_truncation_blocks_reproduce_ladder_action():
             raw[m] += 2.0 * (m - 1 + prob.mu) * (prob.B @ u[m - 1])
         raw[m] += 2.0 * (m + 1) * (prob.B.conj().T @ u[m + 1])
     v = (u * norms[:, None]).ravel()
-    sym = (op.matrix @ v).reshape(16, 2) / norms[:, None]
+    sym = (band_to_dense(band) @ v).reshape(16, 2) / norms[:, None]
     assert np.max(np.abs(sym[:15] - raw[:15])) < 1e-10
 
 
 def test_truncation_hermitian():
     prob = random_problem(np.random.default_rng(2), p=3)
-    h = build_truncated(prob, 32).matrix
+    h = band_to_dense(build_truncated(prob, 32))
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
@@ -75,8 +74,8 @@ def test_truncation_band_layout(p):
     # by block
     prob = random_problem(np.random.default_rng(3 + p), p=p)
     order = 12
-    op = build_truncated(prob, order)
-    assert op.band.shape == (2 * p, p * order)
+    band = build_truncated(prob, order)
+    assert band.shape == (2 * p, p * order)
     ref = np.zeros((p * order, p * order), dtype=complex)
     for m in range(order):
         sl = slice(m * p, (m + 1) * p)
@@ -85,29 +84,29 @@ def test_truncation_band_layout(p):
             sl1 = slice((m + 1) * p, (m + 2) * p)
             ref[sl1, sl] = 2.0 * prob.B * np.sqrt((m + 1) * (m + prob.mu))
             ref[sl, sl1] = ref[sl1, sl].conj().T
-    assert np.max(np.abs(op.matrix - ref)) < 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(band_to_dense(band) - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_banded_eigenvalues_match_dense(p):
     rng = np.random.default_rng(50 + p)
     for order in (16, 32, 64, 128):
-        op = build_truncated(random_problem(rng, p=p), order)
-        dense = np.linalg.eigvalsh(op.matrix)[:6]
-        band = eigen_banded_lowest(op.band, 6)
-        assert np.max(np.abs(band - dense) / np.maximum(1.0, np.abs(dense))) < 1e-12
+        band = build_truncated(random_problem(rng, p=p), order)
+        dense = np.linalg.eigvalsh(band_to_dense(band))[:6]
+        banded = eigen_banded_lowest(band, 6)
+        assert np.max(np.abs(banded - dense) / np.maximum(1.0, np.abs(dense))) < 1e-12
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_banded_inverse_iteration_matches_dense_eigh(p):
     rng = np.random.default_rng(60 + p)
     for order in (16, 64):
-        op = build_truncated(random_problem(rng, p=p), order)
-        h = op.matrix
+        band = build_truncated(random_problem(rng, p=p), order)
+        h = band_to_dense(band)
         v = np.linalg.eigh(h)[1]
-        lams = eigen_banded_lowest(op.band, 4)
+        lams = eigen_banded_lowest(band, 4)
         for i in (0, 3):
-            x = eigenvector_banded(op.band, lams[i])
+            x = eigenvector_banded(band, lams[i])
             assert abs(np.linalg.norm(x) - 1.0) < 1e-14
             assert abs(np.vdot(v[:, i], x)) > 1.0 - 1e-12  # equal up to phase
             assert np.linalg.norm(h @ x - lams[i] * x) < 1e-12 * max(1.0, abs(lams[i]))
@@ -115,11 +114,11 @@ def test_banded_inverse_iteration_matches_dense_eigh(p):
 
 def test_truncation_diagonal_cases():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
-    vals = np.linalg.eigvalsh(build_truncated(prob, 16).matrix)[:4]
+    vals = np.linalg.eigvalsh(band_to_dense(build_truncated(prob, 16)))[:4]
     assert np.allclose(vals, [0.5, 2.5, 4.5, 6.5], atol=1e-12)
 
     prob2 = NchoProblem(p=2, mu=0.5, A=np.diag([1.0, 2.0]), B=np.zeros((2, 2)), C0=np.zeros((2, 2)))
-    vals = np.linalg.eigvalsh(build_truncated(prob2, 16).matrix)[:4]
+    vals = np.linalg.eigvalsh(band_to_dense(build_truncated(prob2, 16)))[:4]
     expect = sorted([2 * m + 0.5 for m in range(3)] + [2 * (2 * m + 0.5) for m in range(3)])[:4]
     assert np.allclose(vals, expect, atol=1e-12)
 
@@ -176,7 +175,7 @@ def test_gauged_truncation_matches_ungauged_band(monkeypatch):
     for prob, count in _gauged_cases():
         rows.clear()
         res = spectrum_truncated(prob, count)
-        band = build_truncated(prob, res.orders[1]).band
+        band = build_truncated(prob, res.orders[1])
         ref = _lowest_ungauged(band, count)
         assert np.max(np.abs(res.eigenvalues - ref)) <= _GAUGE_ROUND_OFF * _norm_bound(band)
         # the alpha = beta doubles of the decoupled fixtures come out twice
@@ -231,8 +230,8 @@ def test_truncation_monotone_in_order():
     rng = np.random.default_rng(10)
     for _ in range(20):
         prob = random_problem(rng, p=1 + int(rng.integers(0, 2)))
-        v1 = np.linalg.eigvalsh(build_truncated(prob, 64).matrix)[:4]
-        v2 = np.linalg.eigvalsh(build_truncated(prob, 128).matrix)[:4]
+        v1 = np.linalg.eigvalsh(band_to_dense(build_truncated(prob, 64)))[:4]
+        v2 = np.linalg.eigvalsh(band_to_dense(build_truncated(prob, 128)))[:4]
         assert np.all(v2 <= v1 + 1e-12)
 
 
@@ -244,7 +243,7 @@ def test_boundedness_gives_lower_bound_on_a():
     for _ in range(6):
         prob = random_problem(rng, p=2)
         bare = prob.with_matrices(C0=np.zeros((2, 2)))
-        c_low = float(np.linalg.eigvalsh(build_truncated(bare, 64).matrix)[0])
+        c_low = float(np.linalg.eigvalsh(band_to_dense(build_truncated(bare, 64)))[0])
         a_min = float(np.linalg.eigvalsh(prob.A)[0])
         assert a_min >= c_low / prob.mu - 1e-9
 
@@ -403,9 +402,28 @@ def test_refine_fails_without_sign_change():
         refine_eigenvalue(P1, 1.2)
 
 
-def test_truncation_convergence_error_with_tight_budget():
+def test_truncation_convergence_error_with_tight_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ORDER", 256)
     with pytest.raises(ConvergenceError, match="by order 256"):
-        spectrum_truncated(P1, 3, tol=0.0, max_order=256)
+        spectrum_truncated(P1, 3, tol=0.0)
+
+
+def test_truncation_that_cannot_settle_is_refused_before_any_band(monkeypatch):
+    # settling compares two orders at most the cap: a start order above half
+    # the cap never could, and is refused before it is solved
+    prob = standard_ncho_problem(2.0, 0.6, 0.1, 1.5)
+    builds = _counting(monkeypatch, spectral, "build_truncated")
+    builds_rabi = _counting(monkeypatch, spectral, "_rabi_band")
+    with pytest.raises(ContractViolation, match="no second order"):
+        spectrum_truncated(prob, 16384)  # start order 8192
+    monkeypatch.setattr(spectral, "_MAX_ORDER", 256)
+    with pytest.raises(ContractViolation, match="no second order"):
+        spectrum_truncated(prob, 257)  # start order 129
+    rabi = RabiParameters(omega=1.0, g_coupling=0.3, Delta=0.5, eps_bias=0.2)
+    with pytest.raises(ContractViolation, match="no second order"):
+        rabi_truncated_spectrum(rabi, 129)
+    assert builds == builds_rabi == []
+    assert spectrum_truncated(prob, 256, tol=1e300).orders == (128, 256)
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
@@ -413,11 +431,6 @@ def test_spectra_reject_bad_tol(tol):
     for solve in (spectral.spectrum_truncated, spectral.spectrum_connection):
         with pytest.raises(ContractViolation, match="tol must be non-negative and finite"):
             solve(P1, 3, tol=tol)
-
-
-def test_profile_convergence_error_at_order_cap():
-    with pytest.raises(ConvergenceError, match="by order 8192"):
-        eigenfunction_profile(P1, SQ3 / 4.0, np.linspace(0.1, 2.0, 5), tol=0.0)
 
 
 def test_rabi_convergence_error_at_order_cap(monkeypatch):
@@ -500,7 +513,7 @@ def test_connection_determinant_raises_at_resonance(n):
     # in polarization 0 the origin is a pole whose residue has rank one, so
     # its exponents are 0 and the trace, which is affine in lambda
     prob = _classical_eta01()
-    config = connection_polarizations(prob)[0]
+    config, _ = connection_polarizations(prob)[0]
 
     def trace_at_origin(lam):
         system = build_fuchsian(config, lam)
@@ -550,7 +563,7 @@ def test_truncated_spectrum_is_gauge_invariant(p, seed, entries):
     base = spectrum_truncated(prob, 5)
     moved = spectrum_truncated(gauge_problem(_unitary(entries, p), prob), 5)
     assert moved.orders == base.orders
-    band = build_truncated(prob, base.orders[1]).band
+    band = build_truncated(prob, base.orders[1])
     # both are Schur-gauged solves of unitarily similar matrices
     bound = 2.0 * _GAUGE_ROUND_OFF * _norm_bound(band)
     assert np.max(np.abs(moved.eigenvalues - base.eigenvalues)) <= bound
@@ -605,7 +618,8 @@ def test_laguerre_gram_orthogonality():
 def test_profile_pure_mode():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
     t = np.linspace(0.1, 6.0, 25)
-    prof = eigenfunction_profile(prob, 0.5, t)
+    prof = eigenfunction_profile(prob, spectrum_truncated(prob, 1), 0, t)
+    assert abs(prof.eigenvalue - 0.5) < 1e-12
     ratio = prof.values[:, 0] / np.exp(-t)
     assert np.max(np.abs(ratio - ratio[0])) < 1e-10
     assert np.max(prof.tail[1:]) < 1e-12
@@ -613,7 +627,7 @@ def test_profile_pure_mode():
 
 def test_profile_geometric_coefficient_decay():
     t = np.linspace(0.1, 6.0, 9)
-    prof = eigenfunction_profile(P1, SQ3 / 4.0, t)
+    prof = eigenfunction_profile(P1, spectrum_truncated(P1, 1), 0, t)
     c = prof.tail
     est = (c[24] / c[10]) ** (1.0 / 14.0)
     assert 0.2 < est < 0.34  # inner-pole modulus is 2 - sqrt(3) ~ 0.268
@@ -621,58 +635,42 @@ def test_profile_geometric_coefficient_decay():
 
 def test_profile_stable_under_refinement():
     t = np.linspace(0.1, 5.0, 17)
-    coarse = eigenfunction_profile(P1, SQ3 / 4.0, t, tol=1e-6)
-    fine = eigenfunction_profile(P1, SQ3 / 4.0, t, tol=1e-13)
+    coarse = eigenfunction_profile(P1, spectrum_truncated(P1, 1, tol=1e-6), 0, t)
+    fine = eigenfunction_profile(P1, spectrum_truncated(P1, 1, tol=1e-13), 0, t)
     phase = coarse.values[0, 0] / fine.values[0, 0]
     assert abs(abs(phase) - 1.0) < 1e-7
     assert np.max(np.abs(coarse.values - phase * fine.values)) < 1e-7
-
-
-def test_profile_rejects_non_eigenvalue():
-    with pytest.raises(NotAnEigenvalueError):
-        eigenfunction_profile(P1, 1.0, np.linspace(0.1, 2.0, 5))
 
 
 def _profile_problems():
     return _fixture_problems() + [standard_ncho_problem(2.0, 1.02 / 2.0, 0.1, 1.5)]
 
 
-def test_profile_from_seeds_matches_self_settled():
+def test_profile_takes_the_seed_eigenvalue_and_order():
     t = np.linspace(0.05, 8.0, 33)
     for prob in _profile_problems():
+        seeds = spectrum_truncated(prob, 8)
         for index in (0, 3, 7):
-            seeds = spectrum_truncated(prob, index + 1)
-            lam = float(seeds.eigenvalues[index])
-            given = eigenfunction_profile(prob, lam, t, seeds=seeds)
-            settled = eigenfunction_profile(prob, lam, t)
-            assert given.order == settled.order == seeds.orders[1]
-            assert abs(given.eigenvalue - settled.eigenvalue) <= 1e-12 * max(1.0, abs(lam))
-            scale = np.max(np.abs(settled.values))
-            assert np.max(np.abs(given.values - settled.values)) <= 1e-12 * scale
+            prof = eigenfunction_profile(prob, seeds, index, t)
+            assert prof.eigenvalue == seeds.eigenvalues[index]
+            assert prof.order == seeds.orders[1]
+            h = band_to_dense(build_truncated(prob, prof.order))
+            vec = (prof.coefficients * np.sqrt(_norm_sq(prob.mu, prof.order))[:, None]).ravel()
+            residual = np.linalg.norm(h @ vec - prof.eigenvalue * vec)
+            assert residual <= 1e-10 * max(1.0, abs(prof.eigenvalue))
 
 
-def test_profile_from_seeds_rejects_non_eigenvalue():
+def test_profile_rejects_index_outside_seeds():
     seeds = spectrum_truncated(P1, 3)
-    with pytest.raises(NotAnEigenvalueError):
-        eigenfunction_profile(P1, 1.0, np.linspace(0.1, 2.0, 5), seeds=seeds)
-
-
-def test_profile_settle_solves_each_order_once(monkeypatch):
-    # k grows from 8 to 16 at the first order and is carried to the next
-    # ones, each solved once
-    prob = standard_ncho_problem(2.0, 1.02 / 2.0, 0.1, 1.5)
-    lam = float(spectrum_truncated(prob, 11).eigenvalues[10])
-    calls = _counting(monkeypatch, spectral, "eigen_banded_lowest")
-    prof = eigenfunction_profile(prob, lam, np.linspace(0.1, 3.0, 5))
-    solves = [(band.shape[1], k) for band, k in calls]
-    assert solves == [(128, 8), (128, 16), (256, 16), (512, 16), (1024, 16)]
-    assert abs(prof.eigenvalue - lam) <= 1e-9 * abs(lam)
+    for index in (-1, 3):
+        with pytest.raises(ContractViolation, match=r"index must be in range 0\.\.2"):
+            eigenfunction_profile(P1, seeds, index, np.linspace(0.1, 2.0, 5))
 
 
 def test_profile_sum_matches_modes():
     # the real-arithmetic sum equals the coefficients against laguerre_mode
     t = np.linspace(0.1, 6.0, 13)
-    prof = eigenfunction_profile(P1, SQ3 / 4.0, t)
+    prof = eigenfunction_profile(P1, spectrum_truncated(P1, 1), 0, t)
     expect = sum(
         laguerre_mode(m, P1.mu, t)[:, None] * prof.coefficients[m]
         for m in range(prof.order)
