@@ -1,7 +1,7 @@
 """Matrix-coefficient oscillator problems reduced to holomorphic ODEs on
 the unit disk: pencil partial fractions, disk-automorphism covariance,
 Heun-type scalar data, and spectra by truncation and by a connection
-determinant."""
+matrix."""
 
 from .covariance import (
     INFINITY,
@@ -26,7 +26,6 @@ from .errors import (
     NotGenericError,
     PositivityError,
     RefinementError,
-    ResonanceError,
     SchemaError,
     SimplePoleViolation,
     SolverError,
@@ -76,12 +75,10 @@ from .spectral import (
     SpectrumResult,
     build_truncated,
     confluence_sweep,
-    connection_determinant,
-    connection_polarizations,
+    connection_matrix,
     eigenfunction_profile,
     laguerre_mode,
     rabi_truncated_spectrum,
-    refine_eigenvalue,
     spectrum_connection,
     spectrum_truncated,
 )

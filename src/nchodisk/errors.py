@@ -45,9 +45,5 @@ class ContinuationError(SolverError):
     """Series transport of a solution frame failed or is unsupported."""
 
 
-class ResonanceError(ContinuationError):
-    """A characteristic exponent sits (numerically) on a positive integer."""
-
-
 class RefinementError(SolverError):
-    """Root refinement of the connection determinant failed."""
+    """Newton refinement on the connection matrix failed."""

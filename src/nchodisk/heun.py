@@ -221,8 +221,8 @@ def heun_equation_4pt(problem: NchoProblem, lam: complex, tol: float = 1e-8) -> 
 
 
 def apparent_singularity_residual(params: HeunParameters) -> float:
-    """No-log solvability residual of the exponent-0 Frobenius series at the
-    apparent point; zero means trivial local monodromy."""
+    """No-log solvability residual of the exponent-0 local power series at
+    the apparent point; zero means trivial local monodromy."""
     if params.epsilon is None:
         raise ContractViolation("apparent point exists only in the 5-point case")
     eps = params.epsilon

@@ -66,10 +66,11 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
 def fix_phase(v: np.ndarray) -> np.ndarray:
     """v divided by the phase of its first entry whose modulus is within a
     relative 1e-9 of the largest, so round-off cannot move the choice
-    between entries that tie."""
+    between entries that tie.  A stack of vectors along the last axis is
+    fixed vector by vector."""
     mod = np.abs(v)
-    i = int(np.argmax(mod >= (1.0 - 1e-9) * mod.max()))
-    return v / (v[i] / mod[i])
+    i = np.argmax(mod >= (1.0 - 1e-9) * mod.max(axis=-1, keepdims=True), axis=-1)[..., None]
+    return v / (np.take_along_axis(v, i, -1) / np.take_along_axis(mod, i, -1))
 
 
 def block_band(diag, coup) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Spectra by two independent routes: Hermitian block-tridiagonal
-truncation in the weighted-disk basis, and a connection determinant built
-by series transport of the holomorphic solution frame between the
-singular points.  Also: radial mode functions, eigenfunction profiles,
+truncation in the weighted-disk basis, and a connection matrix built by
+series transport of the solution frame from a regular base point once
+around each inner singular point, refined by Newton.  Also: radial mode functions, eigenfunction profiles,
 and the large-mu confluence sweep against the Rabi truncation."""
 
 from __future__ import annotations
@@ -13,30 +13,25 @@ from itertools import islice
 import numpy as np
 from scipy.linalg import schur
 
-from .covariance import Su11Element, gauge_problem, transform_decomposition, transform_problem
+from .covariance import gauge_problem
 from .errors import (
     ContinuationError,
     ContractViolation,
     ConvergenceError,
     PositivityError,
     RefinementError,
-    ResonanceError,
 )
-from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
-from .pencil import NchoProblem, PencilDecomposition, decompose_pencil, pole_order_key
+from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil
 
 __all__ = [
     "SpectrumResult",
-    "RefineResult",
     "ProfileResult",
     "SweepResult",
     "build_truncated",
     "spectrum_truncated",
-    "connection_determinant",
-    "connection_polarizations",
-    "refine_eigenvalue",
+    "connection_matrix",
     "spectrum_connection",
     "laguerre_mode",
     "eigenfunction_profile",
@@ -50,7 +45,8 @@ _STEP_FRACTION = 0.4  # a Taylor step is at most this times the distance to the 
 # arcs of the loop around the inner pole: the fewest whose chord, 2 sin(pi / n)
 # times the radius, fits in one Taylor step from a point on the circle
 _LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
-_MAX_STEPS = 5000  # transport steps on one leg, or in one batch of propagators
+_MAX_STEPS = 5000  # transport steps on one leg
+_NEWTON_ROUNDS = 8  # Newton rounds of spectrum_connection before it gives up
 
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
@@ -154,7 +150,7 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
 
 
 # ---------------------------------------------------------------------------
-# connection determinant
+# connection matrix
 
 
 def _path_steps(poles, z0, z1):
@@ -181,16 +177,17 @@ def _path_steps(poles, z0, z1):
 def _step_propagators(poles, residues, steps):
     """Propagators Phi_s of df/dz = sum_j R_j/(z - a_j) f over every step
     (z0, z1) of steps, stacked (len(steps), p, p): the order-30 Taylor series
-    at z0 summed at z1, one recurrence for all steps.  With h = z1 - z0,
-    w_j = h/(z0 - a_j) and D_n = h^n C_n the terms (D_0 = I),
+    at z0 summed at z1, one recurrence for all steps.  residues is
+    (n_poles, p, p), shared by every step, or (len(steps), n_poles, p, p),
+    one set per step.  With h = z1 - z0, w_j = h/(z0 - a_j) and D_n = h^n C_n
+    the terms (D_0 = I),
     (n + 1) D_{n+1} = sum_j w_j R_j S_{j,n} with S_{j,n} = D_n - w_j S_{j,n-1}.
     A step whose last term exceeds 1e-12 times its propagator is split in
     two, and the halves of all such steps run as one more batch."""
-    if len(steps) > _MAX_STEPS:
-        raise ContinuationError("too many transport steps")
     z0, z1 = np.array(steps, dtype=complex).T
     h = z1 - z0
-    n_poles, p = residues.shape[:2]
+    residues = np.broadcast_to(residues, (len(h),) + np.shape(residues)[-3:])
+    n_poles, p = residues.shape[1:3]
     w = (h[:, None] / (z0[:, None] - poles))[:, :, None, None]
     # [w_1 R_1 | w_2 R_2 | ...] per step: the sum over j is one product with
     # the S_{j,n} stacked in a column
@@ -208,274 +205,170 @@ def _step_propagators(poles, residues, steps):
         if np.any(np.abs(b - a) < 2e-14 * np.maximum(1.0, np.abs(a))):
             raise ContinuationError("step size underflow during transport")
         mid = a + 0.5 * (b - a)
-        halves = _step_propagators(poles, residues, np.stack([a, mid, mid, b], 1).reshape(-1, 2))
+        halves = _step_propagators(
+            poles,
+            np.repeat(residues[split], 2, axis=0),
+            np.stack([a, mid, mid, b], 1).reshape(-1, 2),
+        )
         phi[split] = halves[1::2] @ halves[::2]
     return phi
 
 
-def connection_polarizations(
-    problem: NchoProblem,
-) -> list[tuple[NchoProblem, PencilDecomposition]]:
-    """Möbius configurations the connection determinant can run in, one per
-    inner pencil pole, each paired with its pencil decomposition: problem's
-    own, decomposed here, pushed forward along the Möbius map of the
-    configuration (transform_decomposition).  Polarization 0 is the
-    canonical one."""
-    if problem.p > 2:
-        raise ContractViolation("connection method supports p <= 2")
-    dec = decompose_pencil(problem)
+@dataclass(eq=False)
+class _ConnectionPlan:
+    """The part of the row matrix L(lam) that does not depend on lam: the
+    singular points, the residues R_j(lam) = res0[j] + lam res1[j], one
+    (pole index, row count, radius, leg steps, loop steps) per inner pole,
+    and the transport steps of every inner pole in that order, the leg
+    from the base point to its matching point and then the loop around it."""
+
+    poles: np.ndarray
+    res0: np.ndarray
+    res1: np.ndarray
+    rows: list[tuple[int, int, float, int, int]]
+    steps: list[tuple[complex, complex]]
+
+
+def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _ConnectionPlan:
+    """Base point, matching points and transport steps of the row matrix,
+    from the pencil decomposition alone.  The base point is 0 when 0 is
+    regular, and otherwise the one of 16 points on the circle of half the
+    least nonzero pole modulus that lies farthest from the poles."""
     for al in dec.poles:
         if abs(abs(al) - 1.0) < 1e-6:
             raise PositivityError(f"pencil pole {al} sits on the unit circle")
-    inner = [al for al in dec.poles if al != 0 and abs(al) < 1.0]
-    if not inner:
+    poles = np.array(dec.poles, dtype=complex)
+    nonzero = np.abs(poles[(poles != 0) & (np.abs(poles) < 1.0)])
+    if not nonzero.size:
         raise ContinuationError(
             "no inner connection pole; the problem is ladder-diagonal, use truncation"
         )
-    inner.sort(key=pole_order_key)
-    if problem.p == 1:
-        return [(problem, dec)]
-    if dec.zero_is_pole and len(inner) == 1:
-        swaps = [Su11Element.sending_to_zero(inner[0])]
-        configs = [(problem, dec)]
-    elif len(inner) == 2:
-        swaps = [Su11Element.sending_to_zero(beta) for beta in inner]
-        configs = []
-    else:
-        raise ContinuationError("unsupported pole configuration for the connection method")
-    return configs + [
-        (transform_problem(g, problem), transform_decomposition(g, dec, problem)) for g in swaps
-    ]
+    base = 0.0
+    if dec.zero_is_pole:
+        ring = 0.5 * nonzero.min() * np.exp(2j * np.pi * np.arange(16) / 16)
+        base = complex(ring[np.argmax(np.min(np.abs(ring[:, None] - poles), axis=1))])
+    rows, steps = [], []
+    for j, al in enumerate(poles):
+        if abs(al) >= 1.0:
+            continue
+        radius = 0.35 * min(float(np.min(np.abs(np.delete(poles, j) - al))), abs(base - al))
+        z_match = al + radius * (base - al) / abs(base - al)
+        leg = _path_steps(poles, base, z_match)
+        # the loop of _LOOP_ARCS arcs around al, back to the matching point
+        angles = np.angle(z_match - al) + 2.0 * np.pi * np.arange(1, _LOOP_ARCS) / _LOOP_ARCS
+        loop = [z_match, *(al + radius * np.exp(1j * angles)), z_match]
+        arcs = [step for a, b in zip(loop[:-1], loop[1:]) for step in _path_steps(poles, a, b)]
+        # as many rows as the pole's rank: the count must not follow which
+        # exponents look nonzero at some lam
+        rows.append((j, _rank(dec.residues[j]), radius, len(leg), len(arcs)))
+        steps += leg + arcs
+    mu = problem.mu
+    res0 = np.array(
+        [
+            pj @ (-mu * (al * problem.B + 0.5 * problem.A) + problem.C0)
+            for al, pj in zip(dec.poles, dec.residues)
+        ]
+    )
+    res1 = np.array([pj @ problem.lam_coeff for pj in dec.residues])
+    return _ConnectionPlan(poles=poles, res0=res0, res1=res1, rows=rows, steps=steps)
 
 
-def _connection_t(problem: NchoProblem, lam: complex, dec: PencilDecomposition) -> complex:
-    system = build_fuchsian(problem, lam, dec)
-    poles = system.singular_points
-    residues = system.residues
-    p = problem.p
-    inner = [(al, j) for j, al in enumerate(poles) if al != 0 and abs(al) < 1.0]
-    if len(inner) != 1:
-        raise ContinuationError("connection evaluation expects exactly one inner pole")
-    alpha, j_alpha = inner[0]
-    r_alpha = residues[j_alpha]
+def _row_matrices(plan: _ConnectionPlan, lams) -> np.ndarray:
+    """L(lam) for every lam of lams, stacked (len(lams), p, p), from one
+    batch of propagators over every step of every row at every lam.
 
-    if 0.0 in poles:
-        r0 = residues[poles.index(0.0)]
-    else:
-        r0 = np.zeros((p, p), dtype=complex)
-    w0, v0 = np.linalg.eig(r0)
-    order0 = np.argsort(np.abs(w0))
-    if p > 1 and abs(w0[order0[1]]) <= 1e-10 * max(1.0, float(np.max(np.abs(w0)))):
-        raise ContinuationError("exponent-zero frame is not one-dimensional at this lambda")
-    c0 = v0[:, order0[0]]
-    c0 = fix_phase(c0 / np.linalg.norm(c0))
-
-    nonzero = [(al, r) for al, r in zip(poles, residues) if al != 0]
-    # alpha is the nonzero pole nearest the origin, so the series at the
-    # origin converges at z_start like 0.35^n
-    z_start = 0.35 * alpha
-
-    # Frobenius series at the origin for the exponent-zero solution, summed
-    # as its terms e_n = c_n z_start^n.  With q_j = z_start/a_j (|q_j| <= 0.35)
-    # and t_{j,m} = e_m + q_j t_{j,m-1}, (n - R_0) e_n = -sum_j q_j R_j t_{j,n-1}:
-    # each term costs O(J) and no power of 1/a_j is formed
-    hmax = 420
-    q = np.array([z_start / al for al, _ in nonzero])
-    qrow = -np.hstack([qj * r for qj, (_, r) in zip(q, nonzero)])
-    t_j = np.tile(c0, (len(nonzero), 1))
-    val = c0.astype(complex).copy()
-    gaps = np.min(np.abs(np.arange(1, hmax)[:, None] - w0), axis=1)
-    resonant = np.flatnonzero(gaps <= 1e-9 * max(1.0, float(np.max(np.abs(w0))))).tolist()
-    n_res = resonant[0] + 1 if resonant else hmax
-    solvers = np.linalg.inv(np.arange(1, n_res)[:, None, None] * np.eye(p) - r0)
-    quiet = 0
-    term_max = 0.0
-    # far up the spectrum the terms overflow before they decay; stop at the
-    # first non-finite term instead of running the rest on inf/nan
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for n in range(1, hmax):
-                if n == n_res:
-                    raise ResonanceError(
-                        f"exponent at the origin within {gaps[n - 1]:.2e} of a positive integer"
-                    )
-                term = solvers[n - 1] @ (qrow @ t_j.ravel())
-                t_j = term + q[:, None] * t_j
-                val += term
-                # hypot: the 2-norm of a p-vector at a fraction of np.linalg.norm's cost
-                term_norm = math.hypot(*term.view(float))
-                term_max = max(term_max, term_norm)
-                if term_norm <= 1e-16 * max(1.0, math.hypot(*val.view(float))):
-                    quiet += 1
-                    if quiet >= 3:
-                        break
-                else:
-                    quiet = 0
-            else:
-                raise ContinuationError(f"series at the origin did not settle in {hmax} terms")
-    except FloatingPointError:
-        raise ContinuationError(
-            f"series at the origin did not settle: term {n} overflowed"
-        ) from None
-    # far up the spectrum the terms grow far above their sum before they
-    # decay, and the sum keeps only about 16 - log10(term_max / |sum|) digits:
-    # past a ratio of 1e8 fewer than half are left, and near 1e16 the sum, and
-    # with it the sign of T, is round-off
-    val_norm = math.hypot(*val.view(float))
-    if term_max > 1e8 * val_norm:
-        raise ContinuationError(
-            f"series at the origin cancels: terms up to {term_max:.1e} sum to {val_norm:.1e}"
-        )
-
-    # the leg to z_match and the loop of _LOOP_ARCS arcs around alpha back
-    # to it, each arc one step, transported as one batch of propagators
-    d_alpha = min(abs(alpha - al) for al in poles if al != alpha)
-    r_match = 0.35 * d_alpha
-    z_match = alpha * (1.0 - r_match / abs(alpha))
-    angles = np.angle(z_match - alpha) + 2.0 * np.pi * np.arange(1, _LOOP_ARCS) / _LOOP_ARCS
-    path = [z_start, z_match, *(alpha + r_match * np.exp(1j * angles)), z_match]
-    pole_arr = np.array(poles)
-    legs = [_path_steps(pole_arr, a, b) for a, b in zip(path[:-1], path[1:])]
-    steps = [step for leg in legs for step in leg]
-
-    wa, va = np.linalg.eig(r_alpha)
-    ia = int(np.argmax(np.abs(wa)))
-    rho = wa[ia]
-    d0 = va[:, ia]
-    d0 = fix_phase(d0 / np.linalg.norm(d0))
-    # far up the spectrum the frame or r_match^rho leaves the floating-point
+    The frame with F(b) = I is transported to the matching point z_k of
+    each inner pole alpha_k (F_match) and once around alpha_k (F_loop).
+    The pole's rows are, for each of its rank(P_k) largest-modulus
+    exponents rho with right eigenvector d of R_k (phase fixed),
+    e^{-i pi rho} d*(F_loop - F_match) / (2i r_k^rho |r_k^{-R_k} F_match|_2)."""
+    lams = np.asarray(lams, dtype=complex)
+    res = plan.res0 + lams[:, None, None, None] * plan.res1
+    n, n_steps, p = len(lams), len(plan.steps), res.shape[-1]
+    out = []
+    # far up the spectrum the frame or r_k^rho leaves the floating-point
     # range: stop there instead of returning inf/nan
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            props = _step_propagators(pole_arr, np.array(residues), steps)
-            f_match = val
-            for phi in props[: len(legs[0])]:
-                f_match = phi @ f_match
-            f_loop = f_match
-            for phi in props[len(legs[0]) :]:
-                f_loop = phi @ f_loop
-            deficit = complex(d0.conj() @ (f_loop - f_match))
-            scale = max(float(np.linalg.norm(f_match)), 1e-100)
-            t = np.exp(-1j * np.pi * rho) * deficit / (2j * np.exp(rho * np.log(r_match)) * scale)
+            props = _step_propagators(
+                plan.poles, np.repeat(res, n_steps, axis=0), plan.steps * n
+            ).reshape(n, n_steps, p, p)
+            start = 0
+            for j, rank, radius, n_leg, n_loop in plan.rows:
+                f_match = np.eye(p, dtype=complex)
+                for k in range(start, start + n_leg):
+                    f_match = props[:, k] @ f_match
+                f_loop = f_match
+                for k in range(start + n_leg, start + n_leg + n_loop):
+                    f_loop = props[:, k] @ f_loop
+                start += n_leg + n_loop
+                w, v = np.linalg.eig(res[:, j])
+                top = np.argsort(-np.abs(w), axis=1, kind="stable")[:, :rank]
+                rho = np.take_along_axis(w, top, 1)
+                d = fix_phase(np.take_along_axis(v, top[:, None, :], 2).transpose(0, 2, 1))
+                # the frame's size in the local basis (z - alpha_k)^{R_k}: |F_match|
+                # alone holds r_k^rho wherever a nonzero exponent carries the
+                # frame (always at p = 1), and would count it twice
+                log_r = math.log(radius)
+                local = v @ (np.exp(-w * log_r)[:, :, None] * np.linalg.solve(v, f_match))
+                scale = np.linalg.norm(local, 2, axis=(1, 2))[:, None]
+                factor = np.exp(-1j * np.pi * rho) / (2j * np.exp(rho * log_r) * scale)
+                out.append(factor[:, :, None] * (d.conj() @ (f_loop - f_match)))
     except FloatingPointError:
         raise ContinuationError("transport left the floating-point range") from None
-    return complex(t)
+    return np.concatenate(out, axis=1)
 
 
-def connection_determinant(problem: NchoProblem, lam: complex, polarization: int = 0) -> complex:
-    """Scalar whose zeros along the real axis are eigenvalues.
-
-    The exponent-zero solution frame at the origin is transported to the
-    inner pencil pole and once around it; T is the single-valuedness
-    deficit, normalized so that for one-dimensional frames it equals
-    sin(pi * rho(lam)) times a smooth nonvanishing factor (real on the real
-    axis for real-matrix problems).  Eigenfunctions whose exponent at the
-    origin is a positive integer are visible in the other polarization; see
-    connection_polarizations."""
-    configs = connection_polarizations(problem)
-    if not 0 <= polarization < len(configs):
-        raise ContractViolation(f"polarization must be in range 0..{len(configs) - 1}")
-    config, dec = configs[polarization]
-    return _connection_t(config, lam, dec)
-
-
-@dataclass
-class RefineResult:
-    value: float
-    residual: float
-    polarization: int
-
-
-def _refine_in_config(
-    config: NchoProblem, dec: PencilDecomposition, seed: float, tol: float
-) -> tuple[float, float]:
-    # imported here: scipy.optimize (with the modules it pulls in) would
-    # otherwise load at every start of the CLI, most of whose commands never refine
-    from scipy.optimize import brentq
-
-    # brentq evaluates the bracket ends again and returns a point it has
-    # evaluated, so each T value is computed once and looked up after
-    seen: dict[float, complex] = {}
-
-    def t_of(lam):
-        if lam not in seen:
-            seen[lam] = _connection_t(config, lam, dec)
-        return seen[lam]
-
-    t_seed = t_of(seed)
-    if abs(t_seed) < tol:
-        return float(seed), abs(t_seed)
-    delta = max(1e-7, 1e-7 * abs(seed))
-    width_cap = max(0.5, 0.05 * abs(seed))
-    while delta <= width_cap:
-        t_lo, t_hi = t_of(seed - delta), t_of(seed + delta)
-        slope = (t_hi - t_lo) / (2.0 * delta)
-        if abs(slope) < 1e-14:
-            delta *= 4.0
-            continue
-        u = np.conj(slope) / abs(slope)
-        f_lo, f_hi = float((u * t_lo).real), float((u * t_hi).real)
-        if f_lo == 0.0:
-            return float(seed - delta), abs(t_lo)
-        if f_hi == 0.0:
-            return float(seed + delta), abs(t_hi)
-        if np.sign(f_lo) != np.sign(f_hi):
-            root = brentq(
-                lambda lam: float((u * t_of(lam)).real),
-                seed - delta,
-                seed + delta,
-                xtol=1e-13,
-                rtol=8.9e-16,
-            )
-            return float(root), abs(t_of(root))
-        delta *= 4.0
-    raise RefinementError(f"no sign change of T in a bracket around seed {seed}")
-
-
-def refine_eigenvalue(
-    problem: NchoProblem,
-    seed: float,
-    tol: float = 1e-10,
-    polarizations: list[tuple[NchoProblem, PencilDecomposition]] | None = None,
-) -> RefineResult:
-    """Bracketed root refinement of the connection determinant near a seed
-    (seeds come from truncation).  Tries each polarization in turn.
-
-    polarizations, when given, is connection_polarizations(problem), so the
-    seeds of one spectrum call share the configurations and their pencil
-    decompositions."""
-    if polarizations is None:
-        polarizations = connection_polarizations(problem)
-    failures = []
-    for idx, (config, dec) in enumerate(polarizations):
-        try:
-            value, residual = _refine_in_config(config, dec, seed, tol)
-            return RefineResult(value=value, residual=residual, polarization=idx)
-        except (RefinementError, ResonanceError, ContinuationError) as exc:
-            failures.append(f"polarization {idx}: {exc}")
-    raise RefinementError("; ".join(failures))
+def connection_matrix(problem: NchoProblem, lam: complex) -> np.ndarray:
+    """The p x p row matrix L(lam): lam is an eigenvalue exactly when the
+    Fuchsian system has a solution holomorphic on the whole disk, that is
+    when L(lam) v = 0 for its value v at the base point, and the nullity
+    of L(lam) is the multiplicity.  Each inner pencil pole alpha_k gives
+    rank(P_k) rows, the single-valuedness deficit of the transported frame
+    once around alpha_k (see _row_matrices); for p = 1 the one entry is
+    sin(pi rho) times a unit phase."""
+    return _row_matrices(_connection_plan(problem, decompose_pencil(problem)), [lam])[0]
 
 
 def spectrum_connection(
     problem: NchoProblem, count: int, tol: float = 1e-10, seeds: SpectrumResult | None = None
 ) -> SpectrumResult:
-    """Truncation seeds refined on the connection determinant.  seeds, when
-    given, is the caller's spectrum_truncated(problem, count) result;
+    """Truncation seeds refined by Newton on the connection matrix.  seeds,
+    when given, is the caller's spectrum_truncated(problem, count) result;
     without it the seeds are computed here at tolerance _SEED_TOL.
-    The polarizations and their pencil decompositions do not depend on lam
-    and are built once for all seeds, from one decomposition of problem."""
+
+    The plan is built once, from one decomposition of problem.  Each round
+    evaluates L at every open seed s and at s + delta, delta =
+    1e-7 max(1, |s|), in one batch of propagators, solves
+    L(s) x = -h L'(s) x with the forward difference L', and moves s by the
+    real part of the h of least modulus.  A seed stays open until its |h|
+    is at most tol max(1, |s|); every seed takes at least one step.  The
+    convergence reported is the last |h|, in units of lam."""
     _check_tol(tol)
     if seeds is None:
         seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
-    polarizations = connection_polarizations(problem)
-    values = []
-    residuals = []
-    for s in seeds.eigenvalues:
-        r = refine_eigenvalue(problem, float(s), tol=tol, polarizations=polarizations)
-        values.append(r.value)
-        residuals.append(r.residual)
-    return SpectrumResult(
-        eigenvalues=np.array(values), convergence=np.array(residuals), orders=seeds.orders
+    plan = _connection_plan(problem, decompose_pencil(problem))
+    values = np.array(seeds.eigenvalues, dtype=float)
+    last_step = np.zeros(len(values))
+    open_ = np.arange(len(values))
+    for _ in range(_NEWTON_ROUNDS):
+        s = values[open_]
+        delta = 1e-7 * np.maximum(1.0, np.abs(s))
+        mats = _row_matrices(plan, np.concatenate([s, s + delta]))
+        at, ahead = mats[: len(s)], mats[len(s) :]
+        try:
+            h = np.linalg.eigvals(np.linalg.solve((at - ahead) / delta[:, None, None], at))
+        except np.linalg.LinAlgError:
+            raise RefinementError("the Newton pencil of the connection matrix is singular") from None
+        h = h[np.arange(len(s)), np.argmin(np.abs(h), axis=1)]
+        values[open_] = s + h.real
+        last_step[open_] = np.abs(h)
+        open_ = open_[np.abs(h) > tol * np.maximum(1.0, np.abs(values[open_]))]
+        if not open_.size:
+            return SpectrumResult(eigenvalues=values, convergence=last_step, orders=seeds.orders)
+    raise RefinementError(
+        f"Newton on the connection matrix did not settle to {tol:g} in {_NEWTON_ROUNDS} "
+        f"rounds at seeds {values[open_].tolist()} (last steps {last_step[open_].tolist()})"
     )
 
 

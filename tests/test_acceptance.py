@@ -18,13 +18,14 @@ from conftest import (
 from nchodisk import (
     NchoProblem,
     RabiParameters,
+    SpectrumResult,
     Su11Element,
     apparent_singularity_residual,
     beta_gamma_closed_forms,
     build_fuchsian,
     chordal_distance,
     confluence_sweep,
-    connection_determinant,
+    connection_matrix,
     decompose_pencil,
     exponents_at,
     gauge_problem,
@@ -32,8 +33,8 @@ from nchodisk import (
     laguerre_mode,
     mobius_apply,
     positivity_margin,
-    refine_eigenvalue,
     residue_at_infinity_formula,
+    spectrum_connection,
     spectrum_truncated,
     standard_ncho_problem,
     standardize_p2,
@@ -132,11 +133,13 @@ def test_criterion_03_scalar_closed_form():
     res = spectrum_truncated(P1, 10, tol=1e-12)
     expect = np.array([scalar_closed_eigenvalue(1.0, 0.25, 0.0, 0.5, m) for m in range(10)])
     trunc_dev = float(np.max(np.abs(res.eigenvalues - expect)))
-    t_worst = max(abs(connection_determinant(P1, float(lam))) for lam in expect)
-    refine_dev = 0.0
-    for lam in expect:
-        r = refine_eigenvalue(P1, float(lam) + 3e-7)
-        refine_dev = max(refine_dev, abs(r.value - lam))
+    # least singular value of the connection matrix (its one entry at p = 1)
+    t_worst = max(
+        np.linalg.svd(connection_matrix(P1, float(lam)), compute_uv=False)[-1] for lam in expect
+    )
+    shifted = SpectrumResult(expect + 3e-7, res.convergence, res.orders)
+    refined = spectrum_connection(P1, len(expect), seeds=shifted).eigenvalues
+    refine_dev = float(np.max(np.abs(refined - expect)))
     elapsed = time.perf_counter() - t0
     ok = (
         trunc_dev < 1e-8
@@ -147,9 +150,9 @@ def test_criterion_03_scalar_closed_form():
     )
     _report(
         3,
-        "scalar closed form: truncation, |T| at roots, refined roots",
+        "scalar closed form: truncation, least singular value of L at roots, refined roots",
         ok,
-        f"trunc {trunc_dev:.1e}, |T| {t_worst:.1e}, refine {refine_dev:.1e}, {elapsed:.1f}s",
+        f"trunc {trunc_dev:.1e}, s_min(L) {t_worst:.1e}, refine {refine_dev:.1e}, {elapsed:.1f}s",
     )
 
 

@@ -179,6 +179,26 @@ def test_spectrum_both_p1(capsys):
     assert payload["max_disagreement"] < 1e-6
 
 
+def test_spectrum_connect_reaches_far_up_p1(capsys):
+    argv = ["spectrum", str(FIXTURES / "p1_quarter.json"), "--method", "connect", "--count", "60"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    got = np.array(json.loads(out)["connection"]["eigenvalues"])
+    expect = SQ3 * (np.arange(60) + 0.25)
+    assert np.max(np.abs(got - expect) / expect) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["classical_eta0.json", "classical_mu_nk.json"])
+def test_spectrum_both_on_double_eigenvalues(capsys, name):
+    argv = ["spectrum", str(FIXTURES / name), "--method", "both", "--count", "6"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    conn = payload["connection"]["eigenvalues"]
+    assert payload["max_disagreement"] < 1e-10
+    assert max(abs(a - b) for a, b in zip(conn[::2], conn[1::2])) < 1e-10
+
+
 def test_eigenfunction_csv(capsys):
     code, out = run_cli(
         capsys,

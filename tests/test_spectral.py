@@ -14,20 +14,20 @@ from nchodisk import (
     ConvergenceError,
     NchoProblem,
     RabiParameters,
-    ResonanceError,
+    RefinementError,
     Su11Element,
-    build_fuchsian,
+    SpectrumResult,
     build_truncated,
     confluence_sweep,
-    connection_determinant,
-    connection_polarizations,
+    connection_matrix,
+    decompose_pencil,
     eigen_banded_lowest,
     eigenfunction_profile,
     eigenvector_banded,
     gauge_problem,
     laguerre_mode,
+    positivity_margin,
     rabi_truncated_spectrum,
-    refine_eigenvalue,
     spectrum_connection,
     spectrum_truncated,
     standard_ncho_problem,
@@ -248,34 +248,25 @@ def test_boundedness_gives_lower_bound_on_a():
         assert a_min >= c_low / prob.mu - 1e-9
 
 
+def _t(problem, lam):
+    # at p = 1 the connection matrix is the scalar connection determinant
+    (t,) = connection_matrix(problem, lam).ravel()
+    return t
+
+
 def test_connection_determinant_zeros_and_signs():
     roots = [SQ3 * (m + 0.25) for m in range(3)]
     for lam in roots:
-        t = connection_determinant(P1, lam)
+        t = _t(P1, lam)
         assert abs(t) < 1e-6
         assert abs(t.imag) < 1e-9
     # sign changes between consecutive roots, bounded away from zero off-spectrum
-    t_neg = connection_determinant(P1, -1.0)
-    t_mid1 = connection_determinant(P1, 1.2)
-    t_mid2 = connection_determinant(P1, 3.0)
+    t_neg = _t(P1, -1.0)
+    t_mid1 = _t(P1, 1.2)
+    t_mid2 = _t(P1, 3.0)
     assert abs(t_neg) > 1e-3 and abs(t_mid1) > 1e-3 and abs(t_mid2) > 1e-3
     assert np.sign(t_neg.real) != np.sign(t_mid1.real)
     assert np.sign(t_mid1.real) != np.sign(t_mid2.real)
-
-
-def test_connection_series_that_does_not_settle_raises():
-    # far up the spectrum the Frobenius coefficients at the origin overflow
-    # before they decay; the series stops there, with no overflow warning
-    with pytest.raises(ContinuationError, match="did not settle"):
-        connection_determinant(P1, 3000.0)
-
-
-def test_connection_series_that_cancels_raises():
-    # at lam = 150 the terms reach ~1e9 and sum to ~2e-7 where the exact sum
-    # is ~6e-16: the sign of T would be round-off
-    with pytest.raises(ContinuationError, match="cancels"):
-        connection_determinant(P1, 150.0)
-    assert abs(connection_determinant(P1, 2.0)) > 0.2
 
 
 def _counting(monkeypatch, module, name):
@@ -293,24 +284,70 @@ def _counting(monkeypatch, module, name):
 
 def test_connection_determinant_decomposes_once(monkeypatch):
     calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
-    connection_determinant(P1, 1.2)
+    connection_matrix(P1, 1.2)
     assert len(calls) == 1
-    # both polarizations are Möbius images of the problem: its decomposition
-    # is pushed forward, not recomputed
-    prob = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)
-    for polarization in (0, 1):
-        calls.clear()
-        connection_determinant(prob, 3.0, polarization)
-        assert len(calls) == 1
+    calls.clear()
+    connection_matrix(standard_ncho_problem(2.0, 0.51, 0.1, 1.5), 3.0)
+    assert len(calls) == 1
 
 
 def test_refinement_evaluates_each_lambda_once(monkeypatch):
     prob = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)  # beta gamma = 1.02
-    calls = _counting(monkeypatch, spectral, "_connection_t")
+    calls = _counting(monkeypatch, spectral, "_row_matrices")
     spectrum_connection(prob, 5)
-    lams = [args[1] for args in calls]
+    lams = [lam for args in calls for lam in args[1]]
     assert len(set(lams)) == len(lams)
     assert len(lams) <= 20
+
+
+def _top_level_batches(monkeypatch):
+    """Record the steps of each _step_propagators call that is not a split
+    of an enclosing call."""
+    batches, depth = [], []
+    real = spectral._step_propagators
+
+    def recorded(poles, residues, steps):
+        if not depth:
+            batches.append(len(steps))
+        depth.append(1)
+        try:
+            return real(poles, residues, steps)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(spectral, "_step_propagators", recorded)
+    return batches
+
+
+def test_each_newton_round_is_one_propagator_batch(monkeypatch):
+    prob = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)
+    seeds = spectrum_truncated(prob, 5, tol=1e-9)
+    shifted = SpectrumResult(seeds.eigenvalues + 1e-6, seeds.convergence, seeds.orders)
+    rounds = _counting(monkeypatch, spectral, "_row_matrices")
+    batches = _top_level_batches(monkeypatch)
+    spectrum_connection(prob, 5, seeds=shifted)
+    assert len(rounds) >= 2  # a seed 1e-6 off needs a second step
+    assert len(batches) == len(rounds)
+    # every step of every row at s and s + delta of every open seed
+    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    assert batches == [len(plan.steps) * len(args[1]) for args in rounds]
+    assert len(rounds[0][1]) == 10
+
+
+@pytest.mark.parametrize("name", ["p1_quarter.json", "classical_eta01_mu15.json"])
+def test_transport_is_planned_once_per_spectrum(monkeypatch, name):
+    prob = parse_problem(str(FIXTURES / name))[0]
+    plans = _counting(monkeypatch, spectral, "_connection_plan")
+    legs = _counting(monkeypatch, spectral, "_path_steps")
+    counts = []
+    for count in (1, 5):
+        plans.clear()
+        legs.clear()
+        spectrum_connection(prob, count)
+        assert len(plans) == 1
+        counts.append(len(legs))
+    # one leg and _LOOP_ARCS arcs per inner pole, however many seeds
+    assert counts[0] == counts[1] == prob.p * (1 + spectral._LOOP_ARCS)
 
 
 def test_loop_arcs_are_single_taylor_steps(monkeypatch):
@@ -323,7 +360,7 @@ def test_loop_arcs_are_single_taylor_steps(monkeypatch):
     for lam in (-1.0, 1.2, 3.0):
         legs.clear()
         batches.clear()
-        connection_determinant(P1, lam)
+        connection_matrix(P1, lam)
         # the leg to the matching point, then one step per arc
         assert len(legs) == 1 + spectral._LOOP_ARCS
         assert all(len(leg) == 1 for leg in legs[1:])
@@ -334,9 +371,9 @@ def test_loop_arcs_are_single_taylor_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("bg", [1.5, 1.02])
-@pytest.mark.parametrize("polarization", [0, 1])
+@pytest.mark.parametrize("pole", [0, 1])
 @pytest.mark.parametrize("lam", [0.37, 2.9])
-def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, polarization, lam):
+def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, pole, lam):
     # once around the inner pole alpha the frame is multiplied by a matrix
     # similar to exp(2 pi i R_alpha)
     batches = []
@@ -347,15 +384,20 @@ def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, polarization, 
         return batches[-1][2]
 
     monkeypatch.setattr(spectral, "_step_propagators", recorded)
-    connection_determinant(standard_ncho_problem(2.0, bg / 2, 0.1, 1.5), lam, polarization)
+    prob = standard_ncho_problem(2.0, bg / 2, 0.1, 1.5)
+    connection_matrix(prob, lam)
     # split halves return before the batch that asked for them
     poles, residues, props = batches[-1]
-    (j,) = [k for k, a in enumerate(poles) if a != 0 and abs(a) < 1.0]
+    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    assert len(plan.rows) == 2
+    start = sum(n_leg + n_loop for _, _, _, n_leg, n_loop in plan.rows[:pole])
+    j, _, _, n_leg, n_loop = plan.rows[pole]
+    assert 0 < abs(poles[j]) < 1.0 and n_loop == spectral._LOOP_ARCS
     loop = np.eye(2)
-    for phi in props[-spectral._LOOP_ARCS :]:
+    for phi in props[start + n_leg : start + n_leg + n_loop]:
         loop = phi @ loop
     got = np.linalg.eigvals(loop)
-    want = np.exp(2j * np.pi * np.linalg.eigvals(residues[j]))
+    want = np.exp(2j * np.pi * np.linalg.eigvals(residues[start, j]))
     assert max(np.min(np.abs(got - w)) for w in want) < 1e-11
     assert max(np.min(np.abs(want - g)) for g in got) < 1e-11
 
@@ -375,31 +417,54 @@ def test_connection_residuals_small_at_bg_1001():
 def test_connection_rejects_ladder_diagonal():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
     with pytest.raises(ContinuationError):
-        connection_determinant(prob, 0.5)
+        connection_matrix(prob, 0.5)
+
+
+def _refine(problem, seeds):
+    """spectrum_connection from the given seed values."""
+    seeds = np.array(seeds, dtype=float)
+    return spectrum_connection(
+        problem, len(seeds), seeds=SpectrumResult(seeds, np.zeros(len(seeds)), (64, 128))
+    )
 
 
 def test_refine_from_seed():
-    r = refine_eigenvalue(P1, 0.43)
-    assert abs(r.value - SQ3 / 4.0) < 1e-9
-    assert r.residual < 1e-10
+    r = _refine(P1, [0.43])
+    assert abs(r.eigenvalues[0] - SQ3 / 4.0) < 1e-9
+    assert r.convergence[0] < 1e-10
 
 
-def test_refine_returns_immediately_at_root():
-    r = refine_eigenvalue(P1, float(SQ3 / 4.0))
-    assert r.value == pytest.approx(SQ3 / 4.0, abs=1e-12)
+def test_refine_returns_immediately_at_root(monkeypatch):
+    # the one step every seed takes is already below tol: one round
+    rounds = _counting(monkeypatch, spectral, "_row_matrices")
+    r = _refine(P1, [SQ3 / 4.0])
+    assert len(rounds) == 1
+    assert r.eigenvalues[0] == pytest.approx(SQ3 / 4.0, abs=1e-12)
 
 
 def test_refine_converges_from_between_roots():
-    # seed halfway toward the next root still lands on the bracketed one
-    r = refine_eigenvalue(P1, 0.55)
-    assert abs(r.value - SQ3 / 4.0) < 1e-9
+    # seed well toward the next root still lands on the nearer one
+    r = _refine(P1, [0.55])
+    assert abs(r.eigenvalues[0] - SQ3 / 4.0) < 1e-9
 
 
-def test_refine_fails_without_sign_change():
-    from nchodisk import RefinementError
+def test_newton_that_does_not_settle_raises(monkeypatch):
+    # a seed 3e-3 off needs more than one step
+    monkeypatch.setattr(spectral, "_NEWTON_ROUNDS", 1)
+    with pytest.raises(RefinementError, match="did not settle"):
+        _refine(P1, [0.43])
+    assert _refine(P1, [SQ3 / 4.0]).convergence[0] < 1e-15
 
-    with pytest.raises(RefinementError):
-        refine_eigenvalue(P1, 1.2)
+
+def test_shifted_seeds_move_by_the_shift():
+    # every value is a real step from its seed: seeds 1e-6 off come back
+    # to the tight truncation, and the last step reports what is left
+    for prob in (P1, standard_ncho_problem(2.0, 1.02 / 2, 0.1, 1.5), _classical_eta01()):
+        ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
+        res = _refine(prob, ref + 1e-6)
+        assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
+        assert np.all(np.abs(np.abs(res.eigenvalues - (ref + 1e-6)) - 1e-6) <= 1e-11)
+        assert np.all(res.convergence <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_truncation_convergence_error_with_tight_budget(monkeypatch):
@@ -500,36 +565,70 @@ def _classical_eta01():
 def test_spectrum_connection_decomposes_once(monkeypatch, count):
     prob = _classical_eta01()
     seeds = spectrum_truncated(prob, count, tol=1e-9).eigenvalues
-    separate = [refine_eigenvalue(prob, float(s)) for s in seeds]
+    separate = [_refine(prob, [s]) for s in seeds]
     calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
     result = spectrum_connection(prob, count)
     assert len(calls) == 1
-    assert result.eigenvalues.tolist() == [r.value for r in separate]
-    assert result.convergence.tolist() == [r.residual for r in separate]
+    assert result.eigenvalues.tolist() == [r.eigenvalues[0] for r in separate]
+    assert result.convergence.tolist() == [r.convergence[0] for r in separate]
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_connection_determinant_raises_at_resonance(n):
-    # in polarization 0 the origin is a pole whose residue has rank one, so
-    # its exponents are 0 and the trace, which is affine in lambda
-    prob = _classical_eta01()
-    config, _ = connection_polarizations(prob)[0]
-
-    def trace_at_origin(lam):
-        system = build_fuchsian(config, lam)
-        return np.trace(system.residues[system.pole_index(0.0)])
-
-    t0, t1 = trace_at_origin(0.0), trace_at_origin(1.0)
-    lam = (n - t0) / (t1 - t0)
-    assert abs(trace_at_origin(lam) - n) < 1e-12
-    with pytest.raises(ResonanceError):
-        connection_determinant(prob, lam)
+def _rank_one_problem(rng, p):
+    """Random admissible problem whose B has rank one, so 0 is a pole of
+    rank p - 1, with conftest.random_problem's margin and pole-gap rules."""
+    for _ in range(200):
+        prob = random_problem(rng, p)
+        u, s, vh = np.linalg.svd(prob.B)
+        rank_one = prob.with_matrices(B=s[0] * np.outer(u[:, 0], vh[0]))
+        if positivity_margin(rank_one, 64).margin <= 0.05:
+            continue
+        poles = np.array(decompose_pencil(rank_one).poles)
+        gaps = np.abs(poles[:, None] - poles)[np.triu_indices(len(poles), 1)]
+        if gaps.min() >= 0.05:
+            return rank_one
+    raise RuntimeError("no rank-one problem found")
 
 
-def test_polarization_count():
-    assert len(connection_polarizations(P1)) == 1
-    prob = standard_ncho_problem(2.0, 2.0, 0.0, 0.5)
-    assert len(connection_polarizations(prob)) == 2
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank_one_b_moves_the_base_point(p):
+    rng = np.random.default_rng(50 + p)
+    for _ in range(3):
+        prob = _rank_one_problem(rng, p)
+        plan = spectral._connection_plan(prob, decompose_pencil(prob))
+        # 0 is a pole carrying p - 1 rows, and the other inner pole one
+        assert sorted((rank, plan.poles[j] == 0) for j, rank, *_ in plan.rows) == [
+            (1, False),
+            (p - 1, True),
+        ]
+        assert plan.steps[0][0] != 0
+        ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
+        conn = spectrum_connection(prob, 5).eigenvalues
+        assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_connection_agrees_with_truncation_at_p_3_and_4(p):
+    rng = np.random.default_rng(60 + p)
+    for _ in range(3):
+        prob = random_problem(rng, p)
+        assert connection_matrix(prob, 0.5).shape == (p, p)
+        ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
+        conn = spectrum_connection(prob, 5).eigenvalues
+        assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", ["classical_eta0.json", "classical_mu_nk.json"])
+def test_double_eigenvalues_are_a_two_dimensional_null_space(name):
+    # alpha = beta: every eigenvalue is double, and L has nullity 2 there
+    prob = parse_problem(str(FIXTURES / name))[0]
+    ref = spectrum_truncated(prob, 6, tol=1e-13).eigenvalues
+    assert np.max(np.abs(ref[::2] - ref[1::2])) < 1e-10
+    for lam in ref[::2]:
+        near = np.linalg.svd(connection_matrix(prob, lam), compute_uv=False)
+        off = np.linalg.svd(connection_matrix(prob, lam + 0.3), compute_uv=False)
+        # p = 2: both singular values vanish, on the scale of L just off the root
+        assert np.max(near) <= 1e-12 * off[0]
+        assert off[-1] >= 0.1
 
 
 def test_spectrum_invariance_under_group_and_gauge():
@@ -577,9 +676,8 @@ def test_standardized_connection_sees_original_spectrum():
     prob = standard_ncho_problem(2.0, 2.0, 0.1, 0.5)
     std, _ = standardize_p2(prob)
     vals = spectrum_truncated(prob, 2, tol=1e-10).eigenvalues
-    for lam in vals:
-        r = refine_eigenvalue(std, float(lam))
-        assert abs(r.value - lam) < 1e-7
+    refined = _refine(std, vals).eigenvalues
+    assert np.max(np.abs(refined - vals)) < 1e-7
 
 
 def test_laguerre_mode_closed_forms():
@@ -700,8 +798,8 @@ def test_confluence_sweep_rate():
 
 
 def test_connection_with_small_inner_pole_agrees_without_warning():
-    # inner pole |alpha| ~ 0.025: 1 / alpha^k overflows long before k = 420,
-    # but the series at the origin settles after a few dozen terms
+    # inner pole |alpha| ~ 0.025: the base point 0 lies close to it, and the
+    # matching circle shrinks with that distance
     prob = NchoProblem(p=1, mu=1.0, A=[[1.0]], B=[[0.05]], C0=[[0.0]])
     inner = [al for al in pencil.decompose_pencil(prob).poles if 0 < abs(al) < 1]
     assert abs(inner[0]) < 0.185
