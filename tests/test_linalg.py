@@ -42,6 +42,10 @@ def test_fix_phase_ignores_round_off_ties(sign):
     out = fix_phase(v)
     assert np.max(np.abs(out - ref)) < 1e-12
     assert abs(out[0].imag) < 1e-15 and out[0].real > 0
+    # a stack is fixed row by row, bit for bit as one vector at a time
+    stack = np.array([[v, 2j * v[::-1]], [-v, v * np.exp(1j)]])
+    rows = [fix_phase(row) for row in stack.reshape(-1, 3)]
+    assert np.array_equal(fix_phase(stack).reshape(-1, 3), rows)
 
 
 def test_predicates():
