@@ -21,6 +21,7 @@ from .errors import (
     PositivityError,
     RefinementError,
 )
+from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
 from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil
@@ -42,10 +43,12 @@ __all__ = [
 _MAX_ORDER = 8192  # truncation order cap of every doubling loop
 _SEED_TOL = 1e-9  # truncation tolerance of the seeds spectrum_connection computes itself
 _STEP_FRACTION = 0.4  # a Taylor step is at most this times the distance to the nearest pole
+_MATCH_FRACTION = 0.35  # a matching radius is at most this times the distance to another pole
 # arcs of the loop around the inner pole: the fewest whose chord, 2 sin(pi / n)
 # times the radius, fits in one Taylor step from a point on the circle
 _LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
 _MAX_STEPS = 5000  # transport steps on one leg
+_BATCH_STEPS = 4096  # propagators of one batch, which bounds the memory of a Newton round
 _NEWTON_ROUNDS = 8  # Newton rounds of spectrum_connection before it gives up
 
 
@@ -178,15 +181,14 @@ def _step_propagators(poles, residues, steps):
     """Propagators Phi_s of df/dz = sum_j R_j/(z - a_j) f over every step
     (z0, z1) of steps, stacked (len(steps), p, p): the order-30 Taylor series
     at z0 summed at z1, one recurrence for all steps.  residues is
-    (n_poles, p, p), shared by every step, or (len(steps), n_poles, p, p),
-    one set per step.  With h = z1 - z0, w_j = h/(z0 - a_j) and D_n = h^n C_n
+    (len(steps), n_poles, p, p), one set per step.  With h = z1 - z0,
+    w_j = h/(z0 - a_j) and D_n = h^n C_n
     the terms (D_0 = I),
     (n + 1) D_{n+1} = sum_j w_j R_j S_{j,n} with S_{j,n} = D_n - w_j S_{j,n-1}.
     A step whose last term exceeds 1e-12 times its propagator is split in
     two, and the halves of all such steps run as one more batch."""
     z0, z1 = np.array(steps, dtype=complex).T
     h = z1 - z0
-    residues = np.broadcast_to(residues, (len(h),) + np.shape(residues)[-3:])
     n_poles, p = residues.shape[1:3]
     w = (h[:, None] / (z0[:, None] - poles))[:, :, None, None]
     # [w_1 R_1 | w_2 R_2 | ...] per step: the sum over j is one product with
@@ -231,27 +233,39 @@ class _ConnectionPlan:
 
 def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _ConnectionPlan:
     """Base point, matching points and transport steps of the row matrix,
-    from the pencil decomposition alone.  The base point is 0 when 0 is
-    regular, and otherwise the one of 16 points on the circle of half the
-    least nonzero pole modulus that lies farthest from the poles."""
+    from the pencil decomposition alone.  The candidate base points are 0
+    when 0 is regular, then 16 points on the circle of half the least
+    nonzero pole modulus, farthest from the poles first.  The first whose
+    straight legs all stay out of the disks the other inner poles' matching
+    radii can fill is taken, failing that the one whose legs come least
+    close: a leg through a pole would never reach its matching point."""
     for al in dec.poles:
         if abs(abs(al) - 1.0) < 1e-6:
             raise PositivityError(f"pencil pole {al} sits on the unit circle")
     poles = np.array(dec.poles, dtype=complex)
-    nonzero = np.abs(poles[(poles != 0) & (np.abs(poles) < 1.0)])
+    inner = np.flatnonzero(np.abs(poles) < 1.0)
+    nonzero = np.abs(poles[inner][poles[inner] != 0])
     if not nonzero.size:
         raise ContinuationError(
             "no inner connection pole; the problem is ladder-diagonal, use truncation"
         )
-    base = 0.0
-    if dec.zero_is_pole:
-        ring = 0.5 * nonzero.min() * np.exp(2j * np.pi * np.arange(16) / 16)
-        base = complex(ring[np.argmax(np.min(np.abs(ring[:, None] - poles), axis=1))])
+    ring = 0.5 * nonzero.min() * np.exp(2j * np.pi * np.arange(16) / 16)
+    ring = ring[np.argsort(-np.min(np.abs(ring[:, None] - poles), axis=1), kind="stable")]
+    candidates = ring if dec.zero_is_pole else np.concatenate(([0.0], ring))
+    apart = np.abs(poles[inner, None] - poles)
+    apart[np.arange(len(inner)), inner] = np.inf
+    nearest = apart.min(axis=1)
+    # distance of inner pole j from the leg to inner pole k, over nearest[j]
+    off = poles[inner] - candidates[:, None, None]
+    leg = off.transpose(0, 2, 1)
+    t = np.clip((off * leg.conj()).real / np.abs(leg) ** 2, 0.0, 1.0)
+    clear = np.abs(off - t * leg) / nearest
+    clear[:, np.arange(len(inner)), np.arange(len(inner))] = np.inf
+    base = candidates[np.argmax(np.minimum(clear.min(axis=(1, 2)), _MATCH_FRACTION))]
     rows, steps = [], []
-    for j, al in enumerate(poles):
-        if abs(al) >= 1.0:
-            continue
-        radius = 0.35 * min(float(np.min(np.abs(np.delete(poles, j) - al))), abs(base - al))
+    for j, near in zip(inner, nearest):
+        al = poles[j]
+        radius = _MATCH_FRACTION * min(near, abs(base - al))
         z_match = al + radius * (base - al) / abs(base - al)
         leg = _path_steps(poles, base, z_match)
         # the loop of _LOOP_ARCS arcs around al, back to the matching point
@@ -260,15 +274,10 @@ def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _Connect
         arcs = [step for a, b in zip(loop[:-1], loop[1:]) for step in _path_steps(poles, a, b)]
         # as many rows as the pole's rank: the count must not follow which
         # exponents look nonzero at some lam
-        rows.append((j, _rank(dec.residues[j]), radius, len(leg), len(arcs)))
+        rows.append((int(j), _rank(dec.residues[j]), float(radius), len(leg), len(arcs)))
         steps += leg + arcs
-    mu = problem.mu
-    res0 = np.array(
-        [
-            pj @ (-mu * (al * problem.B + 0.5 * problem.A) + problem.C0)
-            for al, pj in zip(dec.poles, dec.residues)
-        ]
-    )
+    # R_j(lam) = res0[j] + lam res1[j], with the lam part exact
+    res0 = np.array(build_fuchsian(problem, 0.0, dec).residues)
     res1 = np.array([pj @ problem.lam_coeff for pj in dec.residues])
     return _ConnectionPlan(poles=poles, res0=res0, res1=res1, rows=rows, steps=steps)
 
@@ -339,22 +348,30 @@ def spectrum_connection(
 
     The plan is built once, from one decomposition of problem.  Each round
     evaluates L at every open seed s and at s + delta, delta =
-    1e-7 max(1, |s|), in one batch of propagators, solves
-    L(s) x = -h L'(s) x with the forward difference L', and moves s by the
-    real part of the h of least modulus.  A seed stays open until its |h|
-    is at most tol max(1, |s|); every seed takes at least one step.  The
-    convergence reported is the last |h|, in units of lam."""
+    1e-7 max(1, |s|), in one batch of propagators (one per _BATCH_STEPS
+    steps, when the round has more), solves L(s) x = -h L'(s) x with the
+    forward difference L', and moves s by the real part of the h of least
+    modulus.  A seed stays open until its |h| is at most tol max(1, |s|);
+    every seed takes at least one step.  The convergence reported is the
+    last |h|, in units of lam.  A value that ends more than half the gap
+    to the nearest other seed from its own seed (seeds closer than its
+    delta count as one) is refused: it may have left for another root."""
     _check_tol(tol)
     if seeds is None:
         seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
     plan = _connection_plan(problem, decompose_pencil(problem))
-    values = np.array(seeds.eigenvalues, dtype=float)
+    start = np.array(seeds.eigenvalues, dtype=float)
+    values = start.copy()
     last_step = np.zeros(len(values))
     open_ = np.arange(len(values))
+    per_batch = max(1, _BATCH_STEPS // len(plan.steps))
     for _ in range(_NEWTON_ROUNDS):
         s = values[open_]
         delta = 1e-7 * np.maximum(1.0, np.abs(s))
-        mats = _row_matrices(plan, np.concatenate([s, s + delta]))
+        lams = np.concatenate([s, s + delta])
+        mats = np.concatenate(
+            [_row_matrices(plan, lams[i : i + per_batch]) for i in range(0, len(lams), per_batch)]
+        )
         at, ahead = mats[: len(s)], mats[len(s) :]
         try:
             h = np.linalg.eigvals(np.linalg.solve((at - ahead) / delta[:, None, None], at))
@@ -365,11 +382,23 @@ def spectrum_connection(
         last_step[open_] = np.abs(h)
         open_ = open_[np.abs(h) > tol * np.maximum(1.0, np.abs(values[open_]))]
         if not open_.size:
-            return SpectrumResult(eigenvalues=values, convergence=last_step, orders=seeds.orders)
-    raise RefinementError(
-        f"Newton on the connection matrix did not settle to {tol:g} in {_NEWTON_ROUNDS} "
-        f"rounds at seeds {values[open_].tolist()} (last steps {last_step[open_].tolist()})"
-    )
+            break
+    else:
+        raise RefinementError(
+            f"Newton on the connection matrix did not settle to {tol:g} in {_NEWTON_ROUNDS} "
+            f"rounds at seeds {values[open_].tolist()} (last steps {last_step[open_].tolist()})"
+        )
+    ordered = np.concatenate(([-np.inf], np.sort(start), [np.inf]))
+    near = 1e-7 * np.maximum(1.0, np.abs(start))
+    below = start - ordered[np.searchsorted(ordered, start - near, "right") - 1]
+    above = ordered[np.searchsorted(ordered, start + near, "left")] - start
+    strayed = np.abs(values - start) > 0.5 * np.minimum(below, above)
+    if strayed.any():
+        raise RefinementError(
+            f"Newton on the connection matrix left seeds {start[strayed].tolist()} for "
+            f"{values[strayed].tolist()}, more than half the gap to the next seed"
+        )
+    return SpectrumResult(eigenvalues=values, convergence=last_step, orders=seeds.orders)
 
 
 # ---------------------------------------------------------------------------

@@ -548,7 +548,8 @@ def test_transport_matches_closed_form_p1(monkeypatch, poles, residues, z0, z1, 
     f0 = np.array([0.8 - 0.3j])
     steps = spectral._path_steps(np.array(poles), z0, z1)
     got = f0
-    for phi in spectral._step_propagators(np.array(poles), np.reshape(residues, (-1, 1, 1)), steps):
+    per_step = np.repeat(np.reshape(residues, (1, -1, 1, 1)), len(steps), axis=0)
+    for phi in spectral._step_propagators(np.array(poles), per_step, steps):
         got = phi @ got
     want = _closed_form_transport(poles, residues, f0[0], z0, z1)
     assert abs(got[0] - want) <= 1e-12 * abs(want)
@@ -604,6 +605,64 @@ def test_rank_one_b_moves_the_base_point(p):
         ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
         conn = spectrum_connection(prob, 5).eigenvalues
         assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_legs_pass_no_other_inner_pole(theta):
+    # B with eigenvalues 0.3 and 0.2 puts two inner poles on one ray from 0
+    # (about -0.333 and -0.209): the straight leg from 0 to the far one
+    # would run into the near one
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    prob = NchoProblem(
+        p=2, mu=0.8, A=np.eye(2), B=rot @ np.diag([0.3, 0.2]) @ rot.T,
+        C0=[[0.1, 0.15 - 0.05j], [0.15 + 0.05j, -0.2]],
+    )
+    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    inner = [plan.poles[j] for j, *_ in plan.rows]
+    assert len(inner) == 2 and abs(np.angle(inner[0] / inner[1])) < 1e-12
+    base = plan.steps[0][0]
+    assert base != 0
+    # each leg keeps well off the other pole: the ring of candidates is too
+    # small to keep it out of that pole's matching disk here, and the base
+    # point is the candidate that comes least close
+    for (j, _, _, n_leg, _), start in zip(plan.rows, (0, sum(plan.rows[0][3:]))):
+        z = plan.steps[start + n_leg - 1][1]
+        other = next(k for k, *_ in plan.rows if k != j)
+        t = np.clip(((plan.poles[other] - base) * np.conj(z - base)).real / abs(z - base) ** 2, 0, 1)
+        radius = next(r for k, _, r, *_ in plan.rows if k == other)
+        assert abs(base + t * (z - base) - plan.poles[other]) >= 0.5 * radius
+    ref = spectrum_truncated(prob, 6, tol=1e-13).eigenvalues
+    conn = spectrum_connection(prob, 6).eigenvalues
+    assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
+    prob = _classical_eta01()
+    whole = spectrum_connection(prob, 5)
+    steps = len(spectral._connection_plan(prob, decompose_pencil(prob)).steps)
+    monkeypatch.setattr(spectral, "_BATCH_STEPS", 3 * steps + 1)
+    batches = _top_level_batches(monkeypatch)
+    split = spectrum_connection(prob, 5)
+    # 10 lam in the first round: batches of 3, 3, 3 and 1
+    assert batches[:4] == [3 * steps, 3 * steps, 3 * steps, steps]
+    assert max(batches) <= spectral._BATCH_STEPS
+    assert np.max(np.abs(split.eigenvalues - whole.eigenvalues)) <= 1e-14
+    # a budget below one lam's steps still takes one lam per batch
+    monkeypatch.setattr(spectral, "_BATCH_STEPS", 1)
+    batches.clear()
+    spectrum_connection(prob, 2)
+    assert set(batches) == {steps}
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.45, 0.6])
+def test_seed_that_leaves_for_another_root_is_refused(frac):
+    # a second seed frac of the way from lambda_0 to lambda_1 lands on a
+    # root further from it than half the gap to the first seed
+    l0, l1 = SQ3 / 4.0, SQ3 * 1.25
+    with pytest.raises(RefinementError, match="more than half the gap"):
+        _refine(P1, [l0, l0 + frac * (l1 - l0)])
+    # the same seed alone has no neighbour to keep it
+    assert _refine(P1, [l0 + 0.3 * (l1 - l0)]).eigenvalues[0] == pytest.approx(l0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [3, 4])
