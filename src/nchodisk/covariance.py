@@ -251,7 +251,7 @@ def inverse_transcript(transcript: list[dict]) -> list[dict]:
     return out
 
 
-def standardize_p2(problem: NchoProblem, tol: float = 1e-9):
+def standardize_p2(problem: NchoProblem):
     """Standard form for p = 2: A = I, B with zero bottom row, pencil poles
     {0, alpha, 1/conj(alpha)} with alpha on the positive real axis.
 
@@ -303,14 +303,14 @@ def standardize_p2(problem: NchoProblem, tol: float = 1e-9):
     # rotate the rank-one B into top-row form; the second row of the gauge
     # spans the left null space of B
     u_svd, sing, _ = np.linalg.svd(cur.B)
-    if sing[0] <= tol:
+    if sing[0] <= 1e-9:
         raise NotGenericError("B vanished during standardization")
     w = u_svd[:, 0]
     nvec = u_svd[:, 1]
     w, nvec = fix_phase(w), fix_phase(nvec)
     u = np.vstack([w.conj(), nvec.conj()])
     m = u @ cur.B @ u.conj().T
-    if abs(m[0, 1]) > tol:
+    if abs(m[0, 1]) > 1e-9:
         psi = float(np.angle(m[0, 1]))
         u = np.diag([1.0, np.exp(1j * psi)]) @ u
     transcript.append({"kind": "gauge", "u": _matrix_pairs(u)})
@@ -318,7 +318,7 @@ def standardize_p2(problem: NchoProblem, tol: float = 1e-9):
 
     b1 = cur.B[0, 0]
     b2 = cur.B[0, 1]
-    if abs(b1) <= tol:
+    if abs(b1) <= 1e-9:
         raise NotGenericError("standard form requires b1 != 0")
     if 2.0 * abs(b1) + abs(b2) ** 2 >= 1.0:
         raise PositivityError("standard-form inequality 2|b1| + |b2|^2 < 1 failed")

@@ -92,15 +92,15 @@ class HeunParameters:
         return num / ((z - loc["inner"]) * (z - loc["outer"]))
 
 
-def _check_standard_form(problem: NchoProblem, tol: float) -> None:
+def _check_standard_form(problem: NchoProblem) -> None:
     if problem.p != 2:
         raise ContractViolation("scalar reduction is defined for p = 2")
-    if float(np.max(np.abs(problem.A - np.eye(2)))) > tol:
+    if float(np.max(np.abs(problem.A - np.eye(2)))) > 1e-8:
         raise ContractViolation("standard form requires A = I")
-    if float(np.max(np.abs(problem.B[1, :]))) > tol * max(1.0, float(np.max(np.abs(problem.B)))):
+    if float(np.max(np.abs(problem.B[1, :]))) > 1e-8 * max(1.0, float(np.max(np.abs(problem.B)))):
         raise ContractViolation("standard form requires a zero bottom row in B")
     b1, b2 = problem.B[0, 0], problem.B[0, 1]
-    if abs(b1) <= tol:
+    if abs(b1) <= 1e-8:
         raise ContractViolation("standard form requires b1 != 0")
     if 2.0 * abs(b1) + abs(b2) ** 2 >= 1.0:
         raise ContractViolation("standard form requires 2|b1| + |b2|^2 < 1")
@@ -128,7 +128,7 @@ def _q1(problem: NchoProblem, c: np.ndarray) -> complex:
     return complex(det / np.trace(_adj(problem.A) @ problem.B))
 
 
-def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) -> HeunParameters:
+def heun_like_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     """Parameters of the single second-order equation equivalent to the
     standard-form system at the given lambda.
 
@@ -137,7 +137,7 @@ def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) 
     the coalescent case (c3 = -mu/2 with b2 != 0) with epsilon and q2
     omitted.
     """
-    _check_standard_form(problem, tol)
+    _check_standard_form(problem)
     b1, b2 = problem.B[0, 0], problem.B[0, 1]
     four_point = abs(b2) <= 1e-10 * max(1.0, abs(b1))
     if four_point:
@@ -212,9 +212,9 @@ def heun_like_parameters(problem: NchoProblem, lam: complex, tol: float = 1e-8) 
     )
 
 
-def heun_equation_4pt(problem: NchoProblem, lam: complex, tol: float = 1e-8) -> HeunParameters:
+def heun_equation_4pt(problem: NchoProblem, lam: complex) -> HeunParameters:
     """Plain Heun data for the B = B' branch (b2 = 0, b1 real)."""
-    params = heun_like_parameters(problem, lam, tol=tol)
+    params = heun_like_parameters(problem, lam)
     if params.n_singularities != 4:
         raise ContractViolation("b2 != 0: use heun_like_parameters")
     return params
@@ -364,20 +364,23 @@ class RabiClassification:
     params: RabiParameters | None
 
 
-def rabi_jc_map(A_t, B_t, C_t, tol: float = 1e-10) -> RabiClassification:
+_RABI_TOL = 1e-10  # the zero test of every entry rabi_jc_map classifies by
+
+
+def rabi_jc_map(A_t, B_t, C_t) -> RabiClassification:
     """Recognize confluent-limit data as asymmetric Rabi or Jaynes-Cummings."""
     a, b, c = as_matrix(A_t), as_matrix(B_t), as_matrix(C_t)
     if a.shape != (2, 2) or b.shape != (2, 2) or c.shape != (2, 2):
         raise ContractViolation("classification expects 2x2 matrices")
     scale_a = max(1.0, float(np.max(np.abs(a))))
-    off = max(abs(a[0, 1]), abs(a[1, 0]))
-    if off > tol * scale_a or abs(a[0, 0] - a[1, 1]) > tol * scale_a or abs(a[0, 0].imag) > tol:
+    off_identity = max(abs(a[0, 1]), abs(a[1, 0]), abs(a[0, 0] - a[1, 1]))
+    if off_identity > _RABI_TOL * scale_a or abs(a[0, 0].imag) > _RABI_TOL:
         raise ContractViolation("A must be a real multiple of the identity")
     omega = float(a[0, 0].real)
 
     def real_or_none(z):
         z = complex(z)
-        return z.real if abs(z.imag) <= tol * max(1.0, abs(z)) else None
+        return z.real if abs(z.imag) <= _RABI_TOL * max(1.0, abs(z)) else None
 
     lam = real_or_none(0.5 * (c[0, 0] + c[1, 1]))
     delta = real_or_none(0.5 * (c[1, 1] - c[0, 0]))
@@ -385,10 +388,10 @@ def rabi_jc_map(A_t, B_t, C_t, tol: float = 1e-10) -> RabiClassification:
 
     # lowering-operator coupling with diagonal C: Jaynes-Cummings
     if (
-        max(abs(b[0, 0]), abs(b[0, 1]), abs(b[1, 1])) <= tol * scale_b
-        and abs(b[1, 0]) > tol
-        and abs(c[0, 1]) <= tol
-        and abs(c[1, 0]) <= tol
+        max(abs(b[0, 0]), abs(b[0, 1]), abs(b[1, 1])) <= _RABI_TOL * scale_b
+        and abs(b[1, 0]) > _RABI_TOL
+        and abs(c[0, 1]) <= _RABI_TOL
+        and abs(c[1, 0]) <= _RABI_TOL
         and lam is not None
         and delta is not None
     ):
@@ -400,12 +403,12 @@ def rabi_jc_map(A_t, B_t, C_t, tol: float = 1e-10) -> RabiClassification:
 
     # symmetric coupling with a symmetric bias: asymmetric Rabi
     if (
-        max(abs(b[0, 0]), abs(b[1, 1])) <= tol * scale_b
-        and abs(b[0, 1] - b[1, 0]) <= tol * scale_b
-        and abs(b[0, 1]) > tol
+        max(abs(b[0, 0]), abs(b[1, 1])) <= _RABI_TOL * scale_b
+        and abs(b[0, 1] - b[1, 0]) <= _RABI_TOL * scale_b
+        and abs(b[0, 1]) > _RABI_TOL
         and lam is not None
         and delta is not None
-        and abs(c[0, 1] - c[1, 0]) <= tol * max(1.0, abs(c[0, 1]))
+        and abs(c[0, 1] - c[1, 0]) <= _RABI_TOL * max(1.0, abs(c[0, 1]))
     ):
         g = real_or_none(b[0, 1])
         eps = real_or_none(-c[0, 1])
@@ -426,23 +429,18 @@ class QuantizationReport:
     note: str
 
 
-def quantization_check(params: HeunParameters, tol: float = 1e-8) -> QuantizationReport:
+def quantization_check(params: HeunParameters) -> QuantizationReport:
     """Necessary integrality condition for a two-dimensional solution space:
     1 + kappa0 - mu/2 and kappa1 - mu/2 must be positive integers.  The
     condition is not sufficient (logarithmic solutions may obstruct)."""
     v0 = 1.0 + params.kappa0 - params.mu / 2.0
     v1 = params.kappa1 - params.mu / 2.0
-    out_nearest = []
-    out_dist = []
-    for v in (v0, v1):
-        n = max(1, int(round(float(np.real(v)))))
-        out_nearest.append(n)
-        out_dist.append(float(abs(v - n)))
-    passed = all(d <= tol for d in out_dist)
+    nearest = tuple(max(1, int(round(float(np.real(v))))) for v in (v0, v1))
+    distances = tuple(float(abs(v - n)) for v, n in zip((v0, v1), nearest))
     return QuantizationReport(
         values=(complex(v0), complex(v1)),
-        nearest=(out_nearest[0], out_nearest[1]),
-        distances=(out_dist[0], out_dist[1]),
-        passed=passed,
+        nearest=nearest,
+        distances=distances,
+        passed=all(d <= 1e-8 for d in distances),
         note="necessary, not sufficient: logarithmic solutions may still obstruct",
     )

@@ -44,23 +44,23 @@ def _square(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = 1e-10) -> bool:
+def is_hermitian(m) -> bool:
     a = _square(m)
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    return float(np.max(np.abs(a - a.conj().T))) <= tol * scale
+    return float(np.max(np.abs(a - a.conj().T))) <= 1e-10 * scale
 
 
-def is_positive_definite(m, tol: float = 1e-10) -> bool:
+def is_positive_definite(m) -> bool:
     a = _square(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         return False
     w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return float(w[0]) > tol * max(1.0, float(np.max(np.abs(a))))
+    return float(w[0]) > 1e-10 * max(1.0, float(np.max(np.abs(a))))
 
 
-def is_unitary(m, tol: float = 1e-10) -> bool:
+def is_unitary(m) -> bool:
     a = _square(m)
-    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))) <= tol
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))) <= 1e-10
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
@@ -134,9 +134,9 @@ def eigenvector_banded(band, lam: float) -> np.ndarray:
     return x
 
 
-def hermitian_inv_sqrt(m, tol: float = 1e-10) -> np.ndarray:
+def hermitian_inv_sqrt(m) -> np.ndarray:
     a = _square(m)
-    if not is_positive_definite(a, tol):
+    if not is_positive_definite(a):
         raise ContractViolation("matrix is not positive definite")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     return (v / np.sqrt(w)) @ v.conj().T

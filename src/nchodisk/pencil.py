@@ -36,8 +36,6 @@ __all__ = [
     "positivity_margin",
 ]
 
-_HTOL = 1e-10
-
 
 def mu_from_harmonic(n: int, k: int) -> float:
     """Radial weight for the degree-k harmonic sector in n variables."""
@@ -51,7 +49,7 @@ def ab_from_a123(A1, A2, A3) -> tuple[np.ndarray, np.ndarray]:
     B = (-i A1 + A2 + i A3) / 2."""
     a1, a2, a3 = as_matrix(A1), as_matrix(A2), as_matrix(A3)
     for name, m in (("A1", a1), ("A2", a2), ("A3", a3)):
-        if not is_hermitian(m, _HTOL):
+        if not is_hermitian(m):
             raise ContractViolation(f"{name} must be Hermitian")
     if not (a1.shape == a2.shape == a3.shape):
         raise ContractViolation("A1, A2, A3 must share one shape")
@@ -61,7 +59,7 @@ def ab_from_a123(A1, A2, A3) -> tuple[np.ndarray, np.ndarray]:
 def a123_from_ab(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of ab_from_a123; round-trips to 1e-12."""
     a, b = as_matrix(A), as_matrix(B)
-    if not is_hermitian(a, _HTOL):
+    if not is_hermitian(a):
         raise ContractViolation("A must be Hermitian")
     skew = b - b.conj().T
     a1 = 0.5 * (a + 1j * skew)
@@ -99,24 +97,23 @@ class NchoProblem:
         for name, m in (("A", self.A), ("B", self.B), ("C0", self.C0)):
             if m.shape != shape:
                 raise ContractViolation(f"{name} must be {self.p}x{self.p}")
-        if not is_hermitian(self.A, _HTOL):
-            raise ContractViolation("A must be Hermitian")
-        if not is_hermitian(self.C0, _HTOL):
-            raise ContractViolation("C0 must be Hermitian")
+        for name, m in (("A", self.A), ("C0", self.C0)):
+            if not is_hermitian(m):
+                raise ContractViolation(f"{name} must be Hermitian")
         if self.lam_coeff is None:
             self.lam_coeff = 0.5 * np.eye(self.p, dtype=complex)
         else:
             self.lam_coeff = as_matrix(self.lam_coeff)
             if self.lam_coeff.shape != shape:
                 raise ContractViolation("lam_coeff must be p x p")
-            if not is_hermitian(self.lam_coeff, _HTOL):
+            if not is_hermitian(self.lam_coeff):
                 raise ContractViolation("lam_coeff must be Hermitian")
 
     def c_matrix(self, lam: complex) -> np.ndarray:
         return self.C0 + lam * self.lam_coeff
 
-    def has_standard_lam(self, tol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.lam_coeff - 0.5 * np.eye(self.p)))) <= tol
+    def has_standard_lam(self) -> bool:
+        return float(np.max(np.abs(self.lam_coeff - 0.5 * np.eye(self.p)))) <= 1e-12
 
     def with_matrices(self, A=None, B=None, C0=None, lam_coeff=None) -> "NchoProblem":
         return replace(

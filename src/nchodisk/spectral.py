@@ -186,7 +186,7 @@ def _step_propagators(poles, residues, steps):
     the terms (D_0 = I),
     (n + 1) D_{n+1} = sum_j w_j R_j S_{j,n} with S_{j,n} = D_n - w_j S_{j,n-1}.
     A step whose last term exceeds 1e-12 times its propagator is split in
-    two, and the halves of all such steps run as one more batch."""
+    two; the halves run as further batches of at most _BATCH_STEPS."""
     z0, z1 = np.array(steps, dtype=complex).T
     h = z1 - z0
     n_poles, p = residues.shape[1:3]
@@ -207,12 +207,12 @@ def _step_propagators(poles, residues, steps):
         if np.any(np.abs(b - a) < 2e-14 * np.maximum(1.0, np.abs(a))):
             raise ContinuationError("step size underflow during transport")
         mid = a + 0.5 * (b - a)
-        halves = _step_propagators(
-            poles,
-            np.repeat(residues[split], 2, axis=0),
-            np.stack([a, mid, mid, b], 1).reshape(-1, 2),
-        )
-        phi[split] = halves[1::2] @ halves[::2]
+        halves = np.stack([a, mid, mid, b], 1).reshape(-1, 2)
+        res = np.repeat(residues[split], 2, axis=0)
+        per = 2 * max(1, _BATCH_STEPS // 2)  # whole pairs of halves per batch
+        cuts = [slice(i, i + per) for i in range(0, len(halves), per)]
+        props = np.concatenate([_step_propagators(poles, res[c], halves[c]) for c in cuts])
+        phi[split] = props[1::2] @ props[::2]
     return phi
 
 
@@ -359,6 +359,8 @@ def spectrum_connection(
     _check_tol(tol)
     if seeds is None:
         seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
+    elif len(seeds.eigenvalues) != count:
+        raise ContractViolation(f"count {count} but {len(seeds.eigenvalues)} seeds")
     plan = _connection_plan(problem, decompose_pencil(problem))
     start = np.array(seeds.eigenvalues, dtype=float)
     values = start.copy()

@@ -55,3 +55,63 @@ def test_every_error_class_is_raised_or_caught():
                 continue
             named |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
     assert sorted(classes - named) == []
+
+
+def _exported_functions():
+    """(name, parameters with defaults as (name, position)) of every function
+    and method named in a module's __all__; a method's self or cls is not a
+    position."""
+    out = []
+    for name in MODULES:
+        exported = set(getattr(importlib.import_module(f"nchodisk.{name}"), "__all__", []))
+        for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+            if getattr(node, "name", None) not in exported:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [
+                    (f.name, f, 0 if "staticmethod" in map(ast.unparse, f.decorator_list) else 1)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for name, fn, bound in fns:
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                params = [(a.arg, i - bound) for i, a in enumerate(args) if i >= first]
+                params += [
+                    (a.arg, None)
+                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if d is not None
+                ]
+                out.append((name, params))
+    return out
+
+
+def test_every_default_is_passed_by_some_call():
+    # a setting that no call in the package or its tests passes has one value
+    # in use, and is a constant
+    calls = {}
+    for path in [*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            positional = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                positional = float("inf")
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((positional, keywords))
+    unpassed = [
+        f"{name}({param})"
+        for name, params in _exported_functions()
+        for param, position in params
+        if not any(
+            param in keywords or None in keywords or (position is not None and position < n)
+            for n, keywords in calls.get(name, [])
+        )
+    ]
+    assert unpassed == []

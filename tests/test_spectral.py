@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig_banded
 from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
 
-from conftest import FIXTURES, random_problem, scalar_closed_eigenvalue
+from conftest import FIXTURES, random_hermitian, random_problem, scalar_closed_eigenvalue
 
 from nchodisk import (
     ContinuationError,
@@ -558,6 +558,21 @@ def test_transport_matches_closed_form_p1(monkeypatch, poles, residues, z0, z1, 
         assert len(batches) > 1
 
 
+def test_split_rounds_run_in_slices_of_the_batch_budget(monkeypatch):
+    # the multi-step-poles3-residues3 transport above: 3 of its 8 steps split
+    poles = np.array([0.5, -0.3 + 0.4j])
+    steps = spectral._path_steps(poles, -0.6 - 0.5j, 0.9 - 0.2j)
+    per_step = np.repeat(np.reshape([6.0, -5.2 + 0.3j], (1, -1, 1, 1)), len(steps), axis=0)
+    batches = _counting(monkeypatch, spectral, "_step_propagators")
+    whole = spectral._step_propagators(poles, per_step, steps)
+    assert [len(args[2]) for args in batches] == [8, 6]
+    batches.clear()
+    monkeypatch.setattr(spectral, "_BATCH_STEPS", 2)
+    sliced = spectral._step_propagators(poles, per_step, steps)
+    assert [len(args[2]) for args in batches] == [8, 2, 2, 2]
+    assert np.array_equal(sliced, whole)
+
+
 def _classical_eta01():
     return parse_problem(str(FIXTURES / "classical_eta01_mu15.json"))[0]
 
@@ -607,6 +622,30 @@ def test_rank_one_b_moves_the_base_point(p):
         assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
+def test_error_estimate_holds_at_the_newton_noise_floor():
+    # rank-one B at p = 3 with an inner pole 0.032 from the pole at 0
+    # (poles 0, 0.0290 + 0.0134i, 28.4 + 13.2i): Newton stalls near 1e-10,
+    # and the reported convergence must cover the error it leaves
+    rng = np.random.default_rng(13)
+    kept = []
+    while len(kept) < 3:
+        a = np.eye(3) + 0.1 * random_hermitian(rng, 3)
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        b = np.outer(u, v.conj())
+        c0 = 0.3 * random_hermitian(rng, 3)
+        prob = NchoProblem(
+            p=3, mu=rng.uniform(0.5, 2.0), A=a, B=0.3 * b / np.linalg.norm(b), C0=c0
+        )
+        if positivity_margin(prob, 64).margin > 0.05:
+            kept.append(prob)
+    poles = np.array(decompose_pencil(kept[-1]).poles)
+    assert np.allclose(poles, [0.0, 0.0290 + 0.0134j, 28.45 + 13.15j], atol=1e-4, rtol=1e-3)
+    ref = spectrum_truncated(kept[-1], 5, tol=1e-13).eigenvalues
+    conn = spectrum_connection(kept[-1], 5)
+    assert np.all(np.abs(conn.eigenvalues - ref) <= 2.0 * conn.convergence)
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.7])
 def test_legs_pass_no_other_inner_pole(theta):
     # B with eigenvalues 0.3 and 0.2 puts two inner poles on one ray from 0
@@ -652,6 +691,12 @@ def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
     batches.clear()
     spectrum_connection(prob, 2)
     assert set(batches) == {steps}
+
+
+def test_seeds_must_hold_count_values():
+    seeds = spectrum_truncated(P1, 5, tol=1e-9)
+    with pytest.raises(ContractViolation, match="count 3 but 5 seeds"):
+        spectrum_connection(P1, 3, seeds=seeds)
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.45, 0.6])
