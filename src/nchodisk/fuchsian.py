@@ -37,9 +37,9 @@ class FuchsianSystem:
     def p(self) -> int:
         return self.residue_at_infinity.shape[0]
 
-    def pole_index(self, point: complex, tol: float = 1e-8) -> int:
+    def pole_index(self, point: complex) -> int:
         for j, al in enumerate(self.singular_points):
-            if abs(al - point) <= tol * max(1.0, abs(point)):
+            if abs(al - point) <= 1e-8 * max(1.0, abs(point)):
                 return j
         raise KeyError(f"no singular point near {point}")
 

@@ -182,11 +182,32 @@ def _annulus_point(rng) -> complex:
     return rng.uniform(0.2, 2.5) * np.exp(2j * np.pi * rng.uniform())
 
 
+def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Homogeneous eigenvalues (alpha, beta) of the linearization
+    [[0, I], [-B', -A]] - z [[I, 0], [0, B]] of the pencil (QZ): its 2p
+    roots are alpha / beta, infinite where beta = 0."""
+    p = a.shape[0]
+    eye, zero = np.eye(p), np.zeros((p, p))
+    return eigvals(
+        np.block([[zero, eye], [-b.conj().T, -a]]),
+        np.block([[eye, zero], [zero, b]]),
+        homogeneous_eigvals=True,
+    )
+
+
+def _inner_pole_radius(problem: NchoProblem) -> float:
+    """Largest modulus of the pencil roots inside the unit disk, 0.0 when
+    every one is 0 (B = 0), from the QZ of the linearization alone."""
+    alpha, beta = _linearization_eigvals(problem.A, problem.B)
+    inner = np.abs(alpha) < np.abs(beta)
+    return float(np.max(np.abs(alpha[inner] / beta[inner]), initial=0.0))
+
+
 def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
     """Partial fraction decomposition of (B z^2 + A z + B')^{-1}.
 
     The poles are the finite eigenvalues of the linearization
-    [[0, I], [-B', -A]] - z [[I, 0], [0, B]] (QZ).  With k = dim ker B' =
+    (_linearization_eigvals).  With k = dim ker B' =
     dim ker B, the k eigenvalues nearest infinity are dropped and the k of
     smallest modulus are exactly 0.  Eigenvalues within a relative 1e-6 form
     one pole; a pole of m eigenvalues has order 1 exactly when ker Q(alpha)
@@ -194,20 +215,13 @@ def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
     X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
     """
     a, b = as_matrix(A), as_matrix(B)
-    p = a.shape[0]
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ContractViolation("A and B must be square matrices of one size")
-    bh = b.conj().T
     rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
     if pencil_kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
         raise DegeneratePencil("pencil determinant vanishes identically")
 
-    eye, zero = np.eye(p), np.zeros((p, p))
-    alpha, beta = eigvals(
-        np.block([[zero, eye], [-bh, -a]]),
-        np.block([[eye, zero], [zero, b]]),
-        homogeneous_eigvals=True,
-    )
+    alpha, beta = _linearization_eigvals(a, b)
     k = pencil_kernel(a, b, 0.0)[1].shape[1]
     finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
     if np.any(beta[finite] == 0):
@@ -408,7 +422,8 @@ def positivity_margin(problem: NchoProblem, grid_size: int = 256) -> PositivityC
     the bound itself.  Every point that attains the grid minimum is solved,
     and each matrix of a stacked eigvalsh is solved on its own, so margin,
     argmin_phi (the first point attaining the minimum) and certified_margin
-    are those of solving every point.
+    are those of solving every point.  With B = 0 every point holds A, and
+    the one matrix is solved once.
     """
     if grid_size < 64:
         raise ContractViolation("grid_size must be at least 64")
@@ -422,28 +437,32 @@ def positivity_margin(problem: NchoProblem, grid_size: int = 256) -> PositivityC
         z = np.exp(1j * phi(idx))[:, None, None]
         return np.linalg.eigvalsh(b * z + a + bh * np.conj(z))[:, 0]
 
-    step = max(1, grid_size // 64)
-    coarse_idx = np.arange(0, grid_size, step)
-    coarse = least_at(coarse_idx)
     bnorm = float(np.linalg.norm(b, 2))
-    # Weyl reach 2 |B| |z_i - z_j| of points d = 0..step grid steps apart
-    reach = 4.0 * bnorm * np.sin(np.pi * np.arange(step + 1) / grid_size)
-    # row k holds points k * step + d; the next coarse point of the last
-    # row is point 0 at angle 2 pi.  Entries of the last row past the grid
-    # (negative gaps) are cut off by the slice.
-    d = np.arange(step)
-    gap_next = np.full((len(coarse), 1), step)
-    gap_next[-1] = grid_size - coarse_idx[-1]
-    bound = np.maximum(
-        coarse[:, None] - reach[:step],
-        np.roll(coarse, -1)[:, None] - reach[gap_next - d],
-    )
-    bound[:, 0] = np.inf  # the coarse points, solved already
-    slack = 1024.0 * np.finfo(float).eps * (float(np.linalg.norm(a)) + 2.0 * bnorm)
-    fine = np.flatnonzero(bound.ravel()[:grid_size] <= np.min(coarse) + slack)
-    least = np.full(grid_size, np.inf)
-    least[coarse_idx] = coarse
-    least[fine] = least_at(fine)
+    if not np.any(b):
+        # every M(phi) is A: one solve fills the grid
+        least = np.full(grid_size, least_at(np.arange(1))[0])
+    else:
+        step = max(1, grid_size // 64)
+        coarse_idx = np.arange(0, grid_size, step)
+        coarse = least_at(coarse_idx)
+        # Weyl reach 2 |B| |z_i - z_j| of points d = 0..step grid steps apart
+        reach = 4.0 * bnorm * np.sin(np.pi * np.arange(step + 1) / grid_size)
+        # row k holds points k * step + d; the next coarse point of the last
+        # row is point 0 at angle 2 pi.  Entries of the last row past the grid
+        # (negative gaps) are cut off by the slice.
+        d = np.arange(step)
+        gap_next = np.full((len(coarse), 1), step)
+        gap_next[-1] = grid_size - coarse_idx[-1]
+        bound = np.maximum(
+            coarse[:, None] - reach[:step],
+            np.roll(coarse, -1)[:, None] - reach[gap_next - d],
+        )
+        bound[:, 0] = np.inf  # the coarse points, solved already
+        slack = 1024.0 * np.finfo(float).eps * (float(np.linalg.norm(a)) + 2.0 * bnorm)
+        fine = np.flatnonzero(bound.ravel()[:grid_size] <= np.min(coarse) + slack)
+        least = np.full(grid_size, np.inf)
+        least[coarse_idx] = coarse
+        least[fine] = least_at(fine)
     i = int(np.argmin(least))
     lip = 2.0 * np.pi * bnorm / grid_size
     return PositivityCertificate(

@@ -24,7 +24,7 @@ from .errors import (
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
-from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil
+from .pencil import NchoProblem, PencilDecomposition, _inner_pole_radius, _rank, decompose_pencil
 
 __all__ = [
     "SpectrumResult",
@@ -50,6 +50,7 @@ _LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
 _MAX_STEPS = 5000  # transport steps on one leg
 _BATCH_STEPS = 4096  # propagators of one batch, which bounds the memory of a Newton round
 _NEWTON_ROUNDS = 8  # Newton rounds of spectrum_connection before it gives up
+_SWEEP_TOL = 1e-9  # truncation tolerance of both spectra of confluence_sweep
 
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
@@ -139,15 +140,23 @@ class SpectrumResult:
 
 
 def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> SpectrumResult:
-    """Lowest eigenvalues by doubling the truncation order from 64 (or the
-    least order holding count of them) until they settle, solved in the
-    Schur gauge of B (_schur_gauged)."""
+    """Lowest eigenvalues by doubling the truncation order until they
+    settle, solved in the Schur gauge of B (_schur_gauged).
+
+    The eigenfunction is holomorphic on the unit disk and singular only at
+    the outer pencil poles 1/conj(alpha), so its coefficients decay like
+    r^m, r the largest inner pole modulus.  The doubling starts at the
+    largest of 64, the least order holding count eigenvalues and
+    ceil(log tol / log r) capped at _MAX_ORDER // 2; the last is left out
+    when r = 0 (B = 0), tol = 0 or tol >= 1."""
     if count < 1:
         raise ContractViolation("count must be at least 1")
+    start = max(64, -(-count // problem.p))
+    r = _inner_pole_radius(problem)
+    if r > 0 and 0 < tol < 1:
+        start = max(start, min(math.ceil(math.log(tol) / math.log(r)), _MAX_ORDER // 2))
     gauged = _schur_gauged(problem)
-    vals, change, band = _settle(
-        lambda order: build_truncated(gauged, order), count, max(64, -(-count // problem.p)), tol
-    )
+    vals, change, band = _settle(lambda order: build_truncated(gauged, order), count, start, tol)
     order = band.shape[1] // problem.p
     return SpectrumResult(eigenvalues=vals, convergence=change, orders=(order // 2, order))
 
@@ -432,19 +441,16 @@ def _laguerre_modes(mu: float, t: np.ndarray, count: int):
         yield lk_prev if m == 0 else lk
 
 
-def laguerre_mode(m: int, mu: float, t, weighted: bool = True):
+def laguerre_mode(m: int, mu: float, t):
     """Radial mode l_m(t) = i^m (m!/(mu)_m) L_m^{(mu-1)}(2t) e^{-t}, via the
-    ascending three-term recurrence of the Laguerre factor.  With
-    weighted=False the e^{-t} factor is dropped (useful under quadrature
-    weights)."""
+    ascending three-term recurrence of the Laguerre factor."""
     if m < 0 or mu <= 0:
         raise ContractViolation("need m >= 0 and mu > 0")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ContractViolation("t must be positive")
-    out = _mode_factors(mu, m + 1)[m] * next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))
-    if weighted:
-        out = out * np.exp(-t_arr)
+    lag = next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))
+    out = _mode_factors(mu, m + 1)[m] * lag * np.exp(-t_arr)
     return out if out.shape else complex(out)
 
 
@@ -532,9 +538,7 @@ class SweepResult:
     rabi_eigenvalues: np.ndarray
 
 
-def confluence_sweep(
-    rabi: RabiParameters, mu_list, count: int = 5, tol: float = 1e-9
-) -> SweepResult:
+def confluence_sweep(rabi: RabiParameters, mu_list, count: int = 5) -> SweepResult:
     """For each mu, compare the scaled oscillator spectrum (coupling
     g/sqrt(mu), energy shift mu/2) with the Rabi truncation; the maximum
     absolute deviation per mu decays like 1/mu."""
@@ -545,13 +549,13 @@ def confluence_sweep(
         raise ContractViolation("mu values must be strictly increasing")
     if count < 1:
         raise ContractViolation("count must be at least 1")
-    rabi_vals = rabi_truncated_spectrum(rabi, count, tol=tol)
+    rabi_vals = rabi_truncated_spectrum(rabi, count, tol=_SWEEP_TOL)
     eye = np.eye(2, dtype=complex)
     deviations = []
     for mu in mu_values:
         b = (rabi.g_coupling / math.sqrt(mu)) * _SIGMA1
         c0 = -rabi.Delta * _SIGMA3 - rabi.eps_bias * _SIGMA1 + 0.5 * mu * rabi.omega * eye
         prob = NchoProblem(p=2, mu=mu, A=rabi.omega * eye, B=b, C0=c0)
-        vals = spectrum_truncated(prob, count, tol=tol).eigenvalues / 2.0
+        vals = spectrum_truncated(prob, count, tol=_SWEEP_TOL).eigenvalues / 2.0
         deviations.append(float(np.max(np.abs(vals - rabi_vals))))
     return SweepResult(mu_values=mu_values, deviations=deviations, rabi_eigenvalues=rabi_vals)

@@ -351,7 +351,7 @@ def test_criterion_07_group_and_gauge_invariance():
 def test_criterion_08_confluence_to_rabi():
     t0 = time.perf_counter()
     rabi = RabiParameters(omega=1.0, g_coupling=0.3, Delta=0.5, eps_bias=0.0)
-    sweep = confluence_sweep(rabi, [40.0, 160.0, 640.0], count=5, tol=1e-10)
+    sweep = confluence_sweep(rabi, [40.0, 160.0, 640.0], count=5)
     d = sweep.deviations
     ratios = [d[1] / d[0], d[2] / d[1]]
     elapsed = time.perf_counter() - t0
@@ -373,7 +373,9 @@ def test_criterion_09_laguerre_orthogonality():
     for mu in (0.5, 1.5, 3.0):
         nodes, weights = roots_genlaguerre(64, mu - 1)
         norms = _norm_sq(mu, 13)
-        modes = [laguerre_mode(m, mu, nodes / 2.0, weighted=False) for m in range(13)]
+        # the quadrature weight holds e^{-2t}: undo the mode's own e^{-t}
+        unweighted = np.exp(nodes / 2.0)
+        modes = [laguerre_mode(m, mu, nodes / 2.0) * unweighted for m in range(13)]
         for m in range(13):
             for n in range(13):
                 val = np.sum(weights * modes[m] * np.conj(modes[n])) / gamma_fn(mu)

@@ -122,7 +122,7 @@ def test_transform_matches_rebuild():
         rebuilt = build_fuchsian(transform_problem(g, prob), lam)
         assert len(moved.singular_points) == len(rebuilt.singular_points)
         for al, r in zip(moved.singular_points, moved.residues):
-            j = rebuilt.pole_index(al, tol=1e-7)
+            j = rebuilt.pole_index(al)
             assert np.max(np.abs(r - rebuilt.residues[j])) < 1e-9
         total = sum(moved.residues) + moved.residue_at_infinity
         assert np.max(np.abs(total)) < 1e-9
@@ -137,7 +137,7 @@ def test_boost_moves_p1_poles():
 
     for al, r in zip(system.singular_points, system.residues):
         img = mobius_apply(g, al)
-        j = moved.pole_index(img, tol=1e-9)
+        j = moved.pole_index(img)
         assert np.max(np.abs(moved.residues[j] - r)) < 1e-10
 
 

@@ -23,7 +23,13 @@ from nchodisk import (
     verify_pencil_identities,
 )
 from nchodisk.cli import parse_problem
-from nchodisk.pencil import _reconstruction_residual, pole_angle, pole_order_key
+from nchodisk import pencil
+from nchodisk.pencil import (
+    _inner_pole_radius,
+    _reconstruction_residual,
+    pole_angle,
+    pole_order_key,
+)
 
 SQ3 = np.sqrt(3.0)
 
@@ -344,13 +350,19 @@ def _weyl_rule_count(prob, grid):
     return count
 
 
-def _work_count_problems():
+def _fixture_problems():
+    """Every fixture that parses, by name."""
     probs = {}
     for path in sorted(FIXTURES.glob("*.json")):
         try:
             probs[path.stem] = parse_problem(str(path))[0]
         except (ContractViolation, SchemaError):
             continue
+    return probs
+
+
+def _work_count_problems():
+    probs = _fixture_problems()
     eye, zero = np.eye(2), np.zeros((2, 2))
     probs["b_zero"] = NchoProblem(p=2, mu=1.0, A=eye, B=zero, C0=zero)
     # circle values that differ only by round-off: the slack keeps them all
@@ -376,16 +388,57 @@ def test_positivity_solves_only_points_the_weyl_bound_keeps(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     positivity_margin(prob, 64)
-    assert sum(solved) == 64
+    coarse = sum(solved)
     solved.clear()
     positivity_margin(prob, 4096)
     monkeypatch.undo()
+    if not np.any(prob.B):
+        # every circle value is the one matrix A
+        assert coarse == sum(solved) == 1
+        return
+    assert coarse == 64
     assert sum(solved) == _weyl_rule_count(prob, 4096)
     if np.linalg.norm(prob.B, 2) < 1e-12:
         # every circle value ties with the minimum up to round-off
         assert sum(solved) == 4096
     else:
         assert sum(solved) <= 1024
+
+
+@pytest.mark.parametrize("grid", [256, 4096])
+def test_positivity_with_b_zero_solves_one_matrix_bit_for_bit(monkeypatch, grid):
+    prob = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
+    expected = _full_grid_certificate(prob, grid)[0]
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counted(m):
+        solved.append(m.shape[0])
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cert = positivity_margin(prob, grid)
+    monkeypatch.undo()
+    assert solved == [1]
+    assert (cert.margin, cert.argmin_phi, cert.certified_margin) == expected
+    assert (cert.argmin_phi, cert.lipschitz_bound) == (0.0, 0.0)
+
+
+def test_inner_pole_radius_is_the_largest_inner_pole(monkeypatch):
+    rng = np.random.default_rng(21)
+    randoms = [random_problem(rng, p) for p in (1, 2, 3, 4) for _ in range(3)]
+    # one QZ of the linearization serves both the radius and the decomposition
+    qz = []
+    real = pencil._linearization_eigvals
+    monkeypatch.setattr(pencil, "_linearization_eigvals", lambda a, b: qz.append(1) or real(a, b))
+    for prob in [*_fixture_problems().values(), *randoms]:
+        qz.clear()
+        radius = _inner_pole_radius(prob)
+        inner = [abs(al) for al in decompose_pencil(prob).poles if abs(al) < 1.0]
+        assert len(qz) == 2
+        assert abs(radius - max(inner)) <= 1e-12
+    b_zero = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
+    assert _inner_pole_radius(b_zero) == 0.0
 
 
 def _pointwise_reconstruction_residual(a, b, poles, residues, rng):

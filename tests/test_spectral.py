@@ -491,6 +491,62 @@ def test_truncation_that_cannot_settle_is_refused_before_any_band(monkeypatch):
     assert spectrum_truncated(prob, 256, tol=1e300).orders == (128, 256)
 
 
+def _ladder(bg):
+    # the classical family with beta * gamma = bg: the positivity boundary is bg -> 1
+    return standard_ncho_problem(2.0, bg / 2.0, 0.1, 1.5)
+
+
+@pytest.mark.parametrize(
+    "bg,orders",
+    [(1.05, (104, 208)), (1.02, (164, 328)), (1.01, (231, 462)), (1.005, (326, 652))],
+)
+def test_truncation_starts_at_the_order_the_inner_poles_predict(bg, orders):
+    # ceil(log 1e-10 / log r) modes, r the largest inner pole modulus
+    prob = _ladder(bg)
+    res = spectrum_truncated(prob, 5, tol=1e-10)
+    assert res.orders == orders
+    ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
+    assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("bg", [1.02, 1.01])
+@pytest.mark.parametrize("index", [0, 7])
+def test_profile_at_the_predicted_order_matches_a_tight_one(bg, index):
+    prob = _ladder(bg)
+    t = np.linspace(8.0 / 401, 8.0, 401)
+    got, want = (
+        eigenfunction_profile(prob, spectrum_truncated(prob, index + 1, tol=tol), index, t).values
+        for tol in (1e-10, 1e-14)
+    )
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_truncation_without_a_prediction_starts_at_64(monkeypatch):
+    b_zero = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
+    assert spectrum_truncated(b_zero, 5).orders == (64, 128)
+    # tol = 0 never settles: the doubling runs from 64 to the cap
+    monkeypatch.setattr(spectral, "_MAX_ORDER", 256)
+    builds = _counting(monkeypatch, spectral, "build_truncated")
+    with pytest.raises(ConvergenceError, match="by order 256"):
+        spectrum_truncated(_ladder(1.005), 5, tol=0.0)
+    assert [args[1] for args in builds] == [64, 128, 256]
+
+
+def test_predicted_start_is_clamped_below_the_cap(monkeypatch):
+    # 326 modes predicted at bg = 1.005; the cap 256 leaves one doubling from 128
+    prob = _ladder(1.005)
+    monkeypatch.setattr(spectral, "_MAX_ORDER", 256)
+    builds = _counting(monkeypatch, spectral, "build_truncated")
+    with pytest.raises(ConvergenceError, match="by order 256"):
+        spectrum_truncated(prob, 5, tol=1e-10)
+    assert [args[1] for args in builds] == [128, 256]
+    builds.clear()
+    # a count past the cap is still refused before any band
+    with pytest.raises(ContractViolation, match="no second order"):
+        spectrum_truncated(prob, 257, tol=1e-10)
+    assert builds == []
+
+
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
 def test_spectra_reject_bad_tol(tol):
     for solve in (spectral.spectrum_truncated, spectral.spectrum_connection):
@@ -806,11 +862,13 @@ def test_laguerre_matches_scipy():
 def test_laguerre_gram_orthogonality():
     for mu in (0.5, 1.5, 3.0):
         nodes, weights = roots_genlaguerre(64, mu - 1)
+        # the quadrature weight holds e^{-2t}: undo the mode's own e^{-t}
+        unweighted = np.exp(nodes / 2.0)
         worst = 0.0
         for m in range(13):
             for n in range(13):
-                fm = laguerre_mode(m, mu, nodes / 2.0, weighted=False)
-                fn = laguerre_mode(n, mu, nodes / 2.0, weighted=False)
+                fm = laguerre_mode(m, mu, nodes / 2.0) * unweighted
+                fn = laguerre_mode(n, mu, nodes / 2.0) * unweighted
                 val = np.sum(weights * fm * np.conj(fn)) / gamma_fn(mu)
                 expect = _norm_sq(mu, m + 1)[m] if m == n else 0.0
                 worst = max(worst, abs(val - expect))
