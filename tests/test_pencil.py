@@ -24,12 +24,7 @@ from nchodisk import (
 )
 from nchodisk.cli import parse_problem
 from nchodisk import pencil
-from nchodisk.pencil import (
-    _inner_pole_radius,
-    _reconstruction_residual,
-    pole_angle,
-    pole_order_key,
-)
+from nchodisk.pencil import _inner_pole_radius, _reconstruction_residual, pole_angle, pole_order_key
 
 SQ3 = np.sqrt(3.0)
 
