@@ -28,6 +28,7 @@ from .pencil import (
     verify_pencil_identities,
 )
 from .spectral import (
+    _check_tol,
     confluence_sweep,
     eigenfunction_profile,
     spectrum_connection,
@@ -35,6 +36,8 @@ from .spectral import (
 )
 
 __all__ = ["parse_problem", "main"]
+
+_CONNECT_SEED_TOL = 1e-9  # seed tolerance of --method connect, which does not print the seeds
 
 
 def _point(z):
@@ -46,6 +49,15 @@ def _require(cond, message, path):
         raise SchemaError(message, path=path)
 
 
+def _is_int(x) -> bool:
+    # JSON true and false are not numbers, though Python's bool is an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _parse_matrix(node, p: int, path: str) -> np.ndarray:
     _require(isinstance(node, list) and len(node) == p, f"expected {p} rows", path)
     out = np.empty((p, p), dtype=complex)
@@ -53,7 +65,7 @@ def _parse_matrix(node, p: int, path: str) -> np.ndarray:
         _require(isinstance(row, list) and len(row) == p, f"expected {p} entries", f"{path}[{i}]")
         for j, v in enumerate(row):
             _require(
-                isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v),
+                isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v),
                 "expected an [re, im] pair",
                 f"{path}[{i}][{j}]",
             )
@@ -75,29 +87,29 @@ def parse_problem(source) -> tuple[NchoProblem, dict]:
             else:
                 with open(source, "r", encoding="utf-8") as fh:
                     text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read problem file: {exc}", path=str(source))
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}", path=str(source))
     _require(isinstance(data, dict), "problem file must hold a JSON object", "$")
 
     _require("p" in data, "missing field", "$.p")
     p = data["p"]
-    _require(isinstance(p, int) and p >= 1, "p must be a positive integer", "$.p")
+    _require(_is_int(p) and p >= 1, "p must be a positive integer", "$.p")
 
     _require("mu" in data, "missing field", "$.mu")
     mu_node = data["mu"]
     if isinstance(mu_node, dict):
         _require(
-            set(mu_node) == {"n", "k"} and all(isinstance(mu_node[x], int) for x in ("n", "k")),
+            set(mu_node) == {"n", "k"} and all(_is_int(mu_node[x]) for x in ("n", "k")),
             "mu object must be {n, k} with integers",
             "$.mu",
         )
         mu = mu_from_harmonic(mu_node["n"], mu_node["k"])
     else:
-        _require(isinstance(mu_node, (int, float)) and mu_node > 0, "mu must be positive", "$.mu")
+        _require(_is_number(mu_node) and mu_node > 0, "mu must be positive", "$.mu")
         mu = float(mu_node)
 
     has_ab = "A" in data and "B" in data
@@ -129,7 +141,7 @@ def parse_problem(source) -> tuple[NchoProblem, dict]:
     for key in ("lambda", "M", "tol"):
         if key in data:
             _require(
-                isinstance(data[key], (int, float)) and math.isfinite(data[key]),
+                _is_number(data[key]) and math.isfinite(data[key]),
                 "must be a finite number",
                 f"$.{key}",
             )
@@ -261,17 +273,18 @@ def _cmd_heun_params(args):
 def _cmd_spectrum(args):
     problem, extras = parse_problem(args.problem)
     tol = args.tol if args.tol is not None else float(extras.get("tol", 1e-10))
+    _check_tol(tol)
+    seed_tol = _CONNECT_SEED_TOL if args.method == "connect" else tol
+    seeds = spectrum_truncated(problem, args.count, tol=seed_tol)
     out = {}
-    seeds = None
     if args.method in ("trunc", "both"):
-        seeds = spectrum_truncated(problem, args.count, tol=tol)
         out["truncation"] = {
             "eigenvalues": [float(v) for v in seeds.eigenvalues],
             "convergence": [float(v) for v in seeds.convergence],
             "orders": list(seeds.orders),
         }
     if args.method in ("connect", "both"):
-        res = spectrum_connection(problem, args.count, tol=tol, seeds=seeds)
+        res = spectrum_connection(problem, seeds, tol=tol)
         out["connection"] = {
             "eigenvalues": [float(v) for v in res.eigenvalues],
             "residuals": [float(v) for v in res.convergence],
@@ -409,8 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write output file: {exc}", path="$.out") from None
     else:
         sys.stdout.write(text)
 
@@ -419,6 +435,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
+        if not args.csv:
+            payload = json.dumps(payload, indent=args.json_indent, sort_keys=True) + "\n"
+        _emit(payload, args.out)
     except SchemaError as exc:
         _emit(
             json.dumps({"error": {"type": "schema", "path": exc.path, "message": str(exc)}})
@@ -438,10 +457,6 @@ def main(argv=None) -> int:
             None,
         )
         return 4
-    if args.csv:
-        _emit(payload, args.out)
-    else:
-        _emit(json.dumps(payload, indent=args.json_indent, sort_keys=True) + "\n", args.out)
     return 0
 
 

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _MAX_ORDER = 8192  # truncation order cap of every doubling loop
-_SEED_TOL = 1e-9  # truncation tolerance of the seeds spectrum_connection computes itself
 _STEP_FRACTION = 0.4  # a Taylor step is at most this times the distance to the nearest pole
 _MATCH_FRACTION = 0.35  # a matching radius is at most this times the distance to another pole
 # arcs of the loop around the inner pole: the fewest whose chord, 2 sin(pi / n)
@@ -244,7 +243,8 @@ def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _Connect
     """Base point, matching points and transport steps of the row matrix,
     from the pencil decomposition alone.  The candidate base points are 0
     when 0 is regular, then 16 points on the circle of half the least
-    nonzero pole modulus, farthest from the poles first.  The first whose
+    nonzero inner pole modulus (radius 0.5 when 0 is the only inner pole,
+    as with B = 0), farthest from the poles first.  The first whose
     straight legs all stay out of the disks the other inner poles' matching
     radii can fill is taken, failing that the one whose legs come least
     close: a leg through a pole would never reach its matching point."""
@@ -254,11 +254,7 @@ def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _Connect
     poles = np.array(dec.poles, dtype=complex)
     inner = np.flatnonzero(np.abs(poles) < 1.0)
     nonzero = np.abs(poles[inner][poles[inner] != 0])
-    if not nonzero.size:
-        raise ContinuationError(
-            "no inner connection pole; the problem is ladder-diagonal, use truncation"
-        )
-    ring = 0.5 * nonzero.min() * np.exp(2j * np.pi * np.arange(16) / 16)
+    ring = 0.5 * nonzero.min(initial=1.0) * np.exp(2j * np.pi * np.arange(16) / 16)
     ring = ring[np.argsort(-np.min(np.abs(ring[:, None] - poles), axis=1), kind="stable")]
     candidates = ring if dec.zero_is_pole else np.concatenate(([0.0], ring))
     apart = np.abs(poles[inner, None] - poles)
@@ -349,11 +345,10 @@ def connection_matrix(problem: NchoProblem, lam: complex) -> np.ndarray:
 
 
 def spectrum_connection(
-    problem: NchoProblem, count: int, tol: float = 1e-10, seeds: SpectrumResult | None = None
+    problem: NchoProblem, seeds: SpectrumResult, tol: float = 1e-10
 ) -> SpectrumResult:
-    """Truncation seeds refined by Newton on the connection matrix.  seeds,
-    when given, is the caller's spectrum_truncated(problem, count) result;
-    without it the seeds are computed here at tolerance _SEED_TOL.
+    """The eigenvalues of seeds, the caller's spectrum_truncated(problem,
+    count) result, each refined by Newton on the connection matrix.
 
     The plan is built once, from one decomposition of problem.  Each round
     evaluates L at every open seed s and at s + delta, delta =
@@ -366,10 +361,6 @@ def spectrum_connection(
     to the nearest other seed from its own seed (seeds closer than its
     delta count as one) is refused: it may have left for another root."""
     _check_tol(tol)
-    if seeds is None:
-        seeds = spectrum_truncated(problem, count, tol=_SEED_TOL)
-    elif len(seeds.eigenvalues) != count:
-        raise ContractViolation(f"count {count} but {len(seeds.eigenvalues)} seeds")
     plan = _connection_plan(problem, decompose_pencil(problem))
     start = np.array(seeds.eigenvalues, dtype=float)
     values = start.copy()

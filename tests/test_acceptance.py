@@ -138,7 +138,7 @@ def test_criterion_03_scalar_closed_form():
         np.linalg.svd(connection_matrix(P1, float(lam)), compute_uv=False)[-1] for lam in expect
     )
     shifted = SpectrumResult(expect + 3e-7, res.convergence, res.orders)
-    refined = spectrum_connection(P1, len(expect), seeds=shifted).eigenvalues
+    refined = spectrum_connection(P1, shifted).eigenvalues
     refine_dev = float(np.max(np.abs(refined - expect)))
     elapsed = time.perf_counter() - t0
     ok = (

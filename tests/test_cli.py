@@ -199,6 +199,15 @@ def test_spectrum_both_on_double_eigenvalues(capsys, name):
     assert max(abs(a - b) for a, b in zip(conn[::2], conn[1::2])) < 1e-10
 
 
+def test_spectrum_both_with_b_zero(capsys):
+    argv = ["spectrum", str(FIXTURES / "degenerate_b0.json"), "--method", "both"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["connection"]["eigenvalues"] == [1.0, 1.0, 3.0, 3.0, 5.0]
+    assert payload["max_disagreement"] == 0.0
+
+
 def test_eigenfunction_csv(capsys):
     code, out = run_cli(
         capsys,
@@ -473,6 +482,39 @@ def test_bad_argv_value_exits_with_json_error(capsys, monkeypatch, argv, code, k
     assert builds == []  # refused before any truncation is built
 
 
+def _p1_with(**fields):
+    node = json.loads((FIXTURES / "p1_quarter.json").read_text())
+    node.update(fields)
+    return json.dumps(node).encode()
+
+
+@pytest.mark.parametrize(
+    "content,extra,path",
+    [
+        (_p1_with(p=True), [], "$.p"),
+        (_p1_with(mu=True), [], "$.mu"),
+        (_p1_with(mu={"n": True, "k": 0}), [], "$.mu"),
+        (_p1_with(A=[[[True, 0]]]), [], "$.A[0][0]"),
+        (_p1_with(tol=True), [], "$.tol"),
+        (_p1_with(**{"lambda": True}), [], "$.lambda"),
+        ('{"p": 1, "mu": 0.5, "\xe9": 0}'.encode("latin-1"), [], "file"),
+        (b"[" * 200000 + b"]" * 200000, [], "file"),
+        (_p1_with(), ["--out", "missing/x.json"], "$.out"),
+    ],
+    ids=["p-true", "mu-true", "mu-nk-true", "entry-true", "tol-true", "lambda-true",
+         "not-utf8", "nested-200000", "out-dir-missing"],
+)
+def test_bad_input_exits_2_with_a_schema_error(capsys, tmp_path, content, extra, path):
+    problem = tmp_path / "problem.json"
+    problem.write_bytes(content)
+    extra = [str(tmp_path / x) if x.endswith(".json") else x for x in extra]
+    code, out = run_cli(capsys, ["positivity", str(problem), *extra])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "schema"
+    assert err["path"] == (str(problem) if path == "file" else path)
+
+
 def test_negative_index_error_names_the_index(capsys):
     argv = ["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--index", "-1"]
     code, out = run_cli(capsys, argv)
@@ -498,8 +540,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # the root refinement imports it when it first runs; a fresh CLI process
-    # whose command never refines does not pay for it
+    # no command needs it: importing the CLI must not load it
     env = _env_with_src()
     done = subprocess.run(
         [sys.executable, "-c",

@@ -9,7 +9,6 @@ from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
 from conftest import FIXTURES, random_hermitian, random_problem, scalar_closed_eigenvalue
 
 from nchodisk import (
-    ContinuationError,
     ContractViolation,
     ConvergenceError,
     NchoProblem,
@@ -291,10 +290,16 @@ def test_connection_determinant_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _connection(problem, count):
+    """spectrum_connection from truncation seeds at tolerance 1e-9, the
+    seeds of spectrum --method connect."""
+    return spectrum_connection(problem, spectrum_truncated(problem, count, tol=1e-9))
+
+
 def test_refinement_evaluates_each_lambda_once(monkeypatch):
     prob = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)  # beta gamma = 1.02
     calls = _counting(monkeypatch, spectral, "_row_matrices")
-    spectrum_connection(prob, 5)
+    _connection(prob, 5)
     lams = [lam for args in calls for lam in args[1]]
     assert len(set(lams)) == len(lams)
     assert len(lams) <= 20
@@ -325,7 +330,7 @@ def test_each_newton_round_is_one_propagator_batch(monkeypatch):
     shifted = SpectrumResult(seeds.eigenvalues + 1e-6, seeds.convergence, seeds.orders)
     rounds = _counting(monkeypatch, spectral, "_row_matrices")
     batches = _top_level_batches(monkeypatch)
-    spectrum_connection(prob, 5, seeds=shifted)
+    spectrum_connection(prob, shifted)
     assert len(rounds) >= 2  # a seed 1e-6 off needs a second step
     assert len(batches) == len(rounds)
     # every step of every row at s and s + delta of every open seed
@@ -343,7 +348,7 @@ def test_transport_is_planned_once_per_spectrum(monkeypatch, name):
     for count in (1, 5):
         plans.clear()
         legs.clear()
-        spectrum_connection(prob, count)
+        _connection(prob, count)
         assert len(plans) == 1
         counts.append(len(legs))
     # one leg and _LOOP_ARCS arcs per inner pole, however many seeds
@@ -405,27 +410,67 @@ def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, pole, lam):
 def test_connection_near_positivity_boundary_matches_tight_truncation():
     prob = standard_ncho_problem(2.0, 1.005 / 2, 0.1, 1.5)
     ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
-    conn = spectrum_connection(prob, 5).eigenvalues
+    conn = _connection(prob, 5).eigenvalues
     assert np.max(np.abs(conn - ref)) < 1e-12
 
 
 def test_connection_residuals_small_at_bg_1001():
     prob = standard_ncho_problem(2.0, 1.001 / 2, 0.1, 1.5)
-    assert spectrum_connection(prob, 5).convergence.max() < 1e-3
+    assert _connection(prob, 5).convergence.max() < 1e-3
 
 
-def test_connection_rejects_ladder_diagonal():
-    prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
-    with pytest.raises(ContinuationError):
-        connection_matrix(prob, 0.5)
+def _b_zero_problem(rng, p):
+    """Random problem with B = 0, A and C0 drawn as conftest.random_problem
+    draws them: the only pencil pole is 0."""
+    while True:
+        a = np.eye(p) + 0.25 * random_hermitian(rng, p)
+        if np.linalg.eigvalsh(a)[0] > 0.2:
+            break
+    mu = float(rng.uniform(0.4, 2.5))
+    return NchoProblem(p=p, mu=mu, A=a, B=np.zeros((p, p)), C0=0.4 * random_hermitian(rng, p))
+
+
+def test_connection_matrix_with_b_zero_vanishes_at_the_eigenvalues():
+    # A = I, B = C0 = 0, mu = 1: every lam = 2m + 1 is a double eigenvalue
+    prob = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
+    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    # the pole 0 gives both rows, from a base point on the ring of radius 0.5
+    assert [(plan.poles[j], rank) for j, rank, *_ in plan.rows] == [(0, 2)]
+    assert abs(plan.steps[0][0]) == pytest.approx(0.5, rel=1e-15)
+    for lam, want in ((1.0, 0.0), (2.0, 1.0), (3.0, 0.0)):
+        got = np.linalg.svd(connection_matrix(prob, lam), compute_uv=False)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_connection_with_b_zero_agrees_with_truncation(p):
+    rng = np.random.default_rng(70 + p)
+    for _ in range(3):
+        prob = _b_zero_problem(rng, p)
+        ref = spectrum_truncated(prob, 5, tol=1e-12).eigenvalues
+        seeds = spectrum_truncated(prob, 5, tol=1e-9)
+        shifted = SpectrumResult(seeds.eigenvalues + 1e-6, seeds.convergence, seeds.orders)
+        for start in (seeds, shifted):
+            conn = spectrum_connection(prob, start).eigenvalues
+            assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(p=st.sampled_from([1, 2, 3]), b_zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_truncation_and_connection_agree(p, b_zero, seed):
+    rng = np.random.default_rng(seed)
+    prob = _b_zero_problem(rng, p) if b_zero else random_problem(rng, p)
+    conn = spectrum_connection(prob, spectrum_truncated(prob, 5))
+    ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
+    # each value within twice the Newton step it reports, past round-off
+    bound = 2.0 * conn.convergence + 1e-13 * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(conn.eigenvalues - ref) <= bound)
 
 
 def _refine(problem, seeds):
     """spectrum_connection from the given seed values."""
     seeds = np.array(seeds, dtype=float)
-    return spectrum_connection(
-        problem, len(seeds), seeds=SpectrumResult(seeds, np.zeros(len(seeds)), (64, 128))
-    )
+    return spectrum_connection(problem, SpectrumResult(seeds, np.zeros(len(seeds)), (64, 128)))
 
 
 def test_refine_from_seed():
@@ -549,9 +594,10 @@ def test_predicted_start_is_clamped_below_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
 def test_spectra_reject_bad_tol(tol):
-    for solve in (spectral.spectrum_truncated, spectral.spectrum_connection):
+    seeds = spectrum_truncated(P1, 3)
+    for solve, arg in ((spectrum_truncated, 3), (spectrum_connection, seeds)):
         with pytest.raises(ContractViolation, match="tol must be non-negative and finite"):
-            solve(P1, 3, tol=tol)
+            solve(P1, arg, tol=tol)
 
 
 def test_rabi_convergence_error_at_order_cap(monkeypatch):
@@ -565,7 +611,7 @@ def test_rabi_convergence_error_at_order_cap(monkeypatch):
 def test_cross_method_agreement_p2():
     prob = standard_ncho_problem(2.0, 2.0, 0.1, 1.5)
     tr = spectrum_truncated(prob, 5, tol=1e-10)
-    conn = spectrum_connection(prob, 5, tol=1e-10)
+    conn = _connection(prob, 5)
     assert np.max(np.abs(conn.eigenvalues - tr.eigenvalues)) < 1e-6
     closed = sorted(
         SQ3 * (2 * m + 1.5) + s * 0.2 * SQ3 for m in range(4) for s in (-1, 1)
@@ -636,10 +682,10 @@ def _classical_eta01():
 @pytest.mark.parametrize("count", [1, 4])
 def test_spectrum_connection_decomposes_once(monkeypatch, count):
     prob = _classical_eta01()
-    seeds = spectrum_truncated(prob, count, tol=1e-9).eigenvalues
-    separate = [_refine(prob, [s]) for s in seeds]
+    seeds = spectrum_truncated(prob, count, tol=1e-9)
+    separate = [_refine(prob, [s]) for s in seeds.eigenvalues]
     calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
-    result = spectrum_connection(prob, count)
+    result = spectrum_connection(prob, seeds)
     assert len(calls) == 1
     assert result.eigenvalues.tolist() == [r.eigenvalues[0] for r in separate]
     assert result.convergence.tolist() == [r.convergence[0] for r in separate]
@@ -674,7 +720,7 @@ def test_rank_one_b_moves_the_base_point(p):
         ]
         assert plan.steps[0][0] != 0
         ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
-        conn = spectrum_connection(prob, 5).eigenvalues
+        conn = _connection(prob, 5).eigenvalues
         assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -698,7 +744,7 @@ def test_error_estimate_holds_at_the_newton_noise_floor():
     poles = np.array(decompose_pencil(kept[-1]).poles)
     assert np.allclose(poles, [0.0, 0.0290 + 0.0134j, 28.45 + 13.15j], atol=1e-4, rtol=1e-3)
     ref = spectrum_truncated(kept[-1], 5, tol=1e-13).eigenvalues
-    conn = spectrum_connection(kept[-1], 5)
+    conn = _connection(kept[-1], 5)
     assert np.all(np.abs(conn.eigenvalues - ref) <= 2.0 * conn.convergence)
 
 
@@ -727,17 +773,17 @@ def test_legs_pass_no_other_inner_pole(theta):
         radius = next(r for k, _, r, *_ in plan.rows if k == other)
         assert abs(base + t * (z - base) - plan.poles[other]) >= 0.5 * radius
     ref = spectrum_truncated(prob, 6, tol=1e-13).eigenvalues
-    conn = spectrum_connection(prob, 6).eigenvalues
+    conn = _connection(prob, 6).eigenvalues
     assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
     prob = _classical_eta01()
-    whole = spectrum_connection(prob, 5)
+    whole = _connection(prob, 5)
     steps = len(spectral._connection_plan(prob, decompose_pencil(prob)).steps)
     monkeypatch.setattr(spectral, "_BATCH_STEPS", 3 * steps + 1)
     batches = _top_level_batches(monkeypatch)
-    split = spectrum_connection(prob, 5)
+    split = _connection(prob, 5)
     # 10 lam in the first round: batches of 3, 3, 3 and 1
     assert batches[:4] == [3 * steps, 3 * steps, 3 * steps, steps]
     assert max(batches) <= spectral._BATCH_STEPS
@@ -745,14 +791,8 @@ def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
     # a budget below one lam's steps still takes one lam per batch
     monkeypatch.setattr(spectral, "_BATCH_STEPS", 1)
     batches.clear()
-    spectrum_connection(prob, 2)
+    _connection(prob, 2)
     assert set(batches) == {steps}
-
-
-def test_seeds_must_hold_count_values():
-    seeds = spectrum_truncated(P1, 5, tol=1e-9)
-    with pytest.raises(ContractViolation, match="count 3 but 5 seeds"):
-        spectrum_connection(P1, 3, seeds=seeds)
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.45, 0.6])
@@ -773,7 +813,7 @@ def test_connection_agrees_with_truncation_at_p_3_and_4(p):
         prob = random_problem(rng, p)
         assert connection_matrix(prob, 0.5).shape == (p, p)
         ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
-        conn = spectrum_connection(prob, 5).eigenvalues
+        conn = _connection(prob, 5).eigenvalues
         assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -968,5 +1008,5 @@ def test_connection_with_small_inner_pole_agrees_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trunc = spectrum_truncated(prob, 3)
-        conn = spectrum_connection(prob, 3, seeds=trunc)
+        conn = spectrum_connection(prob, trunc)
     assert np.max(np.abs(conn.eigenvalues - trunc.eigenvalues)) < 1e-8
