@@ -105,12 +105,15 @@ def eigen_banded_lowest(band, count: int) -> np.ndarray:
     Outer diagonals that are exactly zero are dropped first: the reduction
     to tridiagonal form costs about n^2 kd, so a block band whose coupling
     blocks are upper triangular (the Schur gauge of the truncation) goes to
-    LAPACK with p + 1 rows instead of 2p."""
+    LAPACK with p + 1 rows instead of 2p.  A band whose imaginary part is
+    exactly zero goes as real numbers, to dsbevx, which takes about half
+    the time."""
     rows = np.flatnonzero(np.any(band != 0, axis=1))
     kd = int(rows[-1]) if rows.size else 0
-    return eig_banded(
-        band[: kd + 1], lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
-    )
+    band = band[: kd + 1]
+    if not np.any(band.imag):
+        band = band.real
+    return eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 
 def eigenvector_banded(band, lam: float) -> np.ndarray:

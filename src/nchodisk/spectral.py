@@ -126,9 +126,38 @@ def _schur_gauged(problem: NchoProblem) -> NchoProblem:
     B = Z T Z*: the same spectrum, with B set to the exact factor T.  T is
     upper triangular, so every coupling entry of the band lies at most p
     diagonals below the main one; recomputing Z* B Z instead would leave
-    round-off below the diagonal and the outer diagonals nonzero."""
+    round-off below the diagonal and the outer diagonals nonzero.
+
+    Then one diagonal phase gauge D is tried that makes D* A D, D* T D and
+    D* C0 D real: phase 0 is 1, and each later phase is set by the largest
+    entry linking it to an index already phased.  When every imaginary part
+    left is at most 8 eps max(1, max |M|), they are zeroed and the band is
+    real, so LAPACK runs dsbevx instead of zhbevx.  That finds the real form
+    whenever one exists and B has distinct real eigenvalues (the Schur
+    vectors are then unique up to D); a real B with complex eigenvalues and
+    a complex scalar B keep the complex band."""
     t, z = schur(problem.B, output="complex")
-    return gauge_problem(z.conj().T, problem).with_matrices(B=t)
+    gauged = gauge_problem(z.conj().T, problem).with_matrices(B=t)
+    mats = np.stack([gauged.A, t, gauged.C0])
+    # each entry oriented from row to column index: M_ij or conj(M_ji)
+    links = np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
+    phase = np.ones(problem.p, dtype=complex)
+    done = np.zeros(problem.p, dtype=bool)
+    done[0] = True
+    for _ in range(1, problem.p):
+        w = np.abs(links) * (done[:, None] & ~done)
+        k, i, j = np.unravel_index(np.argmax(w), w.shape)
+        if w[k, i, j] == 0:
+            j = np.argmin(done)  # nothing links the rest: it starts again at phase 1
+        else:
+            phase[j] = phase[i] * np.conj(links[k, i, j]) / w[k, i, j]
+        done[j] = True
+    real = phase.conj()[:, None] * mats * phase
+    eps = np.finfo(float).eps
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    if np.all(np.abs(real.imag).max(axis=(1, 2)) <= 8 * eps * scale):
+        return gauged.with_matrices(A=real[0].real, B=real[1].real, C0=real[2].real)
+    return gauged
 
 
 @dataclass

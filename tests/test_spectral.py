@@ -197,6 +197,57 @@ def test_truncation_without_coupling_hands_p_rows(monkeypatch):
     assert np.max(np.abs(res.eigenvalues - np.sort(blocks)[:6])) < 1e-12
 
 
+def _gauged_ladders(bgs, gauges=3):
+    """The ladder at each bg under seeded random unitary gauges: problems
+    with a real form that the gauge hides."""
+    rng = np.random.default_rng(90)
+    return [
+        gauge_problem(_unitary(rng.uniform(-1.0, 1.0, 8), 2), _ladder(bg))
+        for bg in bgs
+        for _ in range(gauges)
+    ]
+
+
+def _is_real(problem):
+    return not any(np.any(m.imag) for m in (problem.A, problem.B, problem.C0))
+
+
+def test_schur_gauge_finds_the_real_form():
+    names = ["classical_eta0", "classical_eta01_mu15", "classical_mu_nk", "degenerate_b0"]
+    real = [parse_problem(str(FIXTURES / f"{name}.json"))[0] for name in names + ["p1_quarter"]]
+    real += _gauged_ladders([1.5, 1.05, 1.001])
+    for prob in real:
+        gauged = spectral._schur_gauged(prob)
+        assert _is_real(gauged)
+        # still a unitary gauge of prob: the same spectra of A, C0 and B
+        for got, want in ((gauged.A, prob.A), (gauged.C0, prob.C0)):
+            assert np.max(np.abs(np.linalg.eigvalsh(got) - np.linalg.eigvalsh(want))) < 1e-14
+        b_eigs = np.sort_complex(np.linalg.eigvals(prob.B))
+        assert np.max(np.abs(np.sort_complex(np.diag(gauged.B)) - b_eigs)) < 1e-14
+    rng = np.random.default_rng(91)
+    for p in (1, 2, 3, 4):
+        for _ in range(5):
+            assert not _is_real(spectral._schur_gauged(random_problem(rng, p=p)))
+
+
+def test_real_band_matches_the_complex_band():
+    for prob in _gauged_ladders([1.005]):
+        res = spectrum_truncated(prob, 5)
+        band = build_truncated(prob, res.orders[1])
+        assert np.any(band.imag)
+        ref = _lowest_ungauged(band, 5)
+        assert np.max(np.abs(res.eigenvalues - ref)) <= _GAUGE_ROUND_OFF * _norm_bound(band)
+
+
+def test_truncation_hands_lapack_a_real_band_when_it_can(monkeypatch):
+    bands = _counting(monkeypatch, linalg, "eig_banded")
+    spectrum_truncated(_gauged_ladders([1.05], gauges=1)[0], 5)
+    assert {args[0].dtype for args in bands} == {np.dtype(float)}
+    bands.clear()
+    spectrum_truncated(random_problem(np.random.default_rng(92), p=2), 5)
+    assert {args[0].dtype for args in bands} == {np.dtype(complex)}
+
+
 def _rabi_band_sigma1_coupling(rabi, order):
     """The Rabi ladder in the basis of its sigma1 coupling (4 band rows)."""
     sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
