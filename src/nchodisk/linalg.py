@@ -32,8 +32,10 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ContractViolation(f"expected a matrix, got array of ndim {a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ContractViolation("matrix entries must be finite")
+    # products of two entries, as in norms and the pencil linearization, must
+    # not overflow; NaN fails the comparison too
+    if not np.abs(a).max(initial=0.0) <= 1e150:
+        raise ContractViolation("matrix entries must be finite and at most 1e150 in modulus")
     return a
 
 
@@ -100,19 +102,16 @@ def band_to_dense(band) -> np.ndarray:
 
 def eigen_banded_lowest(band, count: int) -> np.ndarray:
     """The count lowest eigenvalues, ascending, of a banded Hermitian matrix
-    (LAPACK zhbevx with index selection; no eigenvectors).
+    (LAPACK zhbevx with index selection, dsbevx when the band's imaginary
+    part is exactly zero, which takes about half the time; no eigenvectors).
 
     Outer diagonals that are exactly zero are dropped first: the reduction
     to tridiagonal form costs about n^2 kd, so a block band whose coupling
     blocks are upper triangular (the Schur gauge of the truncation) goes to
-    LAPACK with p + 1 rows instead of 2p.  A band whose imaginary part is
-    exactly zero goes as real numbers, to dsbevx, which takes about half
-    the time."""
+    LAPACK with p + 1 rows instead of 2p."""
     rows = np.flatnonzero(np.any(band != 0, axis=1))
     kd = int(rows[-1]) if rows.size else 0
-    band = band[: kd + 1]
-    if not np.any(band.imag):
-        band = band.real
+    band = band[: kd + 1] if np.any(band.imag) else band[: kd + 1].real
     return eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 

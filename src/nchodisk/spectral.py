@@ -128,34 +128,28 @@ def _schur_gauged(problem: NchoProblem) -> NchoProblem:
     diagonals below the main one; recomputing Z* B Z instead would leave
     round-off below the diagonal and the outer diagonals nonzero.
 
-    Then one diagonal phase gauge D is tried that makes D* A D, D* T D and
-    D* C0 D real: phase 0 is 1, and each later phase is set by the largest
-    entry linking it to an index already phased.  When every imaginary part
-    left is at most 8 eps max(1, max |M|), they are zeroed and the band is
-    real, so LAPACK runs dsbevx instead of zhbevx.  That finds the real form
-    whenever one exists and B has distinct real eigenvalues (the Schur
-    vectors are then unique up to D); a real B with complex eigenvalues and
-    a complex scalar B keep the complex band."""
+    Then the diagonal phase gauge D with phase 0 = 1, each later phase set
+    by the largest entry linking it to one already set, is tried on A, T
+    and C0: if no imaginary part of D* M D exceeds 8 eps max(1, max |M|),
+    they are zeroed, the band is real and LAPACK runs dsbevx.  When B has
+    distinct real eigenvalues, Z is unique up to such a D, so any real form
+    is found; other problems keep the complex band."""
     t, z = schur(problem.B, output="complex")
     gauged = gauge_problem(z.conj().T, problem).with_matrices(B=t)
     mats = np.stack([gauged.A, t, gauged.C0])
-    # each entry oriented from row to column index: M_ij or conj(M_ji)
+    # every entry oriented from row to column index: M_ij and conj(M_ji)
     links = np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
-    phase = np.ones(problem.p, dtype=complex)
-    done = np.zeros(problem.p, dtype=bool)
-    done[0] = True
+    size = np.abs(links)
+    phase, done = np.ones(problem.p, dtype=complex), np.arange(problem.p) == 0
     for _ in range(1, problem.p):
-        w = np.abs(links) * (done[:, None] & ~done)
-        k, i, j = np.unravel_index(np.argmax(w), w.shape)
-        if w[k, i, j] == 0:
-            j = np.argmin(done)  # nothing links the rest: it starts again at phase 1
-        else:
-            phase[j] = phase[i] * np.conj(links[k, i, j]) / w[k, i, j]
+        pick = np.argmax(np.where(done[:, None] & ~done, size, -1.0))
+        k, i, j = np.unravel_index(pick, size.shape)
+        # angle(0) = 0: an index linked by no entry takes the phase of i
+        phase[j] = phase[i] * np.exp(-1j * np.angle(links[k, i, j]))
         done[j] = True
     real = phase.conj()[:, None] * mats * phase
-    eps = np.finfo(float).eps
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    if np.all(np.abs(real.imag).max(axis=(1, 2)) <= 8 * eps * scale):
+    bound = 8 * np.finfo(float).eps * np.maximum(1.0, size[:3].max(axis=(1, 2)))
+    if np.all(np.abs(real.imag).max(axis=(1, 2)) <= bound):
         return gauged.with_matrices(A=real[0].real, B=real[1].real, C0=real[2].real)
     return gauged
 
@@ -169,7 +163,9 @@ class SpectrumResult:
 
 def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> SpectrumResult:
     """Lowest eigenvalues by doubling the truncation order until they
-    settle, solved in the Schur gauge of B (_schur_gauged).
+    settle, solved in the Schur gauge of B (_schur_gauged).  LAPACK runs
+    dsbevx when a diagonal phase gauge makes that real, as on the classical
+    family under any unitary gauge, and zhbevx otherwise.
 
     The eigenfunction is holomorphic on the unit disk and singular only at
     the outer pencil poles 1/conj(alpha), so its coefficients decay like

@@ -515,6 +515,30 @@ def test_bad_input_exits_2_with_a_schema_error(capsys, tmp_path, content, extra,
     assert err["path"] == (str(problem) if path == "file" else path)
 
 
+@pytest.mark.parametrize("field", ["A", "B", "C0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-pencil"],
+        ["positivity"],
+        ["standardize"],
+        ["fuchsian", "--lambda", "0.5"],
+        ["heun-params", "--lambda", "0.5"],
+        ["spectrum", "--method", "both"],
+        ["eigenfunction"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_huge_entries_exit_with_an_error_not_a_traceback(capsys, tmp_path, field, argv):
+    # 1e308 is finite, but the pencil at |z| > 1.8, the norms of its
+    # linearization and the truncated band overflow on it
+    problem = tmp_path / "problem.json"
+    problem.write_bytes(_p1_with(**{field: [[[1e308, 0.0]]]}))
+    code, out = run_cli(capsys, [argv[0], str(problem), *argv[1:]])
+    assert code in (2, 3, 4)
+    assert json.loads(out)["error"]["type"] == "contract"
+
+
 def test_negative_index_error_names_the_index(capsys):
     argv = ["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--index", "-1"]
     code, out = run_cli(capsys, argv)

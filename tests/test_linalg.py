@@ -7,11 +7,23 @@ from nchodisk import (
     is_positive_definite,
 )
 from nchodisk.heun import _adj
-from nchodisk.linalg import fix_phase
+from nchodisk.linalg import as_matrix, fix_phase
 
 
 def _det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+@pytest.mark.parametrize(
+    "entry", [np.nan, np.inf, complex(0, np.nan), 1e308, -2e150, 1e150 + 1e150j]
+)
+def test_as_matrix_refuses_entries_that_overflow(entry):
+    with pytest.raises(ContractViolation, match="finite and at most 1e150 in modulus"):
+        as_matrix([[1.0, entry], [0.0, 1.0]])
+
+
+def test_as_matrix_takes_entries_up_to_1e150():
+    assert as_matrix([[1e150, -1e150j]]).shape == (1, 2)
 
 
 def test_adjugate_2x2_hand():

@@ -213,8 +213,10 @@ def _is_real(problem):
 
 
 def test_schur_gauge_finds_the_real_form():
-    names = ["classical_eta0", "classical_eta01_mu15", "classical_mu_nk", "degenerate_b0"]
-    real = [parse_problem(str(FIXTURES / f"{name}.json"))[0] for name in names + ["p1_quarter"]]
+    names = [
+        "classical_eta0", "classical_eta01_mu15", "classical_mu_nk", "degenerate_b0", "p1_quarter"
+    ]
+    real = [parse_problem(str(FIXTURES / f"{name}.json"))[0] for name in names]
     real += _gauged_ladders([1.5, 1.05, 1.001])
     for prob in real:
         gauged = spectral._schur_gauged(prob)
