@@ -8,9 +8,11 @@ Complex numbers are serialized as [re, im] pairs throughout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -168,8 +170,7 @@ def _resolve_lambda(args, extras) -> float:
     raise SchemaError("spectral value required: pass --lambda or set it in the problem file", "$")
 
 
-def _cmd_verify_pencil(args):
-    problem, _ = parse_problem(args.problem)
+def _cmd_verify_pencil(args, problem, extras):
     dec = decompose_pencil(problem, seed=args.seed)
     report = verify_pencil_identities(dec, problem, tol=args.tol)
     return {
@@ -190,43 +191,24 @@ def _cmd_verify_pencil(args):
     }
 
 
-def _cmd_positivity(args):
-    problem, _ = parse_problem(args.problem)
+def _cmd_positivity(args, problem, extras):
     cert = positivity_margin(problem, grid_size=args.grid_size)
-    return {
-        "margin": cert.margin,
-        "argmin_phi": cert.argmin_phi,
-        "lipschitz_bound": cert.lipschitz_bound,
-        "certified_margin": cert.certified_margin,
-        "certified": cert.certified,
-        "grid_size": cert.grid_size,
-    }
+    return {**dataclasses.asdict(cert), "certified": cert.certified}
 
 
-def _cmd_standardize(args):
-    problem, _ = parse_problem(args.problem)
+def _cmd_standardize(args, problem, extras):
     std, transcript = standardize_p2(problem)
     return {"problem": _serial_problem(std), "transcript": transcript}
 
 
-def _cmd_fuchsian(args):
-    problem, extras = parse_problem(args.problem)
+def _cmd_fuchsian(args, problem, extras):
     lam = _resolve_lambda(args, extras)
     system = build_fuchsian(problem, lam)
     formula = residue_at_infinity_formula(system)
     exps = []
     for j, al in enumerate(system.singular_points):
-        e = exponents_at(system, j)
-        exps.append(
-            {
-                "point": _c_pair(al),
-                "values": [_c_pair(v) for v in e.values],
-                "residue_rank": e.residue_rank,
-                "kernel_dim": e.kernel_dim,
-                "rank_bound_ok": e.rank_bound_ok,
-                "shift_residual": e.shift_residual,
-            }
-        )
+        e = dataclasses.asdict(exponents_at(system, j))
+        exps.append({**e, "point": _c_pair(al), "values": [_c_pair(v) for v in e["values"]]})
     total = sum(system.residues) + system.residue_at_infinity
     return {
         "lambda": lam,
@@ -242,8 +224,7 @@ def _cmd_fuchsian(args):
     }
 
 
-def _cmd_heun_params(args):
-    problem, extras = parse_problem(args.problem)
+def _cmd_heun_params(args, problem, extras):
     lam = _resolve_lambda(args, extras)
     standardized = False
     try:
@@ -270,13 +251,12 @@ def _cmd_heun_params(args):
     }
 
 
-def _cmd_spectrum(args):
-    problem, extras = parse_problem(args.problem)
+def _cmd_spectrum(args, problem, extras):
     tol = args.tol if args.tol is not None else float(extras.get("tol", 1e-10))
     _check_tol(tol)
     seed_tol = _CONNECT_SEED_TOL if args.method == "connect" else tol
     seeds = spectrum_truncated(problem, args.count, tol=seed_tol)
-    out = {}
+    out = {"count": args.count, "method": args.method}
     if args.method in ("trunc", "both"):
         out["truncation"] = {
             "eigenvalues": [float(v) for v in seeds.eigenvalues],
@@ -290,19 +270,13 @@ def _cmd_spectrum(args):
             "residuals": [float(v) for v in res.convergence],
         }
     if args.method == "both":
-        diffs = [
-            abs(a - b)
-            for a, b in zip(out["truncation"]["eigenvalues"], out["connection"]["eigenvalues"])
-        ]
-        out["agreement"] = diffs
-        out["max_disagreement"] = max(diffs)
-    out["count"] = args.count
-    out["method"] = args.method
+        pairs = zip(out["truncation"]["eigenvalues"], out["connection"]["eigenvalues"])
+        out["agreement"] = [abs(a - b) for a, b in pairs]
+        out["max_disagreement"] = max(out["agreement"])
     return out
 
 
-def _cmd_eigenfunction(args):
-    problem, extras = parse_problem(args.problem)
+def _cmd_eigenfunction(args, problem, extras):
     tol = float(extras.get("tol", 1e-10))
     if args.samples < 1:
         raise ContractViolation("samples must be at least 1")
@@ -311,16 +285,9 @@ def _cmd_eigenfunction(args):
     seeds = spectrum_truncated(problem, args.index + 1, tol=tol)
     t_grid = np.linspace(args.tmax / args.samples, args.tmax, args.samples)
     profile = eigenfunction_profile(problem, seeds, args.index, t_grid)
-    header = ["t"]
-    for j in range(problem.p):
-        header += [f"re_{j}", f"im_{j}"]
-    lines = [",".join(header)]
-    for i, t in enumerate(profile.t):
-        row = [repr(float(t))]
-        for j in range(problem.p):
-            row += [repr(float(profile.values[i, j].real)), repr(float(profile.values[i, j].imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["t"] + [f"{part}_{j}" for j in range(problem.p) for part in ("re", "im")]
+    # values is C-contiguous complex: its float view interleaves re and im
+    return _csv(header, np.column_stack([profile.t, profile.values.view(float)]))
 
 
 def _cmd_confluence(args):
@@ -334,9 +301,11 @@ def _cmd_confluence(args):
         omega=args.omega, g_coupling=args.coupling, Delta=args.delta, eps_bias=args.bias
     )
     sweep = confluence_sweep(rabi, mu_list, count=args.count)
-    lines = ["mu,max_abs_deviation"]
-    for mu, dev in zip(sweep.mu_values, sweep.deviations):
-        lines.append(f"{repr(mu)},{repr(dev)}")
+    return _csv(["mu", "max_abs_deviation"], zip(sweep.mu_values, sweep.deviations))
+
+
+def _csv(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -364,6 +333,18 @@ def _seed(text: str) -> int:
     return value
 
 
+def _join_negative_values(argv) -> list[str]:
+    """argv with each negative number after a long option joined to it, as
+    --tol=-1e-3: argparse before Python 3.13 reads -1e-3 as an option."""
+    out = []
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every main call in the process, built on the first.
@@ -381,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("problem", help="problem JSON file, or - for stdin")
         sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
         sp.add_argument("--json-indent", type=int, default=2)
-        sp.set_defaults(handler=fn, csv=csv)
+        sp.set_defaults(handler=fn, csv=csv, problem=None)
         return sp
 
     sp = add("verify-pencil", _cmd_verify_pencil)
@@ -420,44 +401,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SchemaError(f"cannot write output file: {exc}", path="$.out") from None
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
     try:
-        payload = args.handler(args)
+        if args.problem is not None:
+            payload = args.handler(args, *parse_problem(args.problem))
+        else:
+            payload = args.handler(args)
         if not args.csv:
             payload = json.dumps(payload, indent=args.json_indent, sort_keys=True) + "\n"
-        _emit(payload, args.out)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise SchemaError(f"cannot write output file: {exc}", path="$.out") from None
+        else:
+            sys.stdout.write(payload)
+        return 0
     except SchemaError as exc:
-        _emit(
-            json.dumps({"error": {"type": "schema", "path": exc.path, "message": str(exc)}})
-            + "\n",
-            None,
-        )
-        return 2
+        code, error = 2, {"type": "schema", "path": exc.path, "message": str(exc)}
     except ContractViolation as exc:
-        _emit(json.dumps({"error": {"type": "contract", "message": str(exc)}}) + "\n", None)
-        return 3
+        code, error = 3, {"type": "contract", "message": str(exc)}
     except SolverError as exc:
-        _emit(
-            json.dumps(
-                {"error": {"type": "solver", "class": type(exc).__name__, "message": str(exc)}}
-            )
-            + "\n",
-            None,
-        )
-        return 4
-    return 0
+        code, error = 4, {"type": "solver", "class": type(exc).__name__, "message": str(exc)}
+    # no sort_keys: each error keeps the key order above
+    sys.stdout.write(json.dumps({"error": error}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

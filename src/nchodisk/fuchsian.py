@@ -33,10 +33,6 @@ class FuchsianSystem:
     problem: NchoProblem
     decomposition: PencilDecomposition
 
-    @property
-    def p(self) -> int:
-        return self.residue_at_infinity.shape[0]
-
     def pole_index(self, point: complex) -> int:
         for j, al in enumerate(self.singular_points):
             if abs(al - point) <= 1e-8 * max(1.0, abs(point)):
@@ -58,7 +54,7 @@ def build_fuchsian(
         pj @ (-mu * (al * problem.B + 0.5 * problem.A) + c)
         for al, pj in zip(dec.poles, dec.residues)
     ]
-    r_inf = -sum(residues) if residues else np.zeros((problem.p, problem.p), dtype=complex)
+    r_inf = -sum(residues)
     return FuchsianSystem(
         mu=mu,
         lam=lam,

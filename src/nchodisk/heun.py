@@ -153,10 +153,9 @@ def heun_like_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     c = problem.c_matrix(lam)
 
     root = math.sqrt(disc)
+    # the inner root: _check_standard_form gives s > 2|b1| > 0, so disc > 0
+    # and |-s + root| < |-s - root|
     alpha = (-s + root) / (2.0 * b1)
-    alt = (-s - root) / (2.0 * b1)
-    if abs(alpha) > abs(alt):
-        alpha = alt
     outer = 1.0 / np.conj(alpha)
 
     kappa0 = _kappa0(problem, c)

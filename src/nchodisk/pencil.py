@@ -351,13 +351,10 @@ def verify_pencil_identities(
         res2 = max(res2, float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(residues[i])))))
     checks.append(IdentityCheck("residue_conjugation", True, res2 <= max(tol, 1e-8), res2))
 
-    sum_p = sum(residues) if residues else np.zeros((p, p), dtype=complex)
-    sum_pb = sum(pj @ b for pj in residues) if residues else np.zeros((p, p), dtype=complex)
-    sum_apb = (
-        sum(al * pj @ b for al, pj in zip(poles, residues))
-        if residues
-        else np.zeros((p, p), dtype=complex)
-    )
+    # every decomposition has a pole: 2p - dim ker B' >= p roots stay finite
+    sum_p = sum(residues)
+    sum_pb = sum(pj @ b for pj in residues)
+    sum_apb = sum(al * pj @ b for al, pj in zip(poles, residues))
 
     if not dec.zero_is_pole:
         res3 = max(float(np.max(np.abs(sum_p))), float(np.max(np.abs(sum_apb - eye))))

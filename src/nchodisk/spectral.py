@@ -70,7 +70,7 @@ def _check_tol(tol: float) -> None:
 
 def _settle(band_of, count: int, order: int, tol: float):
     """Double the truncation order until the lowest count eigenvalues of
-    band_of(order) move by less than tol.  Returns (values, change, band) at
+    band_of(order) move by less than tol.  Returns (values, change, order) at
     the final order; raises ConvergenceError past _MAX_ORDER, and
     ContractViolation before any band is built when the start order leaves
     no second order below the cap to compare with."""
@@ -88,13 +88,12 @@ def _settle(band_of, count: int, order: int, tol: float):
                 f"eigenvalues did not settle to {tol:g} by order {order // 2} "
                 f"(last change {last_change:g})"
             )
-        band = band_of(order)
-        vals = eigen_banded_lowest(band, count)
+        vals = eigen_banded_lowest(band_of(order), count)
         if prev is not None:
             change = np.abs(vals - prev)
             last_change = float(np.max(change))
             if last_change < tol:
-                return vals, change, band
+                return vals, change, order
         prev = vals
         order *= 2
 
@@ -180,8 +179,7 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     if r > 0 and 0 < tol < 1:
         start = max(start, min(math.ceil(math.log(tol) / math.log(r)), _MAX_ORDER // 2))
     gauged = _schur_gauged(problem)
-    vals, change, band = _settle(lambda order: build_truncated(gauged, order), count, start, tol)
-    order = band.shape[1] // problem.p
+    vals, change, order = _settle(lambda order: build_truncated(gauged, order), count, start, tol)
     return SpectrumResult(eigenvalues=vals, convergence=change, orders=(order // 2, order))
 
 

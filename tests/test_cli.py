@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -420,6 +421,31 @@ def test_non_finite_float_option_is_an_argparse_error(capsys, argv):
     assert captured.out == "" and "expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,option,code",
+    [
+        (["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "-1e-3"], "--tol", 3),
+        (["fuchsian", str(FIXTURES / "p1_a123.json"), "--lambda", "-1e-3"], "--lambda", 0),
+        (["confluence", "--delta", "-1e-3", "--coupling", "0.3", "--mu-list", "20",
+          "--count", "2"], "--delta", 0),
+        (["confluence", "--coupling", "-3e-1", "--mu-list", "20", "--count", "2"],
+         "--coupling", 0),
+    ],
+    ids=["tol", "lambda", "delta", "coupling"],
+)
+def test_negative_value_with_an_exponent_is_the_option_value(capsys, argv, option, code):
+    # argparse before Python 3.13 reads -1e-3 as an option, not as a number
+    got, out = run_cli(capsys, argv)
+    assert got == code
+    i = argv.index(option)
+    joined = argv[:i] + [f"{option}={argv[i + 1]}"] + argv[i + 2:]
+    assert run_cli(capsys, joined) == (got, out)  # the form argparse always read
+    if code == 3:
+        assert json.loads(out)["error"]["message"] == "tol must be non-negative and finite"
+    elif option == "--lambda":
+        assert json.loads(out)["lambda"] == -1e-3
+
+
 @pytest.mark.parametrize("seed", ["-1", "x"])
 def test_negative_seed_is_an_argparse_error(capsys, seed):
     with pytest.raises(SystemExit) as exc:
@@ -454,6 +480,7 @@ def test_confluence_non_positive_omega_is_refused_at_once(capsys, monkeypatch, o
         (["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--samples", "0"], 3, "contract"),
         (["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--samples", "-1"], 3, "contract"),
         (["confluence", "--coupling", "0.3", "--mu-list", "20,x"], 2, "schema"),
+        (["confluence", "--coupling", "0.3", "--mu-list", ","], 2, "schema"),
         (["confluence", "--coupling", "0.3", "--mu-list", "-5"], 3, "contract"),
         (["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "-1"], 3, "contract"),
         (["spectrum", str(FIXTURES / "p1_quarter.json"), "--tol", "-1", "--method", "connect"],
@@ -464,8 +491,8 @@ def test_confluence_non_positive_omega_is_refused_at_once(capsys, monkeypatch, o
          3, "contract"),
         (["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--index", "-1"], 3, "contract"),
     ],
-    ids=["samples-0", "samples-neg", "mu-list-non-number", "mu-list-negative", "tol-neg",
-         "tol-neg-connect", "count-past-cap", "confluence-count-past-cap", "index-neg"],
+    ids=["samples-0", "samples-neg", "mu-list-non-number", "mu-list-empty", "mu-list-negative",
+         "tol-neg", "tol-neg-connect", "count-past-cap", "confluence-count-past-cap", "index-neg"],
 )
 def test_bad_argv_value_exits_with_json_error(capsys, monkeypatch, argv, code, kind):
     builds = []
@@ -537,6 +564,36 @@ def test_huge_entries_exit_with_an_error_not_a_traceback(capsys, tmp_path, field
     code, out = run_cli(capsys, [argv[0], str(problem), *argv[1:]])
     assert code in (2, 3, 4)
     assert json.loads(out)["error"]["type"] == "contract"
+
+
+def test_error_json_bytes(capsys, tmp_path):
+    # each error object keeps its key order: type, path, message / type,
+    # message / type, class, message
+    unwritable = tmp_path / "missing" / "x.json"
+    cases = [
+        (["verify-pencil", str(FIXTURES / "bad_missing_b.json")], 2,
+         '{"error": {"type": "schema", "path": "$.A", '
+         '"message": "$.A: provide exactly one of (A, B) or a123"}}\n'),
+        (["verify-pencil", str(FIXTURES / "bad_non_hermitian.json")], 3,
+         '{"error": {"type": "contract", "message": "A must be Hermitian"}}\n'),
+        (["standardize", str(FIXTURES / "degenerate_b0.json")], 4,
+         '{"error": {"type": "solver", "class": "NotGenericError", "message": '
+         '"determinant has 1 distinct roots; standardization needs at least 3"}}\n'),
+        (["positivity", str(FIXTURES / "p1_quarter.json"), "--out", str(unwritable)], 2,
+         json.dumps({"error": {"type": "schema", "path": "$.out", "message":
+                    f"$.out: cannot write output file: [Errno 2] No such file or directory: "
+                    f"'{unwritable}'"}}) + "\n"),
+    ]
+    for argv, code, expected in cases:
+        assert run_cli(capsys, argv) == (code, expected)
+
+
+def test_problem_from_stdin(capsys, monkeypatch):
+    text = (FIXTURES / "classical_eta0.json").read_text()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = run_cli(capsys, ["positivity", "-"])
+    assert code == 0
+    assert out == (GOLDEN / "positivity_classical.json").read_text()
 
 
 def test_negative_index_error_names_the_index(capsys):
