@@ -152,27 +152,29 @@ def transform_decomposition(
     """Pencil decomposition of transform_problem(g, problem) from dec, the
     decomposition of problem, without a QZ.
 
-    Each pole moves by the Möbius rule with its residue unchanged; the pole
-    sent to infinity drops out, and when infinity is a root of problem's
-    pencil (dec.zero_is_pole) its image is a pole with residue -sum_j P_j.
-    The transformed pencil's kernel at 0 decides whether the image nearest
-    0 is exactly 0."""
+    Each pole moves by the Möbius rule with its residue and rank unchanged;
+    the pole sent to infinity drops out, and when infinity is a root of
+    problem's pencil (dec.zero_is_pole) its image is a pole with residue
+    -sum_j P_j and the rank of the pole at 0 (0 and infinity are roots of
+    det Q of one multiplicity).  The transformed pencil's kernel at 0
+    decides whether the image nearest 0 is exactly 0."""
     ga, gb = transform_ab(g, problem.A, problem.B)
-    moved = [(mobius_apply(g, al), pj) for al, pj in zip(dec.poles, dec.residues)]
+    moved = [(mobius_apply(g, al), pj, r) for al, pj, r in zip(dec.poles, dec.residues, dec.ranks)]
     if dec.zero_is_pole:
-        moved.append((mobius_apply(g, INFINITY), -sum(dec.residues)))
-    moved = [(complex(w), pj) for w, pj in moved if not is_infinity(w)]
+        rank_zero = dec.ranks[dec.poles.index(0.0)]
+        moved.append((mobius_apply(g, INFINITY), -sum(dec.residues), rank_zero))
+    moved = [(complex(w), pj, r) for w, pj, r in moved if not is_infinity(w)]
     moved.sort(key=lambda pr: abs(pr[0]))
     zero_is_pole = pencil_kernel(ga, gb, 0.0)[1].shape[1] > 0
     if zero_is_pole:
-        moved[0] = (0j, moved[0][1])
+        moved[0] = (0j, *moved[0][1:])
     moved.sort(key=lambda pr: (pr[0].real, pr[0].imag))
-    poles = [al for al, _ in moved]
-    residues = [pj for _, pj in moved]
+    poles, residues, ranks = (list(col) for col in zip(*moved))
     rng = np.random.default_rng(_seed_from(ga, gb))
     return PencilDecomposition(
         poles=poles,
         residues=residues,
+        ranks=ranks,
         zero_is_pole=zero_is_pole,
         reconstruction_residual=_reconstruction_residual(ga, gb, poles, residues, rng),
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import Su11Element, transform_decomposition, transform_problem
-from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil, pencil_kernel
+from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil
 
 __all__ = [
     "FuchsianSystem",
@@ -90,32 +90,27 @@ class PoleExponents:
 
 def exponents_at(system: FuchsianSystem, j: int) -> PoleExponents:
     """Characteristic exponents at pole j (eigenvalues of R_j), together
-    with the rank bound against ker Q(alpha_j) and the residual of the
-    -mu/2 shift of R_j restricted to the image of P_j."""
+    with the rank bound against dim ker Q(alpha_j) = dec.ranks[j] and the
+    residual of the -mu/2 shift of R_j restricted to the image of P_j."""
     r = system.residues[j]
     vals = np.linalg.eigvals(r)
     vals = vals[np.lexsort((vals.imag, vals.real))]
     prob, dec = system.problem, system.decomposition
-    pj = dec.residues[j]
-    ker_dim = pencil_kernel(prob.A, prob.B, system.singular_points[j])[1].shape[1]
-    u, s_p, _ = np.linalg.svd(pj)
-    rank_p = 0 if s_p[0] == 0 else int(np.sum(s_p > 1e-8 * s_p[0]))
+    pj, rank_p = dec.residues[j], dec.ranks[j]
 
     # restriction of R to im(P) equals P C restricted minus mu/2
-    shift_residual = 0.0
-    if rank_p > 0:
-        v = u[:, :rank_p]
-        c = prob.c_matrix(system.lam)
-        lhs = v.conj().T @ r @ v
-        rhs = v.conj().T @ (pj @ c) @ v - 0.5 * prob.mu * np.eye(rank_p)
-        shift_residual = float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))
+    v = np.linalg.svd(pj)[0][:, :rank_p]
+    c = prob.c_matrix(system.lam)
+    lhs = v.conj().T @ r @ v
+    rhs = v.conj().T @ (pj @ c) @ v - 0.5 * prob.mu * np.eye(rank_p)
+    shift_residual = float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))
 
     rank_r = _rank(r)
     return PoleExponents(
         values=vals,
         residue_rank=rank_r,
-        kernel_dim=ker_dim,
-        rank_bound_ok=rank_r <= ker_dim,
+        kernel_dim=rank_p,
+        rank_bound_ok=rank_r <= rank_p,
         shift_residual=shift_residual,
     )
 

@@ -7,6 +7,7 @@ and the large-mu confluence sweep against the Rabi truncation."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -24,7 +25,7 @@ from .errors import (
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
-from .pencil import NchoProblem, PencilDecomposition, _inner_pole_radius, _rank, decompose_pencil
+from .pencil import NchoProblem, PencilDecomposition, _inner_pole_radius, decompose_pencil
 
 __all__ = [
     "SpectrumResult",
@@ -72,8 +73,10 @@ def _settle(band_of, count: int, order: int, tol: float):
     """Double the truncation order until the lowest count eigenvalues of
     band_of(order) move by less than tol.  Returns (values, change, order) at
     the final order; raises ConvergenceError past _MAX_ORDER, and
-    ContractViolation before any band is built when the start order leaves
-    no second order below the cap to compare with."""
+    ContractViolation before any band is built when count is below 1 or the
+    start order leaves no second order below the cap to compare with."""
+    if count < 1:
+        raise ContractViolation("count must be at least 1")
     _check_tol(tol)
     if 2 * order > _MAX_ORDER:
         raise ContractViolation(
@@ -172,8 +175,6 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     largest of 64, the least order holding count eigenvalues and
     ceil(log tol / log r) capped at _MAX_ORDER // 2; the last is left out
     when r = 0 (B = 0), tol = 0 or tol >= 1."""
-    if count < 1:
-        raise ContractViolation("count must be at least 1")
     start = max(64, -(-count // problem.p))
     r = _inner_pole_radius(problem)
     if r > 0 and 0 < tol < 1:
@@ -302,7 +303,7 @@ def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _Connect
         arcs = [step for a, b in zip(loop[:-1], loop[1:]) for step in _path_steps(poles, a, b)]
         # as many rows as the pole's rank: the count must not follow which
         # exponents look nonzero at some lam
-        rows.append((int(j), _rank(dec.residues[j]), float(radius), len(leg), len(arcs)))
+        rows.append((int(j), dec.ranks[j], float(radius), len(leg), len(arcs)))
         steps += leg + arcs
     # R_j(lam) = res0[j] + lam res1[j], with the lam part exact
     res0 = np.array(build_fuchsian(problem, 0.0, dec).residues)
@@ -386,6 +387,8 @@ def spectrum_connection(
     _check_tol(tol)
     plan = _connection_plan(problem, decompose_pencil(problem))
     start = np.array(seeds.eigenvalues, dtype=float)
+    if not start.size:
+        return SpectrumResult(eigenvalues=start, convergence=start.copy(), orders=seeds.orders)
     values = start.copy()
     last_step = np.zeros(len(values))
     open_ = np.arange(len(values))
@@ -455,16 +458,35 @@ def _laguerre_modes(mu: float, t: np.ndarray, count: int):
         yield lk_prev if m == 0 else lk
 
 
+def _positive_t(t, name: str) -> np.ndarray:
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr) & (t_arr > 0)):
+        raise ContractViolation(f"{name} must be finite and positive")
+    return t_arr
+
+
+@contextmanager
+def _refuse_overflow(t_arr: np.ndarray):
+    """Raise ContractViolation where the Laguerre factors leave the
+    floating-point range at large t, instead of returning inf/nan."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ContractViolation(
+            f"the radial modes overflow at t up to {float(np.max(t_arr)):g}; take a smaller t"
+        ) from None
+
+
 def laguerre_mode(m: int, mu: float, t):
     """Radial mode l_m(t) = i^m (m!/(mu)_m) L_m^{(mu-1)}(2t) e^{-t}, via the
     ascending three-term recurrence of the Laguerre factor."""
     if m < 0 or mu <= 0:
         raise ContractViolation("need m >= 0 and mu > 0")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise ContractViolation("t must be positive")
-    lag = next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))
-    out = _mode_factors(mu, m + 1)[m] * lag * np.exp(-t_arr)
+    t_arr = _positive_t(t, "t")
+    with _refuse_overflow(t_arr):
+        lag = next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))
+        out = _mode_factors(mu, m + 1)[m] * lag * np.exp(-t_arr)
     return out if out.shape else complex(out)
 
 
@@ -491,9 +513,7 @@ def eigenfunction_profile(
     p-vectors i^m (m!/(mu)_m) u_m, with e^{-t} applied once to the sum."""
     if not 0 <= index < len(seeds.eigenvalues):
         raise ContractViolation(f"index must be in range 0..{len(seeds.eigenvalues) - 1}")
-    t_arr = np.asarray(t_grid, dtype=float)
-    if np.any(t_arr <= 0):
-        raise ContractViolation("t grid must be positive")
+    t_arr = _positive_t(t_grid, "t grid")
     p, mu = problem.p, problem.mu
     value = float(seeds.eigenvalues[index])
     order = seeds.orders[1]
@@ -505,9 +525,10 @@ def eigenfunction_profile(
     # summed into rows that run along t
     coef = (_mode_factors(mu, order)[:, None] * u).view(float)[:, :, None]
     acc = np.zeros((2 * p, t_arr.size))
-    for c, lag in zip(coef, _laguerre_modes(mu, t_arr, order)):
-        acc += c * lag
-    values = np.ascontiguousarray((acc * np.exp(-t_arr)).T).view(complex)
+    with _refuse_overflow(t_arr):
+        for c, lag in zip(coef, _laguerre_modes(mu, t_arr, order)):
+            acc += c * lag
+        values = np.ascontiguousarray((acc * np.exp(-t_arr)).T).view(complex)
     return ProfileResult(
         t=t_arr,
         values=values,

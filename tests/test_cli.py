@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_diff, random_problem
 
-from nchodisk import SchemaError, cli, spectral
+from nchodisk import SchemaError, cli, pencil, spectral
 from nchodisk.cli import main, parse_problem
 
 SQ3 = math.sqrt(3.0)
@@ -39,6 +39,28 @@ def test_spectrum_both_runs_the_truncation_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     payload = json.loads(out)
     assert payload["max_disagreement"] < 1e-6
+
+
+def test_pole_ranks_are_decided_once_per_decomposition(capsys, monkeypatch):
+    # one kernel at a sample point, one at 0 and one per pole, all inside the
+    # decomposition: no later layer works a pole's rank out again
+    calls = []
+    real = pencil.pencil_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("nchodisk") and hasattr(module, "pencil_kernel"):
+            monkeypatch.setattr(module, "pencil_kernel", counted)
+    path = str(FIXTURES / "classical_eta01_mu15.json")
+    for argv in (["fuchsian", path, "--lambda", "0.5"], ["verify-pencil", path]):
+        calls.clear()
+        code, out = run_cli(capsys, argv)
+        poles = json.loads(out)["singular_points" if argv[0] == "fuchsian" else "poles"]
+        assert code == 0 and len(poles) == 4
+        assert len(calls) == 2 + len(poles), argv
 
 
 def test_parse_p1_fixture():
@@ -507,6 +529,26 @@ def test_bad_argv_value_exits_with_json_error(capsys, monkeypatch, argv, code, k
     assert got == code
     assert json.loads(out)["error"]["type"] == kind
     assert builds == []  # refused before any truncation is built
+
+
+@pytest.mark.parametrize("tmax", ["1e300", "1e5"])
+def test_eigenfunction_overflow_exits_3(capsys, tmax):
+    # the Laguerre sum of the profile leaves the floating-point range: a
+    # contract error, not nan values with exit 0
+    argv = ["eigenfunction", str(FIXTURES / "p1_quarter.json"), "--tmax", tmax, "--samples", "3"]
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "contract",
+        "message": f"the radial modes overflow at t up to {float(tmax):g}; take a smaller t",
+    }
+
+
+def test_confluence_refuses_the_count_before_omega(capsys):
+    argv = ["confluence", "--coupling", "0.3", "--mu-list", "20", "--count", "0", "--omega", "-1"]
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == "count must be at least 1"
 
 
 def _p1_with(**fields):

@@ -227,6 +227,7 @@ def test_transform_decomposition_matches_qz(name):
             ref = decompose_pencil(transform_problem(g, prob))
             assert len(got.poles) == len(ref.poles)
             assert got.zero_is_pole == ref.zero_is_pole
+            assert got.ranks == ref.ranks
             for al, pj, al_ref, pj_ref in zip(got.poles, got.residues, ref.poles, ref.residues):
                 assert abs(al - al_ref) <= 1e-10 * max(1.0, abs(al_ref))
                 assert np.max(np.abs(pj - pj_ref)) <= 1e-10 * max(1.0, np.max(np.abs(pj_ref)))

@@ -116,8 +116,16 @@ def test_decompose_repeated_root_with_full_kernel():
     assert abs(dec.poles[0] - (-2.0 - SQ3)) < 1e-12
     assert abs(dec.poles[1] - (-2.0 + SQ3)) < 1e-12
     assert dec.reconstruction_residual < 1e-12
+    assert dec.ranks == [2, 2]
     report = verify_pencil_identities(dec, prob)
     assert report.all_passed, [(c.name, c.residual) for c in report.checks]
+
+
+def test_b_zero_has_one_pole_of_rank_p():
+    # Q(z) = A z: the one finite root 0 has multiplicity p, infinity the other p
+    prob = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
+    dec = decompose_pencil(prob)
+    assert dec.poles == [0.0] and dec.ranks == [prob.p] == [2]
 
 
 def test_decompose_rejects_nonzero_jordan_double_root():
@@ -173,6 +181,20 @@ def test_identities_random_large_p(p):
         prob = NchoProblem(p=p, mu=1.0, A=a, B=b, C0=np.zeros((p, p)))
         dec = decompose_pencil(prob)
         assert dec.zero_is_pole is False and len(dec.poles) == 2 * p
+        assert dec.ranks == [pencil_kernel(a, b, al)[1].shape[1] for al in dec.poles]
+        assert sum(dec.ranks) == 2 * p - (p - np.linalg.matrix_rank(b))
+        report = verify_pencil_identities(dec, prob)
+        assert report.all_passed, [(c.name, c.residual) for c in report.checks]
+
+
+@pytest.mark.parametrize("p", [5, 6, 7, 8])
+def test_sampler_draws_large_p_with_an_explicit_pole_gap(p):
+    # the p inner poles crowd into a disk of radius about 0.2, so the default
+    # gap of 0.05 rejects every draw at p >= 5; 5e-3 keeps them apart
+    for seed in range(6):
+        prob = random_problem(np.random.default_rng(seed), p, min_pole_gap=5e-3)
+        dec = decompose_pencil(prob)
+        assert sum(dec.ranks) == 2 * p - (p - np.linalg.matrix_rank(prob.B))
         report = verify_pencil_identities(dec, prob)
         assert report.all_passed, [(c.name, c.residual) for c in report.checks]
 

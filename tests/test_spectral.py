@@ -653,6 +653,23 @@ def test_spectra_reject_bad_tol(tol):
             solve(P1, arg, tol=tol)
 
 
+def test_empty_counts_are_refused_by_the_shared_doubling_loop(monkeypatch):
+    builds = _counting(monkeypatch, spectral, "build_truncated")
+    builds_rabi = _counting(monkeypatch, spectral, "_rabi_band")
+    rabi = RabiParameters(omega=1.0, g_coupling=0.3, Delta=0.5, eps_bias=0.2)
+    for solve, problem in ((rabi_truncated_spectrum, rabi), (spectrum_truncated, P1)):
+        for count in (0, -1):
+            with pytest.raises(ContractViolation, match="count must be at least 1"):
+                solve(problem, count)
+    assert builds == builds_rabi == []
+
+
+def test_connection_of_no_seeds_is_empty():
+    res = spectrum_connection(P1, SpectrumResult(np.array([]), np.array([]), (64, 128)))
+    assert res.eigenvalues.shape == res.convergence.shape == (0,)
+    assert res.orders == (64, 128)
+
+
 def test_rabi_convergence_error_at_order_cap(monkeypatch):
     # a lowered cap: reaching the real one costs seconds on the p = 2 ladder
     monkeypatch.setattr(spectral, "_MAX_ORDER", 256)
@@ -1018,6 +1035,24 @@ def test_profile_rejects_index_outside_seeds():
     for index in (-1, 3):
         with pytest.raises(ContractViolation, match=r"index must be in range 0\.\.2"):
             eigenfunction_profile(P1, seeds, index, np.linspace(0.1, 2.0, 5))
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+def test_radial_modes_refuse_t_that_is_not_finite_and_positive(t):
+    with pytest.raises(ContractViolation, match="t must be finite and positive"):
+        laguerre_mode(2, 1.5, t)
+    with pytest.raises(ContractViolation, match="t grid must be finite and positive"):
+        eigenfunction_profile(P1, spectrum_truncated(P1, 1), 0, np.array([1.0, t]))
+
+
+def test_radial_modes_refuse_t_where_the_laguerre_sum_overflows():
+    # the ascending recurrence leaves the floating-point range: a refusal, not nan
+    with pytest.raises(ContractViolation, match="overflow"):
+        laguerre_mode(2, 1.5, 1e300)
+    seeds = spectrum_truncated(P1, 1)
+    with pytest.raises(ContractViolation, match="overflow"):
+        eigenfunction_profile(P1, seeds, 0, np.array([1.0, 1e5]))
+    assert np.all(np.isfinite(eigenfunction_profile(P1, seeds, 0, np.array([1.0, 200.0])).values))
 
 
 def test_profile_sum_matches_modes():
