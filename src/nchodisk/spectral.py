@@ -388,7 +388,7 @@ def spectrum_connection(
     plan = _connection_plan(problem, decompose_pencil(problem))
     start = np.array(seeds.eigenvalues, dtype=float)
     if not start.size:
-        return SpectrumResult(eigenvalues=start, convergence=start.copy(), orders=seeds.orders)
+        return SpectrumResult(start, start.copy(), seeds.orders)
     values = start.copy()
     last_step = np.zeros(len(values))
     open_ = np.arange(len(values))

@@ -51,8 +51,8 @@ def test_pole_ranks_are_decided_once_per_decomposition(capsys, monkeypatch):
         calls.append(1)
         return real(*args)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("nchodisk") and hasattr(module, "pencil_kernel"):
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nchodisk") and hasattr(module, "pencil_kernel"):
             monkeypatch.setattr(module, "pencil_kernel", counted)
     path = str(FIXTURES / "classical_eta01_mu15.json")
     for argv in (["fuchsian", path, "--lambda", "0.5"], ["verify-pencil", path]):
