@@ -15,7 +15,6 @@ from .covariance import (
     normalize_problem,
     standardize_p2,
     transform_ab,
-    transform_decomposition,
     transform_problem,
 )
 from .errors import (

@@ -24,13 +24,13 @@ from .heun import RabiParameters, heun_like_parameters
 from .pencil import (
     NchoProblem,
     ab_from_a123,
+    _check_tol,
     decompose_pencil,
     mu_from_harmonic,
     positivity_margin,
     verify_pencil_identities,
 )
 from .spectral import (
-    _check_tol,
     confluence_sweep,
     eigenfunction_profile,
     spectrum_connection,
@@ -40,6 +40,7 @@ from .spectral import (
 __all__ = ["parse_problem", "main"]
 
 _CONNECT_SEED_TOL = 1e-9  # seed tolerance of --method connect, which does not print the seeds
+_NON_FINITE = "the result holds a non-finite number, which the output cannot carry"
 
 
 def _point(z):
@@ -305,7 +306,10 @@ def _cmd_confluence(args):
 
 
 def _csv(header, rows) -> str:
-    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    rows = [[float(v) for v in row] for row in rows]
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ContractViolation(_NON_FINITE)
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -410,7 +414,13 @@ def main(argv=None) -> int:
         else:
             payload = args.handler(args)
         if not args.csv:
-            payload = json.dumps(payload, indent=args.json_indent, sort_keys=True) + "\n"
+            try:
+                payload = json.dumps(
+                    payload, indent=args.json_indent, sort_keys=True, allow_nan=False
+                )
+            except ValueError:
+                raise ContractViolation(_NON_FINITE) from None
+            payload += "\n"
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:

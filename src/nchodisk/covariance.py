@@ -1,7 +1,6 @@
 """Disk automorphism group action: Möbius maps on singularities, the
-induced (A, B) transform and its pushforward of the pencil decomposition,
-unitary gauge, A-normalization, and the p=2 standardization pipeline with
-a replayable transcript."""
+induced (A, B) transform, unitary gauge, A-normalization, and the p=2
+standardization pipeline with a replayable transcript."""
 
 from __future__ import annotations
 
@@ -19,11 +18,7 @@ from .errors import (
 from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_unitary
 from .pencil import (
     NchoProblem,
-    PencilDecomposition,
-    _reconstruction_residual,
-    _seed_from,
     decompose_pencil,
-    pencil_kernel,
     pole_angle,
     pole_order_key,
     positivity_margin,
@@ -37,7 +32,6 @@ __all__ = [
     "mobius_apply",
     "transform_ab",
     "transform_problem",
-    "transform_decomposition",
     "gauge_problem",
     "normalize_problem",
     "standardize_p2",
@@ -144,40 +138,6 @@ def transform_ab(g: Su11Element, A, B) -> tuple[np.ndarray, np.ndarray]:
 def transform_problem(g: Su11Element, problem: NchoProblem) -> NchoProblem:
     ga, gb = transform_ab(g, problem.A, problem.B)
     return problem.with_matrices(A=ga, B=gb)
-
-
-def transform_decomposition(
-    g: Su11Element, dec: PencilDecomposition, problem: NchoProblem
-) -> PencilDecomposition:
-    """Pencil decomposition of transform_problem(g, problem) from dec, the
-    decomposition of problem, without a QZ.
-
-    Each pole moves by the Möbius rule with its residue and rank unchanged;
-    the pole sent to infinity drops out, and when infinity is a root of
-    problem's pencil (dec.zero_is_pole) its image is a pole with residue
-    -sum_j P_j and the rank of the pole at 0 (0 and infinity are roots of
-    det Q of one multiplicity).  The transformed pencil's kernel at 0
-    decides whether the image nearest 0 is exactly 0."""
-    ga, gb = transform_ab(g, problem.A, problem.B)
-    moved = [(mobius_apply(g, al), pj, r) for al, pj, r in zip(dec.poles, dec.residues, dec.ranks)]
-    if dec.zero_is_pole:
-        rank_zero = dec.ranks[dec.poles.index(0.0)]
-        moved.append((mobius_apply(g, INFINITY), -sum(dec.residues), rank_zero))
-    moved = [(complex(w), pj, r) for w, pj, r in moved if not is_infinity(w)]
-    moved.sort(key=lambda pr: abs(pr[0]))
-    zero_is_pole = pencil_kernel(ga, gb, 0.0)[1].shape[1] > 0
-    if zero_is_pole:
-        moved[0] = (0j, *moved[0][1:])
-    moved.sort(key=lambda pr: (pr[0].real, pr[0].imag))
-    poles, residues, ranks = (list(col) for col in zip(*moved))
-    rng = np.random.default_rng(_seed_from(ga, gb))
-    return PencilDecomposition(
-        poles=poles,
-        residues=residues,
-        ranks=ranks,
-        zero_is_pole=zero_is_pole,
-        reconstruction_residual=_reconstruction_residual(ga, gb, poles, residues, rng),
-    )
 
 
 def _congruence_problem(w: np.ndarray, problem: NchoProblem) -> NchoProblem:

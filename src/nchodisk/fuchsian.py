@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Su11Element, transform_decomposition, transform_problem
+from .covariance import Su11Element, transform_problem
 from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil
 
 __all__ = [
@@ -117,8 +117,5 @@ def exponents_at(system: FuchsianSystem, j: int) -> PoleExponents:
 
 def transform_fuchsian(g: Su11Element, system: FuchsianSystem) -> FuchsianSystem:
     """Push the system forward along a disk automorphism: the system of the
-    transformed problem at the same lam, built on the pushed-forward pencil
-    decomposition (transform_decomposition), so no QZ runs."""
-    prob, dec = system.problem, system.decomposition
-    moved = transform_decomposition(g, dec, prob)
-    return build_fuchsian(transform_problem(g, prob), system.lam, moved)
+    transformed problem at the same lam."""
+    return build_fuchsian(transform_problem(g, system.problem), system.lam)

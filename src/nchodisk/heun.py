@@ -135,9 +135,20 @@ def heun_like_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     Gives the 4-point Heun data when b2 = 0 (b1 must then be real), and
     otherwise the 5-point data with an apparent point at epsilon; reports
     the coalescent case (c3 = -mu/2 with b2 != 0) with epsilon and q2
-    omitted.
+    omitted.  Raises ContractViolation where a parameter leaves the
+    floating-point range, instead of returning inf/nan.
     """
     _check_standard_form(problem)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _heun_parameters(problem, lam)
+    except FloatingPointError:
+        raise ContractViolation(
+            f"the Heun parameters overflow at lambda = {lam:g}; take a smaller lambda"
+        ) from None
+
+
+def _heun_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     b1, b2 = problem.B[0, 0], problem.B[0, 1]
     four_point = abs(b2) <= 1e-10 * max(1.0, abs(b1))
     if four_point:

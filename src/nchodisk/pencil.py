@@ -10,6 +10,7 @@ matrices drive the whole reduction.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,6 +136,13 @@ class PencilDecomposition:
     ranks: list[int]
     zero_is_pole: bool
     reconstruction_residual: float
+
+
+def _check_tol(tol: float) -> None:
+    # tol = 0 is the strictest value, not an error: a truncation doubling
+    # then runs to its order cap
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ContractViolation("tol must be non-negative and finite")
 
 
 def _pencil_value(A, B, Bh, z):
@@ -327,6 +335,7 @@ def verify_pencil_identities(
     and det B = 0), the rank bound against dec.ranks, and the projector
     identity P (2 alpha B + A) P = P.
     """
+    _check_tol(tol)
     a, b = problem.A, problem.B
     p = problem.p
     eye = np.eye(p)
@@ -388,6 +397,9 @@ def verify_pencil_identities(
     return IdentityReport(checks=checks, all_passed=all(c.passed for c in checks))
 
 
+_MAX_GRID = 65536  # largest grid_size: its Lipschitz correction is already below 1e-4 |B|
+
+
 @dataclass
 class PositivityCertificate:
     margin: float
@@ -423,8 +435,8 @@ def positivity_margin(problem: NchoProblem, grid_size: int = 256) -> PositivityC
     are those of solving every point.  With B = 0 every point holds A, and
     the one matrix is solved once.
     """
-    if grid_size < 64:
-        raise ContractViolation("grid_size must be at least 64")
+    if not 64 <= grid_size <= _MAX_GRID:
+        raise ContractViolation(f"grid_size must be from 64 to {_MAX_GRID}")
     a, b = problem.A, problem.B
     bh = b.conj().T
 

@@ -25,7 +25,13 @@ from .errors import (
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
-from .pencil import NchoProblem, PencilDecomposition, _inner_pole_radius, decompose_pencil
+from .pencil import (
+    NchoProblem,
+    PencilDecomposition,
+    _check_tol,
+    _inner_pole_radius,
+    decompose_pencil,
+)
 
 __all__ = [
     "SpectrumResult",
@@ -61,12 +67,6 @@ def _norm_sq(mu: float, count: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # banded truncation
-
-
-def _check_tol(tol: float) -> None:
-    # tol = 0 is kept: no change is below it, so the doubling runs to the cap
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ContractViolation("tol must be non-negative and finite")
 
 
 def _settle(band_of, count: int, order: int, tol: float):

@@ -1,10 +1,12 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -628,6 +630,62 @@ def test_error_json_bytes(capsys, tmp_path):
     ]
     for argv, code, expected in cases:
         assert run_cli(capsys, argv) == (code, expected)
+
+
+def _strict_json(text):
+    # json.loads reads NaN, Infinity and -Infinity, which JSON does not have
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["heun-params", "classical_eta01_mu15", "--lambda", "1e155"],
+         "the Heun parameters overflow at lambda = 1e+155; take a smaller lambda"),
+        (["heun-params", "classical_eta01_mu15", "--lambda", "1e300"],
+         "the Heun parameters overflow at lambda = 1e+300; take a smaller lambda"),
+        (["positivity", "classical_eta01_mu15", "--grid-size", "65537"],
+         "grid_size must be from 64 to 65536"),
+        (["positivity", "classical_eta01_mu15", "--grid-size", "100000000000000000000"],
+         "grid_size must be from 64 to 65536"),
+        (["verify-pencil", "p1_quarter", "--tol", "-1"], "tol must be non-negative and finite"),
+    ],
+    ids=["heun-lambda-1e155", "heun-lambda-1e300", "grid-65537", "grid-1e20", "verify-tol-neg"],
+)
+def test_out_of_range_values_exit_3_with_strict_json(capsys, argv, message):
+    # under pytest's warnings-as-errors, as from a shell: no RuntimeWarning
+    # escapes main, and stdout is the error object alone
+    argv = [argv[0], str(FIXTURES / f"{argv[1]}.json"), *argv[2:]]
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert out == json.dumps({"error": {"type": "contract", "message": message}}) + "\n"
+    _strict_json(out)
+
+
+@pytest.mark.parametrize("subcommand", ["positivity", "confluence"])
+def test_a_non_finite_result_exits_3(capsys, monkeypatch, subcommand):
+    # whatever a layer lets through, neither the JSON nor the CSV output
+    # carries nan or inf
+    if subcommand == "positivity":
+        real = cli.positivity_margin
+        monkeypatch.setattr(
+            cli, "positivity_margin",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), margin=math.nan),
+        )
+        argv = ["positivity", str(FIXTURES / "p1_quarter.json")]
+    else:
+        sweep = types.SimpleNamespace(mu_values=[20.0], deviations=[math.inf])
+        monkeypatch.setattr(cli, "confluence_sweep", lambda *a, **k: sweep)
+        argv = ["confluence", "--coupling", "0.3", "--mu-list", "20"]
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert _strict_json(out)["error"] == {
+        "type": "contract",
+        "message": "the result holds a non-finite number, which the output cannot carry",
+    }
 
 
 def test_problem_from_stdin(capsys, monkeypatch):

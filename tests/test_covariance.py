@@ -22,7 +22,6 @@ from nchodisk import (
     standard_ncho_problem,
     standardize_p2,
     transform_ab,
-    transform_decomposition,
     transform_problem,
 )
 from nchodisk.cli import parse_problem
@@ -217,20 +216,34 @@ def _pushforward_problems(name):
     + ["p1_a123", "p1_quarter"],
 )
 def test_transform_decomposition_matches_qz(name):
+    # su(1,1) covariance on the QZ path: the decomposition of the moved
+    # problem has a pole at g(alpha_j) with residue P_j and rank r_j for each
+    # source pole, one at g(infinity) with residue -sum_j P_j and the rank at
+    # 0 when infinity is a source pole, and no pole where g sends one to
+    # infinity
     generic = Su11Element(np.sqrt(1.09) * np.exp(0.7j), 0.3 * np.exp(-1.1j))
     for prob in _pushforward_problems(name):
         dec = decompose_pencil(prob)
+        images = list(zip(dec.poles, dec.residues, dec.ranks))
+        if dec.zero_is_pole:
+            images.append((INFINITY, -sum(dec.residues), dec.ranks[dec.poles.index(0.0)]))
         inner = [al for al in dec.poles if al != 0 and abs(al) < 1.0]
         moves = [generic, Su11Element.rotation(0.4)]
         for g in moves + [Su11Element.sending_to_zero(al) for al in inner]:
-            got = transform_decomposition(g, dec, prob)
-            ref = decompose_pencil(transform_problem(g, prob))
-            assert len(got.poles) == len(ref.poles)
-            assert got.zero_is_pole == ref.zero_is_pole
-            assert got.ranks == ref.ranks
-            for al, pj, al_ref, pj_ref in zip(got.poles, got.residues, ref.poles, ref.residues):
-                assert abs(al - al_ref) <= 1e-10 * max(1.0, abs(al_ref))
-                assert np.max(np.abs(pj - pj_ref)) <= 1e-10 * max(1.0, np.max(np.abs(pj_ref)))
+            law = [(mobius_apply(g, al), pj, r) for al, pj, r in images]
+            law = [(w, pj, r) for w, pj, r in law if not is_infinity(w)]
+            got = decompose_pencil(transform_problem(g, prob))
+            assert len(got.poles) == len(law)
+            assert got.zero_is_pole == any(abs(w) <= 1e-10 for w, _, _ in law)
+            matched = set()
+            for al, pj, r in zip(got.poles, got.residues, got.ranks):
+                i = min(range(len(law)), key=lambda i: abs(law[i][0] - al))
+                w, pj_law, r_law = law[i]
+                matched.add(i)
+                assert abs(al - w) <= 1e-10 * max(1.0, abs(w))
+                assert np.max(np.abs(pj - pj_law)) <= 1e-10 * max(1.0, np.max(np.abs(pj_law)))
+                assert r == r_law
+            assert len(matched) == len(law)
 
 
 def test_standardize_classical_family():

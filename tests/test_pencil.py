@@ -291,6 +291,24 @@ def test_positivity_matches_pointwise_eigvalsh(p, grid):
     assert (cert.margin, cert.argmin_phi) == (best, best_phi)
 
 
+@pytest.mark.parametrize("grid", [63, 65537, 10**20])
+def test_positivity_refuses_a_grid_outside_its_range(monkeypatch, grid):
+    # refused before any circle point is solved or any grid array is made
+    prob = random_problem(np.random.default_rng(3), p=2)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    monkeypatch.setattr(np, "full", None)
+    with pytest.raises(ContractViolation, match="grid_size must be from 64 to 65536"):
+        positivity_margin(prob, grid)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_verify_refuses_a_negative_or_non_finite_tol(tol):
+    prob = random_problem(np.random.default_rng(4), p=2)
+    dec = decompose_pencil(prob)
+    with pytest.raises(ContractViolation, match="tol must be non-negative and finite"):
+        verify_pencil_identities(dec, prob, tol=tol)
+
+
 def _full_grid_certificate(prob, grid):
     """(margin, argmin_phi, certified_margin) of solving every grid point in
     one eigvalsh stack, and the least eigenvalue at every point."""
