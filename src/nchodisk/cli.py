@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .covariance import _c_pair, _matrix_pairs, is_infinity, standardize_p2
+from .covariance import _standard_form_violation
 from .errors import ContractViolation, SchemaError, SolverError
 from .fuchsian import build_fuchsian, exponents_at, residue_at_infinity_formula
 from .heun import RabiParameters, heun_like_parameters
@@ -40,6 +41,7 @@ from .spectral import (
 __all__ = ["parse_problem", "main"]
 
 _CONNECT_SEED_TOL = 1e-9  # seed tolerance of --method connect, which does not print the seeds
+_MAX_SAMPLES = 100_000  # eigenfunction --samples cap: the CSV holds one row per sample
 _NON_FINITE = "the result holds a non-finite number, which the output cannot carry"
 
 
@@ -227,13 +229,10 @@ def _cmd_fuchsian(args, problem, extras):
 
 def _cmd_heun_params(args, problem, extras):
     lam = _resolve_lambda(args, extras)
-    standardized = False
-    try:
-        params = heun_like_parameters(problem, lam)
-    except ContractViolation:
+    standardized = _standard_form_violation(problem) is not None
+    if standardized:
         problem, _ = standardize_p2(problem)
-        params = heun_like_parameters(problem, lam)
-        standardized = True
+    params = heun_like_parameters(problem, lam)
     return {
         "standardized": standardized,
         "n_singularities": params.n_singularities,
@@ -279,8 +278,8 @@ def _cmd_spectrum(args, problem, extras):
 
 def _cmd_eigenfunction(args, problem, extras):
     tol = float(extras.get("tol", 1e-10))
-    if args.samples < 1:
-        raise ContractViolation("samples must be at least 1")
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise ContractViolation(f"samples must be from 1 to {_MAX_SAMPLES}")
     if args.index < 0:
         raise ContractViolation(f"index must be at least 0 (got {args.index})")
     seeds = spectrum_truncated(problem, args.index + 1, tol=tol)

@@ -9,19 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    NotGenericError,
-    PositivityError,
-    SimplePoleViolation,
-)
+from .errors import ContractViolation, NotGenericError, SimplePoleViolation
 from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_unitary
 from .pencil import (
     NchoProblem,
+    _require_positive_on_circle,
     decompose_pencil,
     pole_angle,
     pole_order_key,
-    positivity_margin,
 )
 
 __all__ = [
@@ -98,12 +93,13 @@ class Su11Element:
 
     @classmethod
     def sending_to_zero(cls, beta: complex, rotation: float = 0.0) -> "Su11Element":
-        """Automorphism with beta -> 0 (and 1/conj(beta) -> infinity)."""
+        """Automorphism with beta -> 0 (and 1/conj(beta) -> infinity); with
+        beta = 0 a rotation whose b is +0, which a transcript prints as 0.0."""
         beta = complex(beta)
         if abs(beta) >= 1.0:
             raise ContractViolation("beta must lie in the open unit disk")
         a = cmath.exp(1j * rotation) / np.sqrt(1.0 - abs(beta) ** 2)
-        return cls(a, -beta * a)
+        return cls(a, -beta * a if beta else 0.0)
 
 
 def mobius_apply(g: Su11Element, z) -> complex:
@@ -213,63 +209,72 @@ def inverse_transcript(transcript: list[dict]) -> list[dict]:
     return out
 
 
+def _four_point(b1: complex, b2: complex) -> bool:
+    """The b2 = 0 branch of the standard form (plain Heun, 4 singular points)."""
+    return abs(b2) <= 1e-10 * max(1.0, abs(b1))
+
+
+def _standard_form_violation(problem: NchoProblem) -> str | None:
+    """Why problem is not in the p = 2 standard form heun_like_parameters
+    reads, or None: A = I and a zero bottom row of B (to 1e-8), b1 != 0,
+    2|b1| + |b2|^2 < 1 (M > 0 on the circle) and, when b2 = 0, a real b1."""
+    if problem.p != 2:
+        return "scalar reduction is defined for p = 2"
+    if float(np.max(np.abs(problem.A - np.eye(2)))) > 1e-8:
+        return "standard form requires A = I"
+    if float(np.max(np.abs(problem.B[1, :]))) > 1e-8 * max(1.0, float(np.max(np.abs(problem.B)))):
+        return "standard form requires a zero bottom row in B"
+    b1, b2 = problem.B[0, 0], problem.B[0, 1]
+    if abs(b1) <= 1e-8:
+        return "standard form requires b1 != 0"
+    if 2.0 * abs(b1) + abs(b2) ** 2 >= 1.0:
+        return "standard form requires 2|b1| + |b2|^2 < 1"
+    if _four_point(b1, b2) and abs(b1.imag) > 1e-8 * max(1.0, abs(b1)):
+        return "4-point branch requires real b1 (rotate the problem first)"
+    return None
+
+
 def standardize_p2(problem: NchoProblem):
     """Standard form for p = 2: A = I, B with zero bottom row, pencil poles
     {0, alpha, 1/conj(alpha)} with alpha on the positive real axis.
 
+    One Mobius step, unrecorded when it is the identity, sends the lesser
+    inner pole (0 when det B = 0) to 0 and the other onto the positive axis.
     Returns (standard problem, transcript).  The transcript replays exactly
     (apply_transcript) and inverts to the input (inverse_transcript).
     """
     if problem.p != 2:
         raise ContractViolation("standardization is defined for p = 2")
-    cert = positivity_margin(problem)
-    if cert.margin <= 0.0:
-        raise PositivityError(f"positivity margin {cert.margin:.3e} is not positive")
     try:
         dec = decompose_pencil(problem)
     except SimplePoleViolation as exc:
         raise NotGenericError(f"repeated pencil root: {exc}") from exc
+    _require_positive_on_circle(problem, dec.poles)
     poles = dec.poles
     if len(poles) < 3:
         raise NotGenericError(
             f"determinant has {len(poles)} distinct roots; standardization needs at least 3"
         )
-    if any(abs(abs(al) - 1.0) <= 1e-8 for al in poles):
-        raise PositivityError("pencil pole on the unit circle")
+    inner = sorted((al for al in poles if abs(al) < 1.0), key=pole_order_key)
+    if len(inner) != 2:
+        raise NotGenericError("expected two pencil poles inside the unit disk")
+    beta, gamma = inner
+    alpha_pre = mobius_apply(Su11Element.sending_to_zero(beta), gamma)
+    g = Su11Element.sending_to_zero(beta, rotation=-0.5 * pole_angle(alpha_pre))
 
     transcript: list[dict] = []
     cur = problem
-
-    inner = [al for al in poles if al != 0 and abs(al) < 1.0]
-    if len(poles) == 4:
-        if len(inner) != 2:
-            raise NotGenericError("expected two pencil poles inside the unit disk")
-        beta, gamma = sorted(inner, key=pole_order_key)
-        g0 = Su11Element.sending_to_zero(beta)
-        alpha_pre = mobius_apply(g0, gamma)
-        g = Su11Element.sending_to_zero(beta, rotation=-0.5 * pole_angle(alpha_pre))
+    if g != Su11Element.identity():
         transcript.append({"kind": "mobius", "a": _c_pair(g.a), "b": _c_pair(g.b)})
         cur = transform_problem(g, cur)
-    else:
-        if not dec.zero_is_pole or len(inner) != 1:
-            raise NotGenericError("three-root case must have poles {0, alpha, 1/conj(alpha)}")
-        theta = -0.5 * pole_angle(inner[0])
-        if theta != 0.0:
-            g = Su11Element.rotation(theta)
-            transcript.append({"kind": "mobius", "a": _c_pair(g.a), "b": _c_pair(g.b)})
-            cur = transform_problem(g, cur)
 
     cur, s = normalize_problem(cur)
     transcript.append({"kind": "normalize", "s": _matrix_pairs(s)})
 
     # rotate the rank-one B into top-row form; the second row of the gauge
     # spans the left null space of B
-    u_svd, sing, _ = np.linalg.svd(cur.B)
-    if sing[0] <= 1e-9:
-        raise NotGenericError("B vanished during standardization")
-    w = u_svd[:, 0]
-    nvec = u_svd[:, 1]
-    w, nvec = fix_phase(w), fix_phase(nvec)
+    u_svd = np.linalg.svd(cur.B)[0]
+    w, nvec = fix_phase(u_svd[:, 0]), fix_phase(u_svd[:, 1])
     u = np.vstack([w.conj(), nvec.conj()])
     m = u @ cur.B @ u.conj().T
     if abs(m[0, 1]) > 1e-9:
@@ -278,10 +283,6 @@ def standardize_p2(problem: NchoProblem):
     transcript.append({"kind": "gauge", "u": _matrix_pairs(u)})
     cur = gauge_problem(u, cur)
 
-    b1 = cur.B[0, 0]
-    b2 = cur.B[0, 1]
-    if abs(b1) <= 1e-9:
-        raise NotGenericError("standard form requires b1 != 0")
-    if 2.0 * abs(b1) + abs(b2) ** 2 >= 1.0:
-        raise PositivityError("standard-form inequality 2|b1| + |b2|^2 < 1 failed")
+    if (reason := _standard_form_violation(cur)) is not None:
+        raise NotGenericError(f"standardization missed the standard form: {reason}")
     return cur, transcript

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import INFINITY
+from .covariance import INFINITY, _four_point, _standard_form_violation
 from .errors import ContractViolation, PositivityError
 from .linalg import as_matrix
 from .pencil import NchoProblem
@@ -92,20 +92,6 @@ class HeunParameters:
         return num / ((z - loc["inner"]) * (z - loc["outer"]))
 
 
-def _check_standard_form(problem: NchoProblem) -> None:
-    if problem.p != 2:
-        raise ContractViolation("scalar reduction is defined for p = 2")
-    if float(np.max(np.abs(problem.A - np.eye(2)))) > 1e-8:
-        raise ContractViolation("standard form requires A = I")
-    if float(np.max(np.abs(problem.B[1, :]))) > 1e-8 * max(1.0, float(np.max(np.abs(problem.B)))):
-        raise ContractViolation("standard form requires a zero bottom row in B")
-    b1, b2 = problem.B[0, 0], problem.B[0, 1]
-    if abs(b1) <= 1e-8:
-        raise ContractViolation("standard form requires b1 != 0")
-    if 2.0 * abs(b1) + abs(b2) ** 2 >= 1.0:
-        raise ContractViolation("standard form requires 2|b1| + |b2|^2 < 1")
-
-
 def _adj(m: np.ndarray) -> np.ndarray:
     """Adjugate of a 2 x 2 matrix: m @ _adj(m) == det(m) I."""
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
@@ -135,10 +121,11 @@ def heun_like_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     Gives the 4-point Heun data when b2 = 0 (b1 must then be real), and
     otherwise the 5-point data with an apparent point at epsilon; reports
     the coalescent case (c3 = -mu/2 with b2 != 0) with epsilon and q2
-    omitted.  Raises ContractViolation where a parameter leaves the
-    floating-point range, instead of returning inf/nan.
+    omitted.  Raises ContractViolation off the standard form, with its reason,
+    and where a parameter leaves the floating-point range, not inf/nan.
     """
-    _check_standard_form(problem)
+    if (reason := _standard_form_violation(problem)) is not None:
+        raise ContractViolation(reason)
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _heun_parameters(problem, lam)
@@ -150,11 +137,9 @@ def heun_like_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
 
 def _heun_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     b1, b2 = problem.B[0, 0], problem.B[0, 1]
-    four_point = abs(b2) <= 1e-10 * max(1.0, abs(b1))
+    four_point = _four_point(b1, b2)
     if four_point:
-        if abs(b1.imag) > 1e-8 * max(1.0, abs(b1)):
-            raise ContractViolation("4-point branch requires real b1 (rotate the problem first)")
-        # real arithmetic keeps alpha and the outer pole exactly real
+        # b1 is real to 1e-8: real arithmetic keeps alpha and the outer pole exactly real
         b1 = float(b1.real)
         s, disc = 1.0, 1.0 - 4.0 * b1 * b1
     else:
@@ -164,7 +149,7 @@ def _heun_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     c = problem.c_matrix(lam)
 
     root = math.sqrt(disc)
-    # the inner root: _check_standard_form gives s > 2|b1| > 0, so disc > 0
+    # the inner root: the standard form gives s > 2|b1| > 0, so disc > 0
     # and |-s + root| < |-s - root|
     alpha = (-s + root) / (2.0 * b1)
     outer = 1.0 / np.conj(alpha)

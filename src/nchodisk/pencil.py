@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigvals
 
-from .errors import ContractViolation, DegeneratePencil, SimplePoleViolation
+from .errors import ContractViolation, DegeneratePencil, PositivityError, SimplePoleViolation
 from .linalg import as_matrix, is_hermitian
 
 __all__ = [
@@ -205,12 +205,27 @@ def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _require_positive_on_circle(problem: NchoProblem, roots) -> None:
+    """PositivityError unless M(phi) = B e^{i phi} + A + B' e^{-i phi} > 0 on the
+    circle; roots holds at least the pencil roots of modulus below 2.  As
+    M(phi) = e^{-i phi} Q(e^{i phi}), M > 0 iff M(0) = A + B + B' > 0 and no
+    root is within 1e-6 of |z| = 1 (a root there is double; QZ splits it by ~sqrt(eps))."""
+    for z in roots:
+        if abs(abs(z) - 1.0) <= 1e-6:
+            raise PositivityError(f"pencil pole {complex(z)} sits on the unit circle")
+    least = float(np.linalg.eigvalsh(problem.A + problem.B + problem.B.conj().T)[0])
+    if not least > 0.0:
+        raise PositivityError(f"A + B + B' is not positive definite (least eigenvalue {least:.3e})")
+
+
 def _inner_pole_radius(problem: NchoProblem) -> float:
-    """Largest modulus of the pencil roots inside the unit disk, 0.0 when
-    every one is 0 (B = 0), from the QZ of the linearization alone."""
+    """Largest modulus of the pencil roots inside the unit disk, 0.0 when every
+    one is 0 (B = 0), from one QZ, whose roots _require_positive_on_circle checks."""
     alpha, beta = _linearization_eigvals(problem.A, problem.B)
-    inner = np.abs(alpha) < np.abs(beta)
-    return float(np.max(np.abs(alpha[inner] / beta[inner]), initial=0.0))
+    near = np.abs(alpha) < 2.0 * np.abs(beta)
+    roots = alpha[near] / beta[near]
+    _require_positive_on_circle(problem, roots)
+    return float(np.max(np.abs(roots[np.abs(roots) < 1.0]), initial=0.0))
 
 
 def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:

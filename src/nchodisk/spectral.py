@@ -19,7 +19,6 @@ from .errors import (
     ContinuationError,
     ContractViolation,
     ConvergenceError,
-    PositivityError,
     RefinementError,
 )
 from .fuchsian import build_fuchsian
@@ -30,6 +29,7 @@ from .pencil import (
     PencilDecomposition,
     _check_tol,
     _inner_pole_radius,
+    _require_positive_on_circle,
     decompose_pencil,
 )
 
@@ -174,7 +174,8 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     r^m, r the largest inner pole modulus.  The doubling starts at the
     largest of 64, the least order holding count eigenvalues and
     ceil(log tol / log r) capped at _MAX_ORDER // 2; the last is left out
-    when r = 0 (B = 0), tol = 0 or tol >= 1."""
+    when r = 0 (B = 0), tol = 0 or tol >= 1.  Finding r refuses a problem
+    not positive on the circle (PositivityError) before any band is built."""
     start = max(64, -(-count // problem.p))
     r = _inner_pole_radius(problem)
     if r > 0 and 0 < tol < 1:
@@ -272,9 +273,7 @@ def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _Connect
     straight legs all stay out of the disks the other inner poles' matching
     radii can fill is taken, failing that the one whose legs come least
     close: a leg through a pole would never reach its matching point."""
-    for al in dec.poles:
-        if abs(abs(al) - 1.0) < 1e-6:
-            raise PositivityError(f"pencil pole {al} sits on the unit circle")
+    _require_positive_on_circle(problem, dec.poles)
     poles = np.array(dec.poles, dtype=complex)
     inner = np.flatnonzero(np.abs(poles) < 1.0)
     nonzero = np.abs(poles[inner][poles[inner] != 0])

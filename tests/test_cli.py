@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_diff, random_problem
 
-from nchodisk import SchemaError, cli, pencil, spectral
+from nchodisk import SchemaError, cli, heun_like_parameters, pencil, spectral
 from nchodisk.cli import main, parse_problem
 
 SQ3 = math.sqrt(3.0)
@@ -652,8 +653,13 @@ def _strict_json(text):
         (["positivity", "classical_eta01_mu15", "--grid-size", "100000000000000000000"],
          "grid_size must be from 64 to 65536"),
         (["verify-pencil", "p1_quarter", "--tol", "-1"], "tol must be non-negative and finite"),
+        (["eigenfunction", "p1_quarter", "--samples", "100001"],
+         "samples must be from 1 to 100000"),
+        (["eigenfunction", "p1_quarter", "--samples", "100000000000000000000"],
+         "samples must be from 1 to 100000"),
     ],
-    ids=["heun-lambda-1e155", "heun-lambda-1e300", "grid-65537", "grid-1e20", "verify-tol-neg"],
+    ids=["heun-lambda-1e155", "heun-lambda-1e300", "grid-65537", "grid-1e20", "verify-tol-neg",
+         "samples-100001", "samples-1e20"],
 )
 def test_out_of_range_values_exit_3_with_strict_json(capsys, argv, message):
     # under pytest's warnings-as-errors, as from a shell: no RuntimeWarning
@@ -730,3 +736,124 @@ def test_import_does_not_load_scipy_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def _problem_file(tmp_path, name, a, b):
+    """A problem file with the given A and B, C0 = 0 and mu = 1."""
+    a, b = np.atleast_2d(a).astype(complex), np.atleast_2d(b).astype(complex)
+
+    def pairs(m):
+        return [[[v.real, v.imag] for v in row] for row in m]
+
+    path = tmp_path / f"{name}.json"
+    node = {"p": len(a), "mu": 1.0, "A": pairs(a), "B": pairs(b), "C0": pairs(0 * a)}
+    path.write_text(json.dumps(node))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("unit_circle_p1", "sits on the unit circle"),
+        ("p1_b06", "sits on the unit circle"),
+        ("p2_a_negative", "A + B + B' is not positive definite (least eigenvalue -8.000e-01)"),
+    ],
+)
+def test_a_problem_not_positive_on_the_circle_is_refused_before_any_band(
+    capsys, monkeypatch, tmp_path, case, message
+):
+    # a root on the unit circle (B = 0.7 or 0.6, A = 1) or A + B + B' < 0:
+    # no band is built, where the truncation once divided by log 1 or ran to
+    # its order cap
+    paths = {
+        "unit_circle_p1": str(FIXTURES / "unit_circle_p1.json"),
+        "p1_b06": _problem_file(tmp_path, "p1_b06", 1.0, 0.6),
+        "p2_a_negative": _problem_file(tmp_path, "p2_a_negative", -np.eye(2), 0.1 * np.eye(2)),
+    }
+    built = []
+    real = spectral.build_truncated
+    monkeypatch.setattr(spectral, "build_truncated", lambda *a: built.append(1) or real(*a))
+    for argv in (["spectrum", "--method", "trunc"], ["spectrum", "--method", "connect"],
+                 ["eigenfunction"]):
+        code, out = run_cli(capsys, [argv[0], paths[case], *argv[1:]])
+        assert code == 4
+        err = _strict_json(out)["error"]
+        assert err["class"] == "PositivityError" and message in err["message"]
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "a,b,message",
+    [
+        (-np.eye(2), 0.1 * np.eye(2),
+         "A + B + B' is not positive definite (least eigenvalue -8.000e-01)"),
+        (np.eye(2), np.diag([0.7, 0.1]), "sits on the unit circle"),
+    ],
+    ids=["a-plus-b-negative", "unimodular-root"],
+)
+def test_standardize_refuses_a_problem_not_positive_on_the_circle(capsys, tmp_path, a, b, message):
+    code, out = run_cli(capsys, ["standardize", _problem_file(tmp_path, "p2", a, b)])
+    assert code == 4
+    err = _strict_json(out)["error"]
+    assert err["class"] == "PositivityError" and message in err["message"]
+
+
+def test_heun_params_standardizes_exactly_when_the_problem_is_not_in_standard_form(
+    capsys, monkeypatch, tmp_path
+):
+    calls = []
+    real = cli.standardize_p2
+    monkeypatch.setattr(cli, "standardize_p2", lambda prob: calls.append(1) or real(prob))
+    std, _ = real(parse_problem(str(FIXTURES / "classical_eta01_mu15.json"))[0])
+    path = tmp_path / "standard.json"
+    path.write_text(json.dumps(cli._serial_problem(std)))
+
+    code, out = run_cli(capsys, ["heun-params", str(path), "--lambda", "3"])
+    assert code == 0 and calls == []
+    payload = json.loads(out)
+    params = heun_like_parameters(std, 3.0)
+    assert payload["standardized"] is False
+    assert payload["n_singularities"] == params.n_singularities
+    for key in ("alpha", "kappa0", "kappa1", "q1"):
+        assert payload[key] == [getattr(params, key).real, getattr(params, key).imag]
+
+    # the overflow is reported as it is, with no standardization first
+    code, out = run_cli(capsys, ["heun-params", str(path), "--lambda", "1e155"])
+    assert (code, calls) == (3, [])
+    assert out == json.dumps({"error": {"type": "contract", "message":
+        "the Heun parameters overflow at lambda = 1e+155; take a smaller lambda"}}) + "\n"
+
+    # standard form but for a complex b1 on the b2 = 0 branch: standardized
+    complex_b1 = _problem_file(tmp_path, "complex_b1", np.eye(2), np.diag([0.2j, 0.0]))
+    code, out = run_cli(capsys, ["heun-params", complex_b1, "--lambda", "0.3"])
+    assert code == 0 and calls == [1]
+    assert json.loads(out)["standardized"] is True
+
+
+_SWEEP = [
+    ["verify-pencil"],
+    ["positivity"],
+    ["standardize"],
+    ["fuchsian", "--lambda", "0.5"],
+    ["heun-params", "--lambda", "0.5"],
+    ["spectrum", "--method", "both"],
+    ["eigenfunction"],
+]
+
+
+def test_every_command_on_every_fixture_exits_with_a_code_and_parseable_output(capsys):
+    # under warnings-as-errors: no exception and no warning leaves main
+    start = time.perf_counter()
+    for path in sorted(FIXTURES.glob("*.json")):
+        for argv in _SWEEP:
+            code, out = run_cli(capsys, [argv[0], str(path), *argv[1:]])
+            assert code in (0, 2, 3, 4), (path.name, argv)
+            if code == 0 and argv[0] == "eigenfunction":
+                header, *rows = out.splitlines()
+                assert header.startswith("t,") and rows
+                assert all(len([float(x) for x in row.split(",")]) == header.count(",") + 1
+                           for row in rows)
+            else:
+                payload = _strict_json(out)
+                assert (code == 0) == ("error" not in payload), (path.name, argv)
+    assert time.perf_counter() - start < 3.0

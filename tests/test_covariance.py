@@ -275,27 +275,34 @@ def test_standardize_transcript_replay_and_inverse():
 
 def test_standardize_rotates_a_three_root_inner_pole_onto_the_positive_axis():
     # singular B whose inner pole lies off the positive real axis: the
-    # three-root case opens the transcript with a rotation
-    b = 0.3 * np.exp(0.7j) * np.outer([1.0, 0.4j], [1.0, -0.3])
+    # three-root case opens the transcript with a rotation.  A real inner
+    # pole already on the positive axis needs none, and none is recorded.
     c0 = np.array([[0.1, 0.05j], [-0.05j, -0.2]])
-    prob = NchoProblem(p=2, mu=1.2, A=np.diag([1.3, 0.9]), B=b, C0=c0)
-    dec = decompose_pencil(prob)
-    assert dec.zero_is_pole and len(dec.poles) == 3
-    inner = [al for al in dec.poles if al != 0 and abs(al) < 1]
-    assert abs(inner[0].imag) > 1e-3
+    cases = [
+        (0.3 * np.exp(0.7j) * np.outer([1.0, 0.4j], [1.0, -0.3]),
+         ["mobius", "normalize", "gauge"], [0.0, 0.254238, 3.933321]),
+        (-0.3 * np.outer([1.0, 0.4], [1.0, -0.3]),
+         ["normalize", "gauge"], [0.0, 0.206712, 4.837643]),
+    ]
+    for b, kinds, moduli in cases:
+        prob = NchoProblem(p=2, mu=1.2, A=np.diag([1.3, 0.9]), B=b, C0=c0)
+        dec = decompose_pencil(prob)
+        assert dec.zero_is_pole and len(dec.poles) == 3
+        inner = [al for al in dec.poles if al != 0 and abs(al) < 1]
+        assert (abs(inner[0].imag) > 1e-3) == (kinds[0] == "mobius")
 
-    std, transcript = standardize_p2(prob)
-    assert [step["kind"] for step in transcript] == ["mobius", "normalize", "gauge"]
-    std_poles = decompose_pencil(std).poles
-    assert np.allclose(sorted(abs(al) for al in std_poles), [0.0, 0.254238, 3.933321], atol=1e-6)
-    inner = [al for al in std_poles if al != 0 and abs(al) < 1]
-    assert len(inner) == 1 and abs(inner[0].imag) < 1e-9 and inner[0].real > 0
-    replay = apply_transcript(prob, transcript)
-    for f in ("A", "B", "C0", "lam_coeff"):
-        assert np.array_equal(getattr(replay, f), getattr(std, f))
-    back = apply_transcript(std, inverse_transcript(transcript))
-    for f in ("A", "B", "C0", "lam_coeff"):
-        assert np.max(np.abs(getattr(back, f) - getattr(prob, f))) < 1e-10
+        std, transcript = standardize_p2(prob)
+        assert [step["kind"] for step in transcript] == kinds
+        std_poles = decompose_pencil(std).poles
+        assert np.allclose(sorted(abs(al) for al in std_poles), moduli, atol=1e-6)
+        inner = [al for al in std_poles if al != 0 and abs(al) < 1]
+        assert len(inner) == 1 and abs(inner[0].imag) < 1e-9 and inner[0].real > 0
+        replay = apply_transcript(prob, transcript)
+        for f in ("A", "B", "C0", "lam_coeff"):
+            assert np.array_equal(getattr(replay, f), getattr(std, f))
+        back = apply_transcript(std, inverse_transcript(transcript))
+        for f in ("A", "B", "C0", "lam_coeff"):
+            assert np.max(np.abs(getattr(back, f) - getattr(prob, f))) < 1e-10
 
 
 def test_standardize_random_properties():

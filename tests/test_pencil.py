@@ -4,22 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, random_hermitian, random_problem
+from conftest import FIXTURES, NOT_POSITIVE_FIXTURES, random_hermitian, random_problem
 
 from nchodisk import (
     ContractViolation,
     DegeneratePencil,
     NchoProblem,
+    PositivityError,
     SchemaError,
     SimplePoleViolation,
     a123_from_ab,
     ab_from_a123,
+    connection_matrix,
     decompose_pencil,
     decompose_quadratic_pencil,
     mu_from_harmonic,
     pencil_kernel,
     positivity_margin,
     standard_ncho_problem,
+    standardize_p2,
     verify_pencil_identities,
 )
 from nchodisk.cli import parse_problem
@@ -466,7 +469,11 @@ def test_inner_pole_radius_is_the_largest_inner_pole(monkeypatch):
     qz = []
     real = pencil._linearization_eigvals
     monkeypatch.setattr(pencil, "_linearization_eigvals", lambda a, b: qz.append(1) or real(a, b))
-    for prob in [*_fixture_problems().values(), *randoms]:
+    fixtures = _fixture_problems()
+    for name in NOT_POSITIVE_FIXTURES:
+        with pytest.raises(PositivityError, match="sits on the unit circle"):
+            _inner_pole_radius(fixtures.pop(name))
+    for prob in [*fixtures.values(), *randoms]:
         qz.clear()
         radius = _inner_pole_radius(prob)
         inner = [abs(al) for al in decompose_pencil(prob).poles if abs(al) < 1.0]
@@ -474,6 +481,39 @@ def test_inner_pole_radius_is_the_largest_inner_pole(monkeypatch):
         assert abs(radius - max(inner)) <= 1e-12
     b_zero = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
     assert _inner_pole_radius(b_zero) == 0.0
+
+
+def test_positivity_rule_refuses_exactly_the_problems_not_positive_on_the_circle():
+    # M(phi) = e^{-i phi} Q(e^{i phi}): M > 0 on the circle iff no pencil root
+    # is unimodular and M(0) = A + B + B' > 0, decided by one rule for the
+    # truncation, the connection plan and standardize_p2
+    def p1(b):
+        return NchoProblem(p=1, mu=1.0, A=[[1.0]], B=[[b]], C0=[[0.0]])
+
+    # b = -2 fails M(0) too
+    for b in (0.6, 0.7, 0.7j, -2.0):
+        for solve in (_inner_pole_radius, lambda prob: connection_matrix(prob, 1.0)):
+            with pytest.raises(PositivityError, match="sits on the unit circle"):
+                solve(p1(b))
+    # b = 0.5: the double root -1, which QZ splits by about 1e-8; the
+    # decomposition refuses this Jordan root before the connection plan
+    with pytest.raises(PositivityError, match="sits on the unit circle"):
+        _inner_pole_radius(p1(0.5))
+    eye = np.eye(2)
+    unimodular = NchoProblem(p=2, mu=1.0, A=eye, B=np.diag([0.7, 0.1]), C0=0 * eye)
+    with pytest.raises(PositivityError, match="sits on the unit circle"):
+        standardize_p2(unimodular)
+    for prob in (
+        NchoProblem(p=2, mu=1.0, A=-eye, B=0.1 * eye, C0=0 * eye),
+        NchoProblem(p=2, mu=1.0, A=np.diag([1.0, -1.0]), B=0 * eye, C0=0 * eye),
+    ):
+        for solve in (_inner_pole_radius, standardize_p2, lambda x: connection_matrix(x, 1.0)):
+            with pytest.raises(PositivityError, match=r"A \+ B \+ B' is not positive definite"):
+                solve(prob)
+    # positive, with a root 2.8e-5 from the circle, and the ladder at
+    # beta gamma = 1.0001, whose inner poles lie 0.0099 from it
+    assert 1.0 - 3e-5 < _inner_pole_radius(p1(0.5 - 1e-10)) < 1.0
+    assert 0.98 < _inner_pole_radius(standard_ncho_problem(2.0, 1.0001 / 2.0, 0.1, 1.5)) < 0.995
 
 
 def _pointwise_reconstruction_residual(a, b, poles, residues, rng):

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig_banded
 from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
 
-from conftest import FIXTURES, random_hermitian, random_problem, scalar_closed_eigenvalue
+from conftest import (
+    FIXTURES,
+    NOT_POSITIVE_FIXTURES,
+    random_hermitian,
+    random_problem,
+    scalar_closed_eigenvalue,
+)
 
 from nchodisk import (
     ContractViolation,
@@ -134,7 +140,7 @@ def _fixture_problems():
     return [
         parse_problem(str(path))[0]
         for path in sorted(FIXTURES.glob("*.json"))
-        if not path.name.startswith("bad_")
+        if not path.name.startswith("bad_") and path.stem not in NOT_POSITIVE_FIXTURES
     ]
 
 
