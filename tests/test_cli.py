@@ -587,20 +587,20 @@ def test_bad_input_exits_2_with_a_schema_error(capsys, tmp_path, content, extra,
     assert err["path"] == (str(problem) if path == "file" else path)
 
 
+# every command that reads a problem file, with the options it needs
+_EVERY_COMMAND = [
+    ["verify-pencil"],
+    ["positivity"],
+    ["standardize"],
+    ["fuchsian", "--lambda", "0.5"],
+    ["heun-params", "--lambda", "0.5"],
+    ["spectrum", "--method", "both"],
+    ["eigenfunction"],
+]
+
+
 @pytest.mark.parametrize("field", ["A", "B", "C0"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify-pencil"],
-        ["positivity"],
-        ["standardize"],
-        ["fuchsian", "--lambda", "0.5"],
-        ["heun-params", "--lambda", "0.5"],
-        ["spectrum", "--method", "both"],
-        ["eigenfunction"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
 def test_huge_entries_exit_with_an_error_not_a_traceback(capsys, tmp_path, field, argv):
     # 1e308 is finite, but the pencil at |z| > 1.8, the norms of its
     # linearization and the truncated band overflow on it
@@ -830,22 +830,11 @@ def test_heun_params_standardizes_exactly_when_the_problem_is_not_in_standard_fo
     assert json.loads(out)["standardized"] is True
 
 
-_SWEEP = [
-    ["verify-pencil"],
-    ["positivity"],
-    ["standardize"],
-    ["fuchsian", "--lambda", "0.5"],
-    ["heun-params", "--lambda", "0.5"],
-    ["spectrum", "--method", "both"],
-    ["eigenfunction"],
-]
-
-
 def test_every_command_on_every_fixture_exits_with_a_code_and_parseable_output(capsys):
     # under warnings-as-errors: no exception and no warning leaves main
     start = time.perf_counter()
     for path in sorted(FIXTURES.glob("*.json")):
-        for argv in _SWEEP:
+        for argv in _EVERY_COMMAND:
             code, out = run_cli(capsys, [argv[0], str(path), *argv[1:]])
             assert code in (0, 2, 3, 4), (path.name, argv)
             if code == 0 and argv[0] == "eigenfunction":
