@@ -11,13 +11,7 @@ import numpy as np
 
 from .errors import ContractViolation, NotGenericError, SimplePoleViolation
 from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_unitary
-from .pencil import (
-    NchoProblem,
-    _require_positive_on_circle,
-    decompose_pencil,
-    pole_angle,
-    pole_order_key,
-)
+from .pencil import NchoProblem, _inner_pole_radius, decompose_pencil, pole_angle, pole_order_key
 
 __all__ = [
     "INFINITY",
@@ -245,20 +239,18 @@ def standardize_p2(problem: NchoProblem):
     """
     if problem.p != 2:
         raise ContractViolation("standardization is defined for p = 2")
+    _inner_pole_radius(problem)
     try:
-        dec = decompose_pencil(problem)
+        poles = decompose_pencil(problem).poles
     except SimplePoleViolation as exc:
         raise NotGenericError(f"repeated pencil root: {exc}") from exc
-    _require_positive_on_circle(problem, dec.poles)
-    poles = dec.poles
     if len(poles) < 3:
         raise NotGenericError(
             f"determinant has {len(poles)} distinct roots; standardization needs at least 3"
         )
-    inner = sorted((al for al in poles if abs(al) < 1.0), key=pole_order_key)
-    if len(inner) != 2:
-        raise NotGenericError("expected two pencil poles inside the unit disk")
-    beta, gamma = inner
+    # positive on the circle, the poles pair off across it: 3 or 4 of them
+    # leave exactly two inside
+    beta, gamma = sorted((al for al in poles if abs(al) < 1.0), key=pole_order_key)
     alpha_pre = mobius_apply(Su11Element.sending_to_zero(beta), gamma)
     g = Su11Element.sending_to_zero(beta, rotation=-0.5 * pole_angle(alpha_pre))
 

@@ -5,6 +5,7 @@ Rabi / Jaynes-Cummings data."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,10 +39,12 @@ __all__ = [
 class HeunParameters:
     """Scalar-equation data for a standard-form p = 2 problem at fixed lambda.
 
-    n_singularities is 5 (generic, with an apparent point at epsilon) or 4
-    (the B = B' branch, plain Heun).  scheme maps each singularity label to
-    its pair of characteristic exponents; the coefficients p and q and the
-    apparent-point check are read off scheme and singular_locations.
+    n_singularities is the number of points in scheme: 5 (generic, with an
+    apparent point at epsilon) or 4 (the B = B' branch, plain Heun, and the
+    coalescent case, whose apparent point has merged with infinity).  scheme
+    maps each singularity label to its pair of characteristic exponents; the
+    coefficients p and q and the apparent-point check are read off scheme and
+    singular_locations.
     """
 
     alpha: complex
@@ -63,8 +66,6 @@ class HeunParameters:
     def _p_residues(self) -> list[tuple[str, complex, complex]]:
         """(label, location, residue of p) at each finite singular point;
         by the Fuchs relation the residue is 1 - e1 - e2."""
-        if self.coalescent:
-            raise ContractViolation("coalescent case has no closed coefficient form")
         return [
             (k, self.singular_locations[k], 1.0 - e1 - e2)
             for k, (e1, e2) in self.scheme.items()
@@ -83,8 +84,6 @@ class HeunParameters:
 
     def coefficient_q(self, z: complex) -> complex:
         """Zero-order coefficient of f'' + p f' + q f = 0."""
-        if self.coalescent:
-            raise ContractViolation("coalescent case has no closed coefficient form")
         num = self._q_numerator(z)
         if self.epsilon is not None:
             num += self.q2 / (z - self.epsilon)
@@ -119,10 +118,11 @@ def heun_like_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
     standard-form system at the given lambda.
 
     Gives the 4-point Heun data when b2 = 0 (b1 must then be real), and
-    otherwise the 5-point data with an apparent point at epsilon; reports
-    the coalescent case (c3 = -mu/2 with b2 != 0) with epsilon and q2
-    omitted.  Raises ContractViolation off the standard form, with its reason,
-    and where a parameter leaves the floating-point range, not inf/nan.
+    otherwise the 5-point data with an apparent point at epsilon; in the
+    coalescent case (c3 = -mu/2 with b2 != 0) that point has merged with
+    infinity, which leaves 4 points and omits epsilon and q2.  Raises
+    ContractViolation off the standard form, with its reason, and where a
+    parameter leaves the floating-point range, not inf/nan.
     """
     if (reason := _standard_form_violation(problem)) is not None:
         raise ContractViolation(reason)
@@ -173,14 +173,22 @@ def _heun_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
         )
 
     if four_point:
-        outer_exp, infinity_exp = -kappa1 - mu / 2, 1.0 - kappa0 + mu / 2
+        outer_exp, at_infinity = -kappa1 - mu / 2, (complex(mu), 1.0 - kappa0 + mu / 2)
     else:
-        outer_exp, infinity_exp = -np.conj(kappa1) - mu / 2, -np.conj(kappa0) + mu / 2
+        outer_exp = -np.conj(kappa1) - mu / 2
+        at_infinity = (complex(mu), -np.conj(kappa0) + mu / 2)
+    if coalescent:
+        # the apparent point has merged with infinity: there the exponent sum
+        # rises by 1 and the product by mu + b2 c21 / b1
+        total = sum(at_infinity) + 1.0
+        product = at_infinity[0] * at_infinity[1] + mu + b2 * c[1, 0] / b1
+        split = cmath.sqrt(total * total - 4.0 * product)
+        at_infinity = ((total + split) / 2.0, (total - split) / 2.0)
     scheme = {
         "zero": (0.0 + 0.0j, 1.0 + kappa0 - mu / 2),
         "inner": (0.0 + 0.0j, kappa1 - mu / 2),
         "outer": (0.0 + 0.0j, outer_exp),
-        "infinity": (complex(mu), infinity_exp),
+        "infinity": at_infinity,
     }
     locations = {
         "zero": 0.0 + 0.0j,
@@ -200,7 +208,7 @@ def _heun_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
         q1=q1,
         epsilon=epsilon,
         q2=q2,
-        n_singularities=4 if four_point else 5,
+        n_singularities=len(scheme),
         scheme=scheme,
         singular_locations=locations,
         coalescent=coalescent,
@@ -210,7 +218,7 @@ def _heun_parameters(problem: NchoProblem, lam: complex) -> HeunParameters:
 def heun_equation_4pt(problem: NchoProblem, lam: complex) -> HeunParameters:
     """Plain Heun data for the B = B' branch (b2 = 0, b1 real)."""
     params = heun_like_parameters(problem, lam)
-    if params.n_singularities != 4:
+    if not _four_point(problem.B[0, 0], problem.B[0, 1]):
         raise ContractViolation("b2 != 0: use heun_like_parameters")
     return params
 

@@ -197,34 +197,33 @@ def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
     [[0, I], [-B', -A]] - z [[I, 0], [0, B]] of the pencil (QZ): its 2p
     roots are alpha / beta, infinite where beta = 0."""
     p = a.shape[0]
-    eye, zero = np.eye(p), np.zeros((p, p))
-    return eigvals(
-        np.block([[zero, eye], [-b.conj().T, -a]]),
-        np.block([[eye, zero], [zero, b]]),
-        homogeneous_eigvals=True,
-    )
+    lhs = np.zeros((2 * p, 2 * p), dtype=complex)
+    rhs = np.zeros((2 * p, 2 * p), dtype=complex)
+    lhs[:p, p:] = rhs[:p, :p] = np.eye(p)
+    lhs[p:, :p] = -b.conj().T
+    lhs[p:, p:] = -a
+    rhs[p:, p:] = b
+    return eigvals(lhs, rhs, homogeneous_eigvals=True)
 
 
-def _require_positive_on_circle(problem: NchoProblem, roots) -> None:
-    """PositivityError unless M(phi) = B e^{i phi} + A + B' e^{-i phi} > 0 on the
-    circle; roots holds at least the pencil roots of modulus below 2.  As
-    M(phi) = e^{-i phi} Q(e^{i phi}), M > 0 iff M(0) = A + B + B' > 0 and no
-    root is within 1e-6 of |z| = 1 (a root there is double; QZ splits it by ~sqrt(eps))."""
+def _inner_pole_radius(problem: NchoProblem) -> float:
+    """Largest modulus of the pencil roots inside the unit disk, 0.0 when every
+    one is 0 (B = 0), from one QZ; the one positivity rule, which every solver
+    that needs it runs before it decomposes the pencil.
+
+    PositivityError unless M(phi) = B e^{i phi} + A + B' e^{-i phi} > 0 on the
+    circle.  As M(phi) = e^{-i phi} Q(e^{i phi}), M > 0 iff no root is within
+    1e-6 of |z| = 1 (a root there is double; QZ splits it by ~sqrt(eps)) and
+    M(0) = A + B + B' > 0."""
+    alpha, beta = _linearization_eigvals(problem.A, problem.B)
+    near = np.abs(alpha) < 2.0 * np.abs(beta)
+    roots = alpha[near] / beta[near]
     for z in roots:
         if abs(abs(z) - 1.0) <= 1e-6:
             raise PositivityError(f"pencil pole {complex(z)} sits on the unit circle")
     least = float(np.linalg.eigvalsh(problem.A + problem.B + problem.B.conj().T)[0])
     if not least > 0.0:
         raise PositivityError(f"A + B + B' is not positive definite (least eigenvalue {least:.3e})")
-
-
-def _inner_pole_radius(problem: NchoProblem) -> float:
-    """Largest modulus of the pencil roots inside the unit disk, 0.0 when every
-    one is 0 (B = 0), from one QZ, whose roots _require_positive_on_circle checks."""
-    alpha, beta = _linearization_eigvals(problem.A, problem.B)
-    near = np.abs(alpha) < 2.0 * np.abs(beta)
-    roots = alpha[near] / beta[near]
-    _require_positive_on_circle(problem, roots)
     return float(np.max(np.abs(roots[np.abs(roots) < 1.0]), initial=0.0))
 
 

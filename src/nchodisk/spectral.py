@@ -24,14 +24,7 @@ from .errors import (
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
 from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
-from .pencil import (
-    NchoProblem,
-    PencilDecomposition,
-    _check_tol,
-    _inner_pole_radius,
-    _require_positive_on_circle,
-    decompose_pencil,
-)
+from .pencil import NchoProblem, _check_tol, _inner_pole_radius, decompose_pencil
 
 __all__ = [
     "SpectrumResult",
@@ -264,16 +257,18 @@ class _ConnectionPlan:
     steps: list[tuple[complex, complex]]
 
 
-def _connection_plan(problem: NchoProblem, dec: PencilDecomposition) -> _ConnectionPlan:
+def _connection_plan(problem: NchoProblem) -> _ConnectionPlan:
     """Base point, matching points and transport steps of the row matrix,
-    from the pencil decomposition alone.  The candidate base points are 0
+    from the pencil decomposition alone, once the positivity rule
+    (_inner_pole_radius) has passed.  The candidate base points are 0
     when 0 is regular, then 16 points on the circle of half the least
     nonzero inner pole modulus (radius 0.5 when 0 is the only inner pole,
     as with B = 0), farthest from the poles first.  The first whose
     straight legs all stay out of the disks the other inner poles' matching
     radii can fill is taken, failing that the one whose legs come least
     close: a leg through a pole would never reach its matching point."""
-    _require_positive_on_circle(problem, dec.poles)
+    _inner_pole_radius(problem)
+    dec = decompose_pencil(problem)
     poles = np.array(dec.poles, dtype=complex)
     inner = np.flatnonzero(np.abs(poles) < 1.0)
     nonzero = np.abs(poles[inner][poles[inner] != 0])
@@ -364,7 +359,7 @@ def connection_matrix(problem: NchoProblem, lam: complex) -> np.ndarray:
     rank(P_k) rows, the single-valuedness deficit of the transported frame
     once around alpha_k (see _row_matrices); for p = 1 the one entry is
     sin(pi rho) times a unit phase."""
-    return _row_matrices(_connection_plan(problem, decompose_pencil(problem)), [lam])[0]
+    return _row_matrices(_connection_plan(problem), [lam])[0]
 
 
 def spectrum_connection(
@@ -384,7 +379,7 @@ def spectrum_connection(
     to the nearest other seed from its own seed (seeds closer than its
     delta count as one) is refused: it may have left for another root."""
     _check_tol(tol)
-    plan = _connection_plan(problem, decompose_pencil(problem))
+    plan = _connection_plan(problem)
     start = np.array(seeds.eigenvalues, dtype=float)
     if not start.size:
         return SpectrumResult(start, start.copy(), seeds.orders)

@@ -15,7 +15,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 # fixtures that parse but whose symbol B z + A + B' conj(z) is not positive
 # on the unit circle: every solver refuses them with PositivityError
-NOT_POSITIVE_FIXTURES = ("unit_circle_p1",)
+NOT_POSITIVE_FIXTURES = ("jordan_circle_p2", "unit_circle_p1")
 
 
 def random_hermitian(rng, p, scale=1.0):
@@ -90,6 +90,54 @@ def laurent_coefficients(fn, center, radius, orders, npts=64):
             np.mean(vals * (radius * np.exp(2j * np.pi * k / npts)) ** (-n))
         )
     return out
+
+
+def _indicial_roots(p_res, q_res2):
+    # x(x-1) + p_res x + q_res2 = 0
+    b = p_res - 1.0
+    disc = np.sqrt(b * b - 4.0 * q_res2 + 0j)
+    return sorted(((-b + disc) / 2.0, (-b - disc) / 2.0), key=lambda z: (z.real, z.imag))
+
+
+def scheme_vs_frobenius(problem, lam, params):
+    """Largest distance between the Riemann scheme of params and the
+    indicial roots at each of its points, infinity included, read off the
+    Laurent coefficients of the eliminated scalar coefficients."""
+    worst = 0.0
+    finite = {
+        k: v for k, v in params.singular_locations.items() if k != "infinity"
+    }
+    locs = list(finite.values())
+
+    def p_fn(z):
+        return eliminated_scalar_coefficients(problem, lam, z)[0]
+
+    def q_fn(z):
+        return eliminated_scalar_coefficients(problem, lam, z)[1]
+
+    for key, s in finite.items():
+        others = [x for x in locs if x != s]
+        radius = 0.3 * min(abs(s - x) for x in others)
+        pc = laurent_coefficients(p_fn, s, radius, [-1])
+        qc = laurent_coefficients(q_fn, s, radius, [-2])
+        roots = _indicial_roots(pc[-1], qc[-2])
+        expected = sorted(params.scheme[key], key=lambda z: (complex(z).real, complex(z).imag))
+        worst = max(
+            worst, max(abs(r - e) for r, e in zip(roots, expected))
+        )
+    # at infinity: exponents solve x(x+1) - p1 x + q2 = 0 with p1 = lim z p,
+    # q2 = lim z^2 q
+    radius = 2.0 * max(abs(x) for x in locs) + 2.0
+    p1 = laurent_coefficients(lambda z: z * p_fn(z), 0.0, radius, [0])[0]
+    q2 = laurent_coefficients(lambda z: z * z * q_fn(z), 0.0, radius, [0])[0]
+    b = -(p1 - 1.0)
+    disc = np.sqrt(b * b - 4.0 * q2 + 0j)
+    roots = sorted(((-b + disc) / 2.0, (-b - disc) / 2.0), key=lambda z: (z.real, z.imag))
+    expected = sorted(
+        params.scheme["infinity"], key=lambda z: (complex(z).real, complex(z).imag)
+    )
+    worst = max(worst, max(abs(r - e) for r, e in zip(roots, expected)))
+    return worst
 
 
 def _csv_cell(text):

@@ -9,10 +9,9 @@ from scipy.special import gamma as gamma_fn, roots_genlaguerre
 
 from conftest import (
     GOLDEN,
-    eliminated_scalar_coefficients,
-    laurent_coefficients,
     random_problem,
     scalar_closed_eigenvalue,
+    scheme_vs_frobenius,
 )
 
 from nchodisk import (
@@ -210,51 +209,6 @@ def test_criterion_05_heun_route_independence():
     )
 
 
-def _indicial_roots(p_res, q_res2):
-    # x(x-1) + p_res x + q_res2 = 0
-    b = p_res - 1.0
-    disc = np.sqrt(b * b - 4.0 * q_res2 + 0j)
-    return sorted(((-b + disc) / 2.0, (-b - disc) / 2.0), key=lambda z: (z.real, z.imag))
-
-
-def _scheme_vs_frobenius(problem, lam, params):
-    worst = 0.0
-    finite = {
-        k: v for k, v in params.singular_locations.items() if k != "infinity"
-    }
-    locs = list(finite.values())
-
-    def p_fn(z):
-        return eliminated_scalar_coefficients(problem, lam, z)[0]
-
-    def q_fn(z):
-        return eliminated_scalar_coefficients(problem, lam, z)[1]
-
-    for key, s in finite.items():
-        others = [x for x in locs if x != s]
-        radius = 0.3 * min(abs(s - x) for x in others)
-        pc = laurent_coefficients(p_fn, s, radius, [-1])
-        qc = laurent_coefficients(q_fn, s, radius, [-2])
-        roots = _indicial_roots(pc[-1], qc[-2])
-        expected = sorted(params.scheme[key], key=lambda z: (complex(z).real, complex(z).imag))
-        worst = max(
-            worst, max(abs(r - e) for r, e in zip(roots, expected))
-        )
-    # at infinity: exponents solve x(x+1) - p1 x + q2 = 0 with p1 = lim z p,
-    # q2 = lim z^2 q
-    radius = 2.0 * max(abs(x) for x in locs) + 2.0
-    p1 = laurent_coefficients(lambda z: z * p_fn(z), 0.0, radius, [0])[0]
-    q2 = laurent_coefficients(lambda z: z * z * q_fn(z), 0.0, radius, [0])[0]
-    b = -(p1 - 1.0)
-    disc = np.sqrt(b * b - 4.0 * q2 + 0j)
-    roots = sorted(((-b + disc) / 2.0, (-b - disc) / 2.0), key=lambda z: (z.real, z.imag))
-    expected = sorted(
-        params.scheme["infinity"], key=lambda z: (complex(z).real, complex(z).imag)
-    )
-    worst = max(worst, max(abs(r - e) for r, e in zip(roots, expected)))
-    return worst
-
-
 def test_criterion_06_exponent_schemes():
     rng = np.random.default_rng(606)
     worst_scheme = 0.0
@@ -297,7 +251,7 @@ def test_criterion_06_exponent_schemes():
     n_five = 0
     for prob, lam in cases:
         params = heun_like_parameters(prob, lam)
-        worst_scheme = max(worst_scheme, _scheme_vs_frobenius(prob, lam, params))
+        worst_scheme = max(worst_scheme, scheme_vs_frobenius(prob, lam, params))
         target = params.n_singularities - 2
         worst_fuchs = max(worst_fuchs, abs(params.fuchs_sum() - target))
         if params.n_singularities == 5:

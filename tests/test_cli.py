@@ -66,6 +66,31 @@ def test_pole_ranks_are_decided_once_per_decomposition(capsys, monkeypatch):
         assert len(calls) == 2 + len(poles), argv
 
 
+def test_each_command_runs_the_pencil_qz_a_fixed_number_of_times(capsys, monkeypatch):
+    # one QZ per decomposition and one for the positivity rule, which every
+    # solver that needs it runs first: the truncation, the connection plan and
+    # standardize_p2 (heun-params standardizes this non-standard fixture)
+    calls = []
+    real = pencil._linearization_eigvals
+    monkeypatch.setattr(pencil, "_linearization_eigvals", lambda a, b: calls.append(1) or real(a, b))
+    path = str(FIXTURES / "classical_eta01_mu15.json")
+    expected = [
+        (["verify-pencil"], 1),
+        (["fuchsian", "--lambda", "0.5"], 1),
+        (["spectrum", "--method", "trunc"], 1),
+        (["eigenfunction"], 1),
+        (["standardize"], 2),
+        (["heun-params", "--lambda", "0.5"], 2),
+        (["spectrum", "--method", "connect"], 3),
+        (["spectrum", "--method", "both"], 3),
+        (["positivity"], 0),
+    ]
+    for argv, count in expected:
+        calls.clear()
+        code, _ = run_cli(capsys, [argv[0], path, *argv[1:]])
+        assert (code, len(calls)) == (0, count), argv
+
+
 def test_parse_p1_fixture():
     prob, extras = parse_problem(str(FIXTURES / "p1_quarter.json"))
     assert prob.p == 1 and prob.mu == 0.5
@@ -796,6 +821,27 @@ def test_standardize_refuses_a_problem_not_positive_on_the_circle(capsys, tmp_pa
     assert code == 4
     err = _strict_json(out)["error"]
     assert err["class"] == "PositivityError" and message in err["message"]
+
+
+def test_a_jordan_root_on_the_circle_is_a_positivity_error_for_every_solver(capsys):
+    # p = 2, A = I, B = diag(0.5, 0.1): the root -1 is a Jordan double root, so
+    # M(pi) is singular with M >= 0.  The solvers that need positivity refuse
+    # it by the rule before they decompose; verify-pencil and fuchsian do not
+    # need it and refuse the pole of order 2
+    path = str(FIXTURES / "jordan_circle_p2.json")
+    positivity = json.dumps({"error": {"type": "solver", "class": "PositivityError",
+                                       "message": "pencil pole (-1+0j) sits on the unit circle"}})
+    double_pole = json.dumps({"error": {"type": "solver", "class": "SimplePoleViolation", "message":
+        "2 pencil eigenvalues at (-1.0000000000000002+0j) but ker Q(alpha) has dimension 1; "
+        "the reduction assumes order-1 poles"}})
+    for argv, expected in (
+        (["standardize"], positivity),
+        (["heun-params", "--lambda", "0.5"], positivity),
+        (["spectrum", "--method", "connect"], positivity),
+        (["verify-pencil"], double_pole),
+        (["fuchsian", "--lambda", "0.5"], double_pole),
+    ):
+        assert run_cli(capsys, [argv[0], path, *argv[1:]]) == (4, expected + "\n"), argv
 
 
 def test_heun_params_standardizes_exactly_when_the_problem_is_not_in_standard_form(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import eliminated_scalar_coefficients
+from conftest import eliminated_scalar_coefficients, scheme_vs_frobenius
 
 from nchodisk import (
     ContractViolation,
@@ -167,19 +167,31 @@ def test_five_point_fuchs_relation():
 
 
 def test_coalescent_case_reported():
+    # c3 = -mu/2: the apparent point merges with infinity, which leaves the
+    # 4 points of the scheme, and the exponents there must match the scalar
+    # equation's Frobenius roots
     rng = np.random.default_rng(68)
-    prob = random_standard_problem(rng, mu=1.0)
-    # arrange c3 = -mu/2 at lam = 0
-    c0 = prob.C0.copy()
-    c0[1, 1] = -0.5
-    prob = prob.with_matrices(C0=c0)
-    params = heun_like_parameters(prob, 0.0)
-    assert params.coalescent
-    assert params.epsilon is None and params.q2 is None
-    with pytest.raises(ContractViolation):
-        params.coefficient_p(0.5)
-    with pytest.raises(ContractViolation):
-        params.coefficient_q(0.5)
+    for _ in range(4):
+        prob = random_standard_problem(rng)
+        lam = float(rng.uniform(-1.0, 2.0))
+        c0 = prob.C0.copy()
+        c0[1, 1] = -0.5 * (prob.mu + lam)
+        prob = prob.with_matrices(C0=c0)
+        params = heun_like_parameters(prob, lam)
+        assert params.coalescent
+        assert params.epsilon is None and params.q2 is None
+        assert params.n_singularities == len(params.scheme) == 4
+        assert abs(params.fuchs_sum() - 2.0) < 1e-9
+        assert scheme_vs_frobenius(prob, lam, params) < 1e-8
+        with pytest.raises(ContractViolation, match="b2 != 0"):
+            heun_equation_4pt(prob, lam)
+        for _ in range(12):
+            z = rng.uniform(0.3, 1.8) * np.exp(2j * np.pi * rng.uniform())
+            if min(abs(z - s) for s in (0, params.alpha, 1 / np.conj(params.alpha))) < 0.1:
+                continue
+            p_ref, q_ref = eliminated_scalar_coefficients(prob, lam, z)
+            assert abs(params.coefficient_p(z) - p_ref) < 1e-8 * max(1.0, abs(p_ref))
+            assert abs(params.coefficient_q(z) - q_ref) < 1e-8 * max(1.0, abs(q_ref))
 
 
 def test_confluent_limit_decoupled():

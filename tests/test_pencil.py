@@ -495,10 +495,16 @@ def test_positivity_rule_refuses_exactly_the_problems_not_positive_on_the_circle
         for solve in (_inner_pole_radius, lambda prob: connection_matrix(prob, 1.0)):
             with pytest.raises(PositivityError, match="sits on the unit circle"):
                 solve(p1(b))
-    # b = 0.5: the double root -1, which QZ splits by about 1e-8; the
-    # decomposition refuses this Jordan root before the connection plan
-    with pytest.raises(PositivityError, match="sits on the unit circle"):
-        _inner_pole_radius(p1(0.5))
+    # b = 0.5: the Jordan double root -1, which QZ splits by about 1e-8; the
+    # rule runs before any decomposition, which would call it a repeated root
+    jordan = parse_problem(str(FIXTURES / "jordan_circle_p2.json"))[0]
+    for prob, solve in (
+        (p1(0.5), _inner_pole_radius),
+        (p1(0.5), lambda prob: connection_matrix(prob, 1.0)),
+        (jordan, standardize_p2),
+    ):
+        with pytest.raises(PositivityError, match=r"pencil pole \(-1\+0j\) sits on the unit circle"):
+            solve(prob)
     eye = np.eye(2)
     unimodular = NchoProblem(p=2, mu=1.0, A=eye, B=np.diag([0.7, 0.1]), C0=0 * eye)
     with pytest.raises(PositivityError, match="sits on the unit circle"):

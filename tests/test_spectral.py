@@ -393,7 +393,7 @@ def test_each_newton_round_is_one_propagator_batch(monkeypatch):
     assert len(rounds) >= 2  # a seed 1e-6 off needs a second step
     assert len(batches) == len(rounds)
     # every step of every row at s and s + delta of every open seed
-    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    plan = spectral._connection_plan(prob)
     assert batches == [len(plan.steps) * len(args[1]) for args in rounds]
     assert len(rounds[0][1]) == 10
 
@@ -452,7 +452,7 @@ def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, pole, lam):
     connection_matrix(prob, lam)
     # split halves return before the batch that asked for them
     poles, residues, props = batches[-1]
-    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    plan = spectral._connection_plan(prob)
     assert len(plan.rows) == 2
     start = sum(n_leg + n_loop for _, _, _, n_leg, n_loop in plan.rows[:pole])
     j, _, _, n_leg, n_loop = plan.rows[pole]
@@ -492,7 +492,7 @@ def _b_zero_problem(rng, p):
 def test_connection_matrix_with_b_zero_vanishes_at_the_eigenvalues():
     # A = I, B = C0 = 0, mu = 1: every lam = 2m + 1 is a double eigenvalue
     prob = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
-    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    plan = spectral._connection_plan(prob)
     # the pole 0 gives both rows, from a base point on the ring of radius 0.5
     assert [(plan.poles[j], rank) for j, rank, *_ in plan.rows] == [(0, 2)]
     assert abs(plan.steps[0][0]) == pytest.approx(0.5, rel=1e-15)
@@ -788,7 +788,7 @@ def test_rank_one_b_moves_the_base_point(p):
     rng = np.random.default_rng(50 + p)
     for _ in range(3):
         prob = _rank_one_problem(rng, p)
-        plan = spectral._connection_plan(prob, decompose_pencil(prob))
+        plan = spectral._connection_plan(prob)
         # 0 is a pole carrying p - 1 rows, and the other inner pole one
         assert sorted((rank, plan.poles[j] == 0) for j, rank, *_ in plan.rows) == [
             (1, False),
@@ -834,7 +834,7 @@ def test_legs_pass_no_other_inner_pole(theta):
         p=2, mu=0.8, A=np.eye(2), B=rot @ np.diag([0.3, 0.2]) @ rot.T,
         C0=[[0.1, 0.15 - 0.05j], [0.15 + 0.05j, -0.2]],
     )
-    plan = spectral._connection_plan(prob, decompose_pencil(prob))
+    plan = spectral._connection_plan(prob)
     inner = [plan.poles[j] for j, *_ in plan.rows]
     assert len(inner) == 2 and abs(np.angle(inner[0] / inner[1])) < 1e-12
     base = plan.steps[0][0]
@@ -856,7 +856,7 @@ def test_legs_pass_no_other_inner_pole(theta):
 def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
     prob = _classical_eta01()
     whole = _connection(prob, 5)
-    steps = len(spectral._connection_plan(prob, decompose_pencil(prob)).steps)
+    steps = len(spectral._connection_plan(prob).steps)
     monkeypatch.setattr(spectral, "_BATCH_STEPS", 3 * steps + 1)
     batches = _top_level_batches(monkeypatch)
     split = _connection(prob, 5)
