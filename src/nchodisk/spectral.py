@@ -211,23 +211,26 @@ def _step_propagators(poles, residues, steps):
     w_j = h/(z0 - a_j) and D_n = h^n C_n
     the terms (D_0 = I),
     (n + 1) D_{n+1} = sum_j w_j R_j S_{j,n} with S_{j,n} = D_n - w_j S_{j,n-1}.
+    The step axis is last, so the sum is n_poles p elementwise products over
+    contiguous rows of every step, and no step's arithmetic reads another's.
     A step whose last term exceeds 1e-12 times its propagator is split in
     two; the halves run as further batches of at most _BATCH_STEPS."""
     z0, z1 = np.array(steps, dtype=complex).T
     h = z1 - z0
     n_poles, p = residues.shape[1:3]
-    w = (h[:, None] / (z0[:, None] - poles))[:, :, None, None]
-    # [w_1 R_1 | w_2 R_2 | ...] per step: the sum over j is one product with
-    # the S_{j,n} stacked in a column
-    wr = (w * residues).transpose(0, 2, 1, 3).reshape(len(h), p, n_poles * p)
-    d = np.broadcast_to(np.eye(p, dtype=complex), (len(h), p, p))
-    s = np.zeros((len(h), n_poles, p, p), dtype=complex)
+    w = (h / (z0[:, None] - poles).T)[:, None, None, :]
+    # w_j R_j per step, with the (pole, column) pairs of the sum leading
+    wr = np.ascontiguousarray((w * residues.transpose(1, 2, 3, 0)).transpose(0, 2, 1, 3))
+    d = np.broadcast_to(np.eye(p, dtype=complex)[:, :, None], (p, p, len(h)))
+    s = np.zeros((n_poles, p, p, len(h)), dtype=complex)
     phi = d.copy()
     for n in range(30):
-        s = d[:, None] - w * s
-        d = wr @ s.reshape(len(h), n_poles * p, p) / (n + 1)
+        s = d - w * s
+        # D[a, c] = sum over (j, b) of wr[j, b, a] S[j, b, c]
+        d = sum(wr[j, b, :, None] * s[j, b] for j in range(n_poles) for b in range(p)) / (n + 1)
         phi += d
-    split = np.linalg.norm(d, axis=(1, 2)) > 1e-12 * np.linalg.norm(phi, axis=(1, 2))
+    split = np.linalg.norm(d, axis=(0, 1)) > 1e-12 * np.linalg.norm(phi, axis=(0, 1))
+    phi = np.ascontiguousarray(phi.transpose(2, 0, 1))
     if split.any():
         a, b = z0[split], z1[split]
         if np.any(np.abs(b - a) < 2e-14 * np.maximum(1.0, np.abs(a))):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import eig_banded
 from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
 
@@ -15,6 +16,7 @@ from conftest import (
 )
 
 from nchodisk import (
+    ContinuationError,
     ContractViolation,
     ConvergenceError,
     NchoProblem,
@@ -749,6 +751,57 @@ def test_split_rounds_run_in_slices_of_the_batch_budget(monkeypatch):
     sliced = spectral._step_propagators(poles, per_step, steps)
     assert [len(args[2]) for args in batches] == [8, 2, 2, 2]
     assert np.array_equal(sliced, whole)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_transport_matches_an_ode_solver_at_p_2_and_3(monkeypatch, p):
+    # residues that do not commute: a sum taken as S_j R_j instead of
+    # R_j S_j passes every p = 1 check and fails this one
+    rng = np.random.default_rng(70 + p)
+    poles = np.array([0.5, -0.3 + 0.4j])
+    residues = 3.0 * (rng.standard_normal((2, p, p)) + 1j * rng.standard_normal((2, p, p)))
+    commutator = residues[0] @ residues[1] - residues[1] @ residues[0]
+    assert np.linalg.norm(commutator) > 0.1 * np.linalg.norm(residues[0] @ residues[1])
+    z0, z1 = -0.6 - 0.5j, 0.9 - 0.2j
+    steps = spectral._path_steps(poles, z0, z1)
+    assert len(steps) > 1
+    batches = _counting(monkeypatch, spectral, "_step_propagators")
+    got = np.eye(p)
+    per_step = np.repeat(residues[None], len(steps), axis=0)
+    for phi in spectral._step_propagators(poles, per_step, steps):
+        got = phi @ got
+    assert len(batches) > 1  # at least one step was split
+
+    def rhs(t, f):
+        # dF/dt on the straight leg z = z0 + t (z1 - z0)
+        z = z0 + t * (z1 - z0)
+        a = (z1 - z0) * sum(r / (z - al) for r, al in zip(residues, poles))
+        return (a @ f.reshape(p, p)).ravel()
+
+    sol = solve_ivp(
+        rhs, (0.0, 1.0), np.eye(p, dtype=complex).ravel(), method="DOP853", rtol=1e-13, atol=1e-15
+    )
+    want = sol.y[:, -1].reshape(p, p)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_row_matrices_do_not_depend_on_the_batch():
+    # Newton's values must not depend on which seeds share a batch
+    problems = [_classical_eta01(), random_problem(np.random.default_rng(73), 3)]
+    for prob in problems:
+        plan = spectral._connection_plan(prob)
+        seeds = spectrum_truncated(prob, 5, tol=1e-9).eigenvalues
+        lams = np.concatenate([seeds, seeds + 1e-7 * np.maximum(1.0, np.abs(seeds)), [-2.5, 40.0]])
+        whole = spectral._row_matrices(plan, lams)
+        for k, lam in enumerate(lams):
+            assert np.array_equal(whole[k], spectral._row_matrices(plan, [lam])[0])
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e8])
+def test_transport_out_of_the_floating_point_range_is_refused(lam):
+    prob = standard_ncho_problem(2.0, 0.75, 0.1, 1.5)
+    with pytest.raises(ContinuationError, match="transport left the floating-point range"):
+        connection_matrix(prob, lam)
 
 
 def _classical_eta01():
