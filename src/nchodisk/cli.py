@@ -301,14 +301,15 @@ def _cmd_confluence(args):
         omega=args.omega, g_coupling=args.coupling, Delta=args.delta, eps_bias=args.bias
     )
     sweep = confluence_sweep(rabi, mu_list, count=args.count)
-    return _csv(["mu", "max_abs_deviation"], zip(sweep.mu_values, sweep.deviations))
+    return _csv(["mu", "max_abs_deviation"], list(zip(sweep.mu_values, sweep.deviations)))
 
 
 def _csv(header, rows) -> str:
-    rows = [[float(v) for v in row] for row in rows]
-    if not all(math.isfinite(v) for row in rows for v in row):
+    table = np.asarray(rows, dtype=float)
+    if not np.isfinite(table).all():
         raise ContractViolation(_NON_FINITE)
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    # tolist gives Python floats, whose repr is the shortest round trip
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

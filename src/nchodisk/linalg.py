@@ -10,7 +10,7 @@ H[j + d, j]`` (the layout of ``scipy.linalg.eig_banded`` with lower=True).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eig_banded, solve_banded
+from scipy.linalg import eig_banded, get_lapack_funcs
 
 from .errors import ContractViolation
 
@@ -100,6 +100,26 @@ def band_to_dense(band) -> np.ndarray:
     return lower + np.tril(lower, -1).conj().T
 
 
+def _lapack_band(band) -> np.ndarray:
+    """The band with its outer diagonals that are exactly zero dropped, and
+    real when its imaginary part is exactly zero: the banded LAPACK
+    routines cost about n kd^2 or n^2 kd, and the real ones about half the
+    complex ones."""
+    rows = np.flatnonzero(np.any(band != 0, axis=1))
+    kd = int(rows[-1]) if rows.size else 0
+    return band[: kd + 1] if np.any(band.imag) else band[: kd + 1].real
+
+
+def _band_matvec(band, x) -> np.ndarray:
+    """H x for the Hermitian matrix H of a lower band and x of shape (n, k)."""
+    n = band.shape[1]
+    y = band[0][:, None] * x
+    for d in range(1, band.shape[0]):
+        y[d:] += band[d, : n - d, None] * x[: n - d]
+        y[: n - d] += band[d, : n - d, None].conj() * x[d:]
+    return y
+
+
 def eigen_banded_lowest(band, count: int) -> np.ndarray:
     """The count lowest eigenvalues, ascending, of a banded Hermitian matrix
     (LAPACK zhbevx with index selection, dsbevx when the band's imaginary
@@ -109,31 +129,55 @@ def eigen_banded_lowest(band, count: int) -> np.ndarray:
     to tridiagonal form costs about n^2 kd, so a block band whose coupling
     blocks are upper triangular (the Schur gauge of the truncation) goes to
     LAPACK with p + 1 rows instead of 2p."""
-    rows = np.flatnonzero(np.any(band != 0, axis=1))
-    kd = int(rows[-1]) if rows.size else 0
-    band = band[: kd + 1] if np.any(band.imag) else band[: kd + 1].real
+    band = _lapack_band(band)
     return eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 
-def eigenvector_banded(band, lam: float) -> np.ndarray:
-    """Unit eigenvector of a banded Hermitian matrix for its eigenvalue lam.
+def _inverse_iteration(band, lams, dim: int = 1) -> np.ndarray:
+    """Orthonormal bases, shape (len(lams), n, dim), of the invariant
+    subspaces of a banded Hermitian matrix, given as _lapack_band returns
+    it, for its dim eigenvalues nearest each shift of lams (a number or a
+    1-D array).
 
-    Three steps of inverse iteration with the banded LU of the full band,
-    from the all-ones vector, so the vector picked inside a degenerate
-    eigenspace is the same on every run.  The shift sits just off lam so the
-    LU never meets an exactly singular pivot.  Unlike eig_banded with
+    Three steps of inverse iteration from fixed start vectors (the
+    all-ones vector first, then seeded random ones), so the basis picked
+    inside a degenerate eigenspace is the same on every run; with dim > 1
+    each step ends in a QR orthonormalization, so the columns do not all
+    collapse onto the one eigenvector nearest the shift.  Each shift sits
+    just off its lam so the LU never meets an exactly singular pivot.  The
+    shifted matrices are stacked along the diagonal of one band, factored
+    once by LAPACK ?gbtrf, and each step is one ?gbtrs solve for all of
+    them, in real arithmetic when the band is real.  Unlike eig_banded with
     vectors, nothing of size n x n is formed."""
-    kd, n = band.shape[0] - 1, band.shape[1]
-    full = np.zeros((2 * kd + 1, n), dtype=complex)
-    full[kd] = band[0] - (lam + 1e-13 * max(1.0, abs(lam)))
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    kd, n, k = band.shape[0] - 1, band.shape[1], len(lams)
+    # LAPACK's general band storage, with kd more rows above for the
+    # fill-in of the pivoting; entries that would couple one stacked
+    # matrix to the next stay zero
+    full = np.zeros((3 * kd + 1, k, n), dtype=band.dtype)
+    full[2 * kd] = band[0] - (lams + 1e-13 * np.maximum(1.0, np.abs(lams)))[:, None]
     for d in range(1, kd + 1):
-        full[kd + d, : n - d] = band[d, : n - d]
-        full[kd - d, d:] = band[d, : n - d].conj()
-    x = np.ones(n, dtype=complex)
+        full[2 * kd + d, :, : n - d] = band[d, : n - d]
+        full[2 * kd - d, :, d:] = band[d, : n - d].conj()
+    # Fortran order, so LAPACK factors it in place
+    full = np.asfortranarray(full.reshape(3 * kd + 1, k * n))
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (full,))
+    lu, piv, info = gbtrf(full, kd, kd, overwrite_ab=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular shifted band in inverse iteration")
+    x = np.ones((k, n, dim), dtype=band.dtype)
+    if dim > 1:
+        x[:, :, 1:] = np.random.default_rng(0).standard_normal((n, dim - 1))
     for _ in range(3):
-        x = solve_banded((kd, kd), full, x)
-        x /= np.linalg.norm(x)
+        x = gbtrs(lu, kd, kd, x.reshape(k * n, dim), piv)[0].reshape(k, n, dim)
+        x = np.linalg.qr(x)[0] if dim > 1 else x / np.linalg.norm(x, axis=1, keepdims=True)
     return x
+
+
+def eigenvector_banded(band, lam: float) -> np.ndarray:
+    """Unit eigenvector of a banded Hermitian matrix for its eigenvalue lam
+    (_inverse_iteration with dim 1)."""
+    return _inverse_iteration(_lapack_band(band), lam)[0, :, 0]
 
 
 def hermitian_inv_sqrt(m) -> np.ndarray:

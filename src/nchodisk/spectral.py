@@ -23,7 +23,15 @@ from .errors import (
 )
 from .fuchsian import build_fuchsian
 from .heun import RabiParameters
-from .linalg import block_band, eigen_banded_lowest, eigenvector_banded, fix_phase
+from .linalg import (
+    _band_matvec,
+    _inverse_iteration,
+    _lapack_band,
+    block_band,
+    eigen_banded_lowest,
+    eigenvector_banded,
+    fix_phase,
+)
 from .pencil import NchoProblem, _check_tol, _inner_pole_radius, decompose_pencil
 
 __all__ = [
@@ -62,12 +70,9 @@ def _norm_sq(mu: float, count: int) -> np.ndarray:
 # banded truncation
 
 
-def _settle(band_of, count: int, order: int, tol: float):
-    """Double the truncation order until the lowest count eigenvalues of
-    band_of(order) move by less than tol.  Returns (values, change, order) at
-    the final order; raises ConvergenceError past _MAX_ORDER, and
-    ContractViolation before any band is built when count is below 1 or the
-    start order leaves no second order below the cap to compare with."""
+def _check_start(count: int, order: int, tol: float) -> None:
+    """Refuse, before any band is built, a count below 1, a bad tol, or a
+    start order that leaves no second order below the cap to compare."""
     if count < 1:
         raise ContractViolation("count must be at least 1")
     _check_tol(tol)
@@ -76,22 +81,29 @@ def _settle(band_of, count: int, order: int, tol: float):
             f"count {count} needs start order {order}, above {_MAX_ORDER // 2}: "
             f"the order cap {_MAX_ORDER} leaves no second order to compare"
         )
-    prev = None
-    last_change = float("nan")
+
+
+def _settle(band_of, count: int, order: int, tol: float, first=None):
+    """Double the truncation order until the lowest count eigenvalues of
+    band_of(order) move by less than tol.  Returns (values, change, orders)
+    with orders the last two; raises ConvergenceError past _MAX_ORDER, and
+    _check_start's ContractViolation before any band is built.  first, when
+    given, holds the values at the start order, already solved."""
+    _check_start(count, order, tol)
+    prev = eigen_banded_lowest(band_of(order), count) if first is None else first
     while True:
-        if order > _MAX_ORDER:
+        if 2 * order > _MAX_ORDER:
             raise ConvergenceError(
-                f"eigenvalues did not settle to {tol:g} by order {order // 2} "
+                f"eigenvalues did not settle to {tol:g} by order {order} "
                 f"(last change {last_change:g})"
             )
-        vals = eigen_banded_lowest(band_of(order), count)
-        if prev is not None:
-            change = np.abs(vals - prev)
-            last_change = float(np.max(change))
-            if last_change < tol:
-                return vals, change, order
-        prev = vals
         order *= 2
+        vals = eigen_banded_lowest(band_of(order), count)
+        change = np.abs(vals - prev)
+        last_change = float(np.max(change))
+        if last_change < tol:
+            return vals, change, (order // 2, order)
+        prev = vals
 
 
 def build_truncated(problem: NchoProblem, order: int) -> np.ndarray:
@@ -156,26 +168,125 @@ class SpectrumResult:
     orders: tuple[int, int]
 
 
+def _ritz_bounds(gauged: NchoProblem, order: int, count: int):
+    """The count lowest eigenvalues of the order-`order` truncation of
+    gauged (a _schur_gauged problem) and a bound on the error of each
+    against the full operator: inf where none can be formed.
+
+    A Ritz vector v of the truncation, extended by zeros, has the residual
+    [(H_N - theta) v; C_N v_{N-1}] in the full operator, C_N = 2 T
+    sqrt(N (N - 1 + mu)) the first coupling block left out.  Ritz values
+    whose intervals theta +- r overlap form one cluster, with
+    r = |(H_N - theta) Q|_F + |C_N Q_{N-1}|_F: its c values get c
+    orthonormal vectors Q from one subspace inverse iteration, rotated to
+    the Ritz vectors of Q* H_N Q so that column k goes with the k-th
+    value.  Merging repeats until no intervals overlap.  An eigenvalue of
+    the full operator has multiplicity at most p (its eigenfunctions are
+    fixed by their p-vector value at a point), so a cluster of more than p
+    values is left unbounded.  The window holds count + 1 values, and
+    count + p when the cluster of the count-th one reaches its top, so
+    that cluster has another above it.  Each value of a cluster gets
+    |(H_N - theta) Q|_F + r^2 / gap, the gap from the cluster's values to
+    the nearest interval of another cluster: the first term covers the
+    computed values against the Rayleigh-Ritz values of Q, the second
+    those against the full operator (Kato-Temple, Parlett ch. 10; for a
+    cluster the block bound of Mathias, SIAM J. Matrix Anal. Appl. 19
+    (1998) 541-550).  The bound takes the window to hold the lowest
+    eigenvalues of the full operator, which the inner-pole prediction of
+    the order supports; nothing below the window is searched for."""
+    band = _lapack_band(build_truncated(gauged, order))
+    c_out = 2.0 * gauged.B * math.sqrt(order * (order - 1 + gauged.mu))
+    p, n = gauged.p, band.shape[1]
+
+    def residuals(q, lo, hi):
+        """Column norms of (H_N - theta) q and of C_N q_{N-1}, the columns
+        of q going with the values lo..hi-1."""
+        hq = _band_matvec(band, q)
+        inner = np.linalg.norm(hq - q * vals[lo:hi], axis=0)
+        return inner, np.linalg.norm(c_out @ q[-p:], axis=0)
+
+    def cluster(lo, hi):
+        q = _inverse_iteration(band, vals[lo], hi - lo)[0]
+        ritz = np.linalg.eigh(q.conj().T @ _band_matvec(band, q))[1]
+        inner, outer = (np.linalg.norm(a) for a in residuals(q @ ritz, lo, hi))
+        return [lo, hi, inner, inner + outer]
+
+    for window in sorted({min(count + 1, n), min(count + p, n)}):
+        vals = eigen_banded_lowest(band, window)
+        inner, outer = residuals(_inverse_iteration(band, vals)[:, :, 0].T, 0, window)
+        # clusters as [lo, hi, inner residual, r], ascending
+        clusters = [[k, k + 1, a, a + b] for k, (a, b) in enumerate(zip(inner, outer))]
+        k = 0
+        while k + 1 < len(clusters):
+            (lo, top, _, r_lo), (bottom, hi, _, r_hi) = clusters[k : k + 2]
+            if vals[top - 1] + r_lo < vals[bottom] - r_hi:
+                k += 1
+            elif hi - lo > p:
+                return vals[:count], np.full(count, np.inf)
+            else:
+                clusters[k : k + 2] = [cluster(lo, hi)]
+                k = max(k - 1, 0)
+        last = max(i for i, c in enumerate(clusters) if c[0] < count)
+        if clusters[last][1] < window:
+            break
+    else:
+        return vals[:count], np.full(count, np.inf)
+    bounds = np.empty(count)
+    for i in range(last + 1):
+        lo, hi, inner, r = clusters[i]
+        gap = vals[clusters[i + 1][0]] - clusters[i + 1][3] - vals[hi - 1]
+        if i:
+            gap = min(gap, vals[lo] - vals[clusters[i - 1][1] - 1] - clusters[i - 1][3])
+        bounds[lo : min(hi, count)] = inner + r * r / gap
+    return vals[:count], bounds
+
+
 def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> SpectrumResult:
-    """Lowest eigenvalues by doubling the truncation order until they
-    settle, solved in the Schur gauge of B (_schur_gauged).  LAPACK runs
-    dsbevx when a diagonal phase gauge makes that real, as on the classical
-    family under any unitary gauge, and zhbevx otherwise.
+    """Lowest eigenvalues of the truncation, solved in the Schur gauge of B
+    (_schur_gauged).  LAPACK runs dsbevx when a diagonal phase gauge makes
+    that real, as on the classical family under any unitary gauge, and
+    zhbevx otherwise.
 
     The eigenfunction is holomorphic on the unit disk and singular only at
     the outer pencil poles 1/conj(alpha), so its coefficients decay like
-    r^m, r the largest inner pole modulus.  The doubling starts at the
-    largest of 64, the least order holding count eigenvalues and
-    ceil(log tol / log r) capped at _MAX_ORDER // 2; the last is left out
-    when r = 0 (B = 0), tol = 0 or tol >= 1.  Finding r refuses a problem
-    not positive on the circle (PositivityError) before any band is built."""
-    start = max(64, -(-count // problem.p))
+    r^m, r the largest inner pole modulus.  The start order N is the
+    largest of the floor max(64, least order holding count eigenvalues)
+    and the prediction ceil(log tol / log r) capped at _MAX_ORDER // 2; the
+    prediction is left out when r = 0 (B = 0), tol = 0 or tol >= 1.
+    Finding r refuses a problem not positive on the circle
+    (PositivityError) before any band is built.
+
+    When the uncapped prediction raises N above the floor, order N is
+    solved once and certified (_ritz_bounds): if every bound is below tol,
+    orders is (N, N).  Else, the bounds decaying like r^{2N}, one further
+    order N' = min(2N, N + ceil(log(64 max bound / tol) / (2 log(1/r))))
+    is certified, and orders is (N, N').  convergence holds the bounds.
+    Any other start, or a certificate that fails twice, doubles the order
+    from N until the values move by less than tol; orders is then the last
+    two orders and convergence the last change.  A floor start is already
+    past the prediction, so its second solve is small (64 and 128 on every
+    fixture), and its printed orders stay those of the doubling."""
+    floor = max(64, -(-count // problem.p))
     r = _inner_pole_radius(problem)
-    if r > 0 and 0 < tol < 1:
-        start = max(start, min(math.ceil(math.log(tol) / math.log(r)), _MAX_ORDER // 2))
+    predicted = math.ceil(math.log(tol) / math.log(r)) if r > 0 and 0 < tol < 1 else 0
+    start = max(floor, min(predicted, _MAX_ORDER // 2))
     gauged = _schur_gauged(problem)
-    vals, change, order = _settle(lambda order: build_truncated(gauged, order), count, start, tol)
-    return SpectrumResult(eigenvalues=vals, convergence=change, orders=(order // 2, order))
+    first = None
+    if start == predicted > floor:
+        _check_start(count, start, tol)
+        first, bounds = _ritz_bounds(gauged, start, count)
+        order, worst = start, float(np.max(bounds))
+        if math.isfinite(worst) and worst >= tol:
+            order += min(start, math.ceil(math.log(64.0 * worst / tol) / (2.0 * math.log(1.0 / r))))
+            vals, bounds = _ritz_bounds(gauged, order, count)
+        else:
+            vals = first
+        if np.max(bounds) < tol:
+            return SpectrumResult(eigenvalues=vals, convergence=bounds, orders=(start, order))
+    vals, change, orders = _settle(
+        lambda order: build_truncated(gauged, order), count, start, tol, first
+    )
+    return SpectrumResult(eigenvalues=vals, convergence=change, orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +614,9 @@ def eigenfunction_profile(
     """Radial profile of the eigenfunction of eigenvalue seeds.eigenvalues[index],
     seeds being the caller's spectrum_truncated(problem, count) result.
 
-    The operator is built once more at the final order of seeds, the
+    The operator is built once more at twice the first order of seeds (the
+    final order of a doubling; the vector needs about twice the modes that
+    its eigenvalue needs, so a certified single order is doubled too), the
     eigenvector is found there by banded inverse iteration, and the
     coefficients u_m recovered through the basis norms are summed against
     the radial modes on t_grid: the real Laguerre factors times the complex
@@ -513,7 +626,7 @@ def eigenfunction_profile(
     t_arr = _positive_t(t_grid, "t grid")
     p, mu = problem.p, problem.mu
     value = float(seeds.eigenvalues[index])
-    order = seeds.orders[1]
+    order = 2 * seeds.orders[0]
     vec = eigenvector_banded(build_truncated(problem, order), value)
     vec = fix_phase(vec / np.linalg.norm(vec))
     u = vec.reshape(order, p) / np.sqrt(_norm_sq(mu, order))[:, None]

@@ -7,7 +7,15 @@ from nchodisk import (
     is_positive_definite,
 )
 from nchodisk.heun import _adj
-from nchodisk.linalg import as_matrix, fix_phase
+from nchodisk import eigen_banded_lowest
+from nchodisk.linalg import (
+    _inverse_iteration,
+    _lapack_band,
+    as_matrix,
+    band_to_dense,
+    block_band,
+    fix_phase,
+)
 
 
 def _det2(m):
@@ -65,3 +73,39 @@ def test_predicates():
     assert not is_hermitian([[0, 1], [0, 0]])
     assert is_positive_definite([[2, 0], [0, 1]])
     assert not is_positive_definite([[1, 0], [0, -1]])
+
+
+def test_inverse_iteration_spans_a_degenerate_eigenspace():
+    # two uncoupled copies of one real tridiagonal matrix, interleaved as a
+    # p = 2 block band: every eigenvalue is double
+    rng = np.random.default_rng(7)
+    d, e = rng.uniform(1.0, 3.0, 40), rng.uniform(-0.5, 0.5, 39)
+    band = _lapack_band(
+        block_band(d[:, None, None] * np.eye(2), e[:, None, None] * np.eye(2))
+    )
+    assert band.dtype == np.dtype(float)  # the real LAPACK path
+    h = band_to_dense(band)
+    lam = eigen_banded_lowest(band, 2)
+    assert abs(lam[1] - lam[0]) < 1e-12
+    q = _inverse_iteration(band, lam[0], 2)[0]
+    assert q.shape == (80, 2) and q.dtype == np.dtype(float)
+    assert np.max(np.abs(q.T @ q - np.eye(2))) < 1e-14
+    assert np.linalg.norm(h @ q - lam[0] * q) < 1e-12
+    # one start vector per shift finds only one direction of the pair
+    singles = _inverse_iteration(band, lam)
+    assert singles.shape == (2, 80, 1)
+    assert np.linalg.matrix_rank(singles[:, :, 0].T) == 1
+
+
+def test_stacked_shifts_match_one_shift_at_a_time():
+    # the shifted matrices share one LU of a stacked band, and no entry
+    # couples one to the next
+    rng = np.random.default_rng(8)
+    d, e = rng.uniform(1.0, 3.0, 30), rng.uniform(-0.5, 0.5, 29) * (1.0 + 1j)
+    band = _lapack_band(block_band(d[:, None, None], e[:, None, None]))
+    lams = eigen_banded_lowest(band, 4)
+    stacked = _inverse_iteration(band, lams)
+    for i, lam in enumerate(lams):
+        alone = _inverse_iteration(band, lam)[0]
+        assert np.max(np.abs(stacked[i] - alone)) < 1e-14
+        assert np.linalg.norm(band_to_dense(band) @ alone[:, 0] - lam * alone[:, 0]) < 1e-12

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from nchodisk import (
     ContractViolation,
     ConvergenceError,
     NchoProblem,
+    PositivityError,
     RabiParameters,
     RefinementError,
     Su11Element,
@@ -604,15 +606,130 @@ def _ladder(bg):
 
 @pytest.mark.parametrize(
     "bg,orders",
-    [(1.05, (104, 208)), (1.02, (164, 328)), (1.01, (231, 462)), (1.005, (326, 652))],
+    [(1.05, (104, 104)), (1.02, (164, 164)), (1.01, (231, 255)), (1.005, (326, 360))],
 )
 def test_truncation_starts_at_the_order_the_inner_poles_predict(bg, orders):
-    # ceil(log 1e-10 / log r) modes, r the largest inner pole modulus
+    # ceil(log 1e-10 / log r) modes, r the largest inner pole modulus; the
+    # residual bounds certify that order, or one order N' not far above it
     prob = _ladder(bg)
     res = spectrum_truncated(prob, 5, tol=1e-10)
     assert res.orders == orders
     ref = spectrum_truncated(prob, 5, tol=1e-13).eigenvalues
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
+
+
+def _predicted_order(prob, tol=1e-10):
+    return math.ceil(math.log(tol) / math.log(pencil._inner_pole_radius(prob)))
+
+
+def _assert_certified(prob, res, tol=1e-10):
+    """res came from the residual certificate: it starts at the prediction,
+    and each value lies within its bound of a tol-1e-14 truncation."""
+    assert res.orders[0] == _predicted_order(prob, tol)
+    # a doubling would end at exactly twice its first order
+    assert res.orders[0] <= res.orders[1] < 2 * res.orders[0]
+    ref = spectrum_truncated(prob, len(res.eigenvalues), tol=1e-14).eigenvalues
+    assert np.all(np.abs(res.eigenvalues - ref) <= res.convergence)
+    assert np.all(res.convergence <= tol)
+
+
+@pytest.mark.parametrize("bg", [1.05, 1.02, 1.01, 1.005, 1.001])
+@pytest.mark.parametrize("count", [1, 5, 8])
+def test_certified_values_lie_within_their_bounds_on_the_ladder(bg, count):
+    prob = _ladder(bg)
+    _assert_certified(prob, spectrum_truncated(prob, count))
+
+
+def _toward_boundary(prob, target):
+    """prob with B scaled so that the largest inner pole modulus is target
+    (bisection; a scale past the positivity boundary counts as modulus 1)."""
+
+    def radius(scale):
+        try:
+            return pencil._inner_pole_radius(prob.with_matrices(B=scale * prob.B))
+        except PositivityError:
+            return 1.0
+
+    lo, hi = 0.0, 1.0
+    while radius(hi) < target:
+        hi *= 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < target else (lo, mid)
+    return prob.with_matrices(B=lo * prob.B)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    target=st.floats(0.75, 0.93),
+    count=st.integers(1, 5),
+)
+def test_certified_values_lie_within_their_bounds_on_random_problems(p, seed, target, count):
+    prob = _toward_boundary(random_problem(np.random.default_rng(seed), p=p), target)
+    assert _predicted_order(prob) > 64  # the certified path, not a floor start
+    _assert_certified(prob, spectrum_truncated(prob, count))
+
+
+@pytest.mark.parametrize("bg", [1.05, 1.02, 1.01, 1.005, 1.001])
+def test_half_the_predicted_order_is_not_certified(bg):
+    # the bound must not pass where the truncation is too short, and must
+    # still cover the error it has there
+    prob = _ladder(bg)
+    ref = spectrum_truncated(prob, 5, tol=1e-14).eigenvalues
+    for count in (1, 5):
+        vals, bounds = spectral._ritz_bounds(
+            spectral._schur_gauged(prob), _predicted_order(prob) // 2, count
+        )
+        assert np.max(bounds) > 1e-10
+        assert np.all(np.abs(vals - ref[:count]) <= bounds)
+
+
+def test_degenerate_clusters_are_bounded_as_blocks():
+    # a direct sum of two copies of one scalar problem: every eigenvalue is
+    # double, and the residual intervals of each pair overlap
+    rng = np.random.default_rng(95)
+    prob = gauge_problem(
+        _unitary(rng.uniform(-1.0, 1.0, 8), 2),
+        NchoProblem(p=2, mu=1.0, A=np.eye(2), B=0.49 * np.eye(2), C0=0.2 * np.eye(2)),
+    )
+    res = spectrum_truncated(prob, 4)
+    assert res.orders == (115, 115)
+    assert np.all(np.abs(np.diff(res.eigenvalues)[::2]) < 1e-12)
+    doubled, _, orders = spectral._settle(
+        lambda order: build_truncated(spectral._schur_gauged(prob), order), 4, 115, 1e-10
+    )
+    assert orders == (115, 230)
+    assert np.max(np.abs(res.eigenvalues - doubled)) < 1e-10
+    ref = spectrum_truncated(prob, 4, tol=1e-14).eigenvalues
+    assert np.all(np.abs(res.eigenvalues - ref) <= res.convergence)
+    assert np.all(res.convergence < 1e-10)
+
+
+def test_certificate_that_fails_ends_at_the_order_cap(monkeypatch):
+    # 16 values at bg = 1.05 cannot be bounded at the predicted order 104,
+    # and the doubling from there does not settle below the cap
+    monkeypatch.setattr(spectral, "_MAX_ORDER", 256)
+    builds = _counting(monkeypatch, spectral, "build_truncated")
+    with pytest.raises(ConvergenceError, match="by order 208"):
+        spectrum_truncated(_ladder(1.05), 16)
+    assert [args[1] for args in builds] == [104, 208]
+
+
+def test_a_failing_certificate_merges_no_cluster_past_p(monkeypatch):
+    # the intervals of 32 values at order 104 overlap widely; no eigenvalue
+    # of the full operator is more than p-fold, so merging stops at p
+    # vectors and the doubling takes over
+    calls = _counting(monkeypatch, spectral, "_inverse_iteration")
+    res = spectrum_truncated(_ladder(1.05), 32)
+    assert res.orders == (416, 832)
+    ref = spectral._settle(
+        lambda order: build_truncated(spectral._schur_gauged(_ladder(1.05)), order), 32, 104, 1e-10
+    )
+    assert np.array_equal(res.eigenvalues, ref[0]) and res.orders == ref[2]
+    dims = [args[2] if len(args) > 2 else 1 for args in calls]
+    assert max(dims) <= 2 and len(calls) <= 2 * (32 + 2 + 1)
 
 
 @pytest.mark.parametrize("bg", [1.02, 1.01])
@@ -1082,7 +1199,8 @@ def test_profile_takes_the_seed_eigenvalue_and_order():
         for index in (0, 3, 7):
             prof = eigenfunction_profile(prob, seeds, index, t)
             assert prof.eigenvalue == seeds.eigenvalues[index]
-            assert prof.order == seeds.orders[1]
+            # the vector takes twice the first order, certified or doubled
+            assert prof.order == 2 * seeds.orders[0]
             h = band_to_dense(build_truncated(prob, prof.order))
             vec = (prof.coefficients * np.sqrt(_norm_sq(prob.mu, prof.order))[:, None]).ravel()
             residual = np.linalg.norm(h @ vec - prof.eigenvalue * vec)
