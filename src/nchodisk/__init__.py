@@ -59,6 +59,7 @@ from .linalg import (
 from .pencil import (
     NchoProblem,
     IdentityReport,
+    PencilAnalysis,
     PencilDecomposition,
     PositivityCertificate,
     a123_from_ab,

@@ -21,6 +21,7 @@ from .linalg import as_matrix, is_hermitian
 
 __all__ = [
     "NchoProblem",
+    "PencilAnalysis",
     "PencilDecomposition",
     "IdentityCheck",
     "IdentityReport",
@@ -206,99 +207,114 @@ def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
     return eigvals(lhs, rhs, homogeneous_eigvals=True)
 
 
-def _inner_pole_radius(problem: NchoProblem) -> float:
+@dataclass(eq=False)
+class PencilAnalysis:
+    """The pencil B z^2 + A z + B' with its 2p homogeneous roots (alpha, beta):
+    the one QZ of its linearization, which the gate and the decomposition read."""
+
+    A: np.ndarray
+    B: np.ndarray
+
+    def __post_init__(self):
+        self.A, self.B = as_matrix(self.A), as_matrix(self.B)
+        if self.A.shape != self.B.shape or self.A.shape[0] != self.A.shape[1]:
+            raise ContractViolation("A and B must be square matrices of one size")
+        self.alpha, self.beta = _linearization_eigvals(self.A, self.B)
+
+    def decompose(self, seed) -> PencilDecomposition:
+        """Partial fraction decomposition of (B z^2 + A z + B')^{-1}, its
+        annulus points drawn from seed (from A and B when None).
+
+        The poles are the finite roots (alpha, beta).  With k = dim ker B' =
+        dim ker B, the k roots nearest infinity are dropped and the k of
+        smallest modulus are exactly 0.  Roots within a relative 1e-6 form
+        one pole; a pole of m roots has order 1 exactly when ker Q(alpha)
+        has dimension m (SimplePoleViolation otherwise).  Every residue is
+        X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
+        """
+        a, b, alpha, beta = self.A, self.B, self.alpha, self.beta
+        rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
+        if pencil_kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
+            raise DegeneratePencil("pencil determinant vanishes identically")
+
+        k = pencil_kernel(a, b, 0.0)[1].shape[1]
+        finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
+        if np.any(beta[finite] == 0):
+            # 0 and infinity are roots of det Q of one multiplicity, here above k
+            raise SimplePoleViolation(
+                f"more than dim ker B' = {k} pencil eigenvalues at infinity; "
+                "the reduction assumes order-1 poles"
+            )
+        eigs = alpha[finite] / beta[finite]
+        eigs[np.argsort(np.abs(eigs))[:k]] = 0.0
+        eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+
+        clusters: list[list[complex]] = []
+        for r in eigs:
+            for cl in clusters:
+                center = sum(cl) / len(cl)
+                if abs(r - center) <= 1e-6 * max(1.0, abs(center)):
+                    cl.append(r)
+                    break
+            else:
+                clusters.append([r])
+        centers = sorted(
+            ((complex(sum(cl) / len(cl)), len(cl)) for cl in clusters),
+            key=lambda cm: (cm[0].real, cm[0].imag),
+        )
+        poles, residues = [], []
+        for al, mult in centers:
+            y, x = pencil_kernel(a, b, al)
+            if x.shape[1] != mult:
+                raise SimplePoleViolation(
+                    f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
+                    f"{x.shape[1]}; the reduction assumes order-1 poles"
+                )
+            dq = 2.0 * al * b + a
+            poles.append(al)
+            residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
+
+        return PencilDecomposition(
+            poles=poles,
+            residues=residues,
+            ranks=[mult for _, mult in centers],
+            zero_is_pole=k > 0,
+            reconstruction_residual=_reconstruction_residual(a, b, poles, residues, rng),
+        )
+
+
+def _inner_pole_radius(analysis: PencilAnalysis) -> float:
     """Largest modulus of the pencil roots inside the unit disk, 0.0 when every
-    one is 0 (B = 0), from one QZ; the one positivity rule, which every solver
-    that needs it runs before it decomposes the pencil.
+    one is 0 (B = 0); the one positivity rule, which every solver that needs
+    it applies to its analysis before it decomposes the pencil.
 
     PositivityError unless M(phi) = B e^{i phi} + A + B' e^{-i phi} > 0 on the
     circle.  As M(phi) = e^{-i phi} Q(e^{i phi}), M > 0 iff no root is within
     1e-6 of |z| = 1 (a root there is double; QZ splits it by ~sqrt(eps)) and
     M(0) = A + B + B' > 0."""
-    alpha, beta = _linearization_eigvals(problem.A, problem.B)
+    alpha, beta, b = analysis.alpha, analysis.beta, analysis.B
     near = np.abs(alpha) < 2.0 * np.abs(beta)
     roots = alpha[near] / beta[near]
     for z in roots:
         if abs(abs(z) - 1.0) <= 1e-6:
             raise PositivityError(f"pencil pole {complex(z)} sits on the unit circle")
-    least = float(np.linalg.eigvalsh(problem.A + problem.B + problem.B.conj().T)[0])
+    least = float(np.linalg.eigvalsh(analysis.A + b + b.conj().T)[0])
     if not least > 0.0:
         raise PositivityError(f"A + B + B' is not positive definite (least eigenvalue {least:.3e})")
     return float(np.max(np.abs(roots[np.abs(roots) < 1.0]), initial=0.0))
 
 
 def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
-    """Partial fraction decomposition of (B z^2 + A z + B')^{-1}.
-
-    The poles are the finite eigenvalues of the linearization
-    (_linearization_eigvals).  With k = dim ker B' =
-    dim ker B, the k eigenvalues nearest infinity are dropped and the k of
-    smallest modulus are exactly 0.  Eigenvalues within a relative 1e-6 form
-    one pole; a pole of m eigenvalues has order 1 exactly when ker Q(alpha)
-    has dimension m (SimplePoleViolation otherwise).  Every residue is
-    X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
-    """
-    a, b = as_matrix(A), as_matrix(B)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ContractViolation("A and B must be square matrices of one size")
-    rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
-    if pencil_kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
-        raise DegeneratePencil("pencil determinant vanishes identically")
-
-    alpha, beta = _linearization_eigvals(a, b)
-    k = pencil_kernel(a, b, 0.0)[1].shape[1]
-    finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
-    if np.any(beta[finite] == 0):
-        # 0 and infinity are roots of det Q of one multiplicity, here above k
-        raise SimplePoleViolation(
-            f"more than dim ker B' = {k} pencil eigenvalues at infinity; "
-            "the reduction assumes order-1 poles"
-        )
-    eigs = alpha[finite] / beta[finite]
-    eigs[np.argsort(np.abs(eigs))[:k]] = 0.0
-    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-
-    clusters: list[list[complex]] = []
-    for r in eigs:
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(r - center) <= 1e-6 * max(1.0, abs(center)):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    centers = sorted(
-        ((complex(sum(cl) / len(cl)), len(cl)) for cl in clusters),
-        key=lambda cm: (cm[0].real, cm[0].imag),
-    )
-    poles, residues = [], []
-    for al, mult in centers:
-        y, x = pencil_kernel(a, b, al)
-        if x.shape[1] != mult:
-            raise SimplePoleViolation(
-                f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
-                f"{x.shape[1]}; the reduction assumes order-1 poles"
-            )
-        dq = 2.0 * al * b + a
-        poles.append(al)
-        residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
-
-    return PencilDecomposition(
-        poles=poles,
-        residues=residues,
-        ranks=[mult for _, mult in centers],
-        zero_is_pole=k > 0,
-        reconstruction_residual=_reconstruction_residual(a, b, poles, residues, rng),
-    )
+    """Partial fraction decomposition of (B z^2 + A z + B')^{-1} (PencilAnalysis.decompose)."""
+    return PencilAnalysis(A, B).decompose(seed)
 
 
-def _reconstruction_residual(A, B, poles, residues, rng) -> float:
+def _reconstruction_residual(a, b, poles, residues, rng) -> float:
     """Largest entry of sum_j P_j / (z - alpha_j) Q(z) - I over 16 annulus
     points drawn from rng, each at least 0.1 from every pole.
 
     The points are evaluated as one (16, p, p) stack with the same
     elementwise operations, in the same order, as one point at a time."""
-    a, b = as_matrix(A), as_matrix(B)
     zs = []
     while len(zs) < 16:
         z = _annulus_point(rng)

@@ -1,6 +1,7 @@
 """Acceptance suite: one criterion per test, each printing a PASS/FAIL line
 (run with `pytest -s tests/test_acceptance.py` to see them live)."""
 
+import dataclasses
 import math
 import time
 
@@ -17,7 +18,6 @@ from conftest import (
 from nchodisk import (
     NchoProblem,
     RabiParameters,
-    SpectrumResult,
     Su11Element,
     apparent_singularity_residual,
     beta_gamma_closed_forms,
@@ -136,7 +136,7 @@ def test_criterion_03_scalar_closed_form():
     t_worst = max(
         np.linalg.svd(connection_matrix(P1, float(lam)), compute_uv=False)[-1] for lam in expect
     )
-    shifted = SpectrumResult(expect + 3e-7, res.convergence, res.orders)
+    shifted = dataclasses.replace(res, eigenvalues=expect + 3e-7)
     refined = spectrum_connection(P1, shifted).eigenvalues
     refine_dev = float(np.max(np.abs(refined - expect)))
     elapsed = time.perf_counter() - t0

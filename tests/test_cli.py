@@ -67,9 +67,10 @@ def test_pole_ranks_are_decided_once_per_decomposition(capsys, monkeypatch):
 
 
 def test_each_command_runs_the_pencil_qz_a_fixed_number_of_times(capsys, monkeypatch):
-    # one QZ per decomposition and one for the positivity rule, which every
-    # solver that needs it runs first: the truncation, the connection plan and
-    # standardize_p2 (heun-params standardizes this non-standard fixture)
+    # one QZ per command that needs the pencil, in its one PencilAnalysis: the
+    # positivity rule, the truncation's inner radius and the decomposition all
+    # read it, and spectrum_connection reuses the truncation's (heun-params
+    # standardizes this non-standard fixture)
     calls = []
     real = pencil._linearization_eigvals
     monkeypatch.setattr(pencil, "_linearization_eigvals", lambda a, b: calls.append(1) or real(a, b))
@@ -79,16 +80,40 @@ def test_each_command_runs_the_pencil_qz_a_fixed_number_of_times(capsys, monkeyp
         (["fuchsian", "--lambda", "0.5"], 1),
         (["spectrum", "--method", "trunc"], 1),
         (["eigenfunction"], 1),
-        (["standardize"], 2),
-        (["heun-params", "--lambda", "0.5"], 2),
-        (["spectrum", "--method", "connect"], 3),
-        (["spectrum", "--method", "both"], 3),
+        (["standardize"], 1),
+        (["heun-params", "--lambda", "0.5"], 1),
+        (["spectrum", "--method", "connect"], 1),
+        (["spectrum", "--method", "both"], 1),
         (["positivity"], 0),
     ]
     for argv, count in expected:
         calls.clear()
         code, _ = run_cli(capsys, [argv[0], path, *argv[1:]])
         assert (code, len(calls)) == (0, count), argv
+
+
+def test_a_positive_pencil_the_decomposition_refuses_keeps_each_refusal_class(capsys, tmp_path):
+    # M = B e^{i phi} + I + B' e^{-i phi} > 0 on the circle, but det Q(z) =
+    # 0.91 z^2 has only 0 as a finite root: the truncation needs the roots and
+    # the radius alone and answers, while every solver that decomposes refuses
+    path = tmp_path / "nilpotent_b.json"
+    path.write_text(json.dumps({
+        "p": 2,
+        "mu": 1.0,
+        "A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "B": [[[0.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "C0": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.1, 0.0]]],
+    }))
+    code, _ = run_cli(capsys, ["spectrum", str(path), "--method", "trunc"])
+    assert code == 0
+    code, out = run_cli(capsys, ["spectrum", str(path), "--method", "connect"])
+    error = json.loads(out)["error"]
+    assert (code, error["class"]) == (4, "SimplePoleViolation")
+    assert error["message"].startswith("more than dim ker B' = 1 pencil eigenvalues at infinity; ")
+    code, out = run_cli(capsys, ["standardize", str(path)])
+    error = json.loads(out)["error"]
+    assert (code, error["class"]) == (4, "NotGenericError")
+    assert error["message"].startswith("repeated pencil root: ")
 
 
 def test_parse_p1_fixture():

@@ -57,6 +57,19 @@ def test_every_error_class_is_raised_or_caught():
     assert sorted(classes - named) == []
 
 
+def test_the_pencil_qz_has_one_call_site():
+    # PencilAnalysis runs the one QZ of the linearization; a second call
+    # would be a second path to the pencil's roots
+    sites = [
+        (path.name, node.lineno)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_linearization_eigvals"
+    ]
+    assert len(sites) == 1, sites
+
+
 def _exported_functions():
     """(name, parameters with defaults as (name, position)) of every function
     and method named in a module's __all__; a method's self or cls is not a

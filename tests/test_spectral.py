@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -45,6 +46,7 @@ from nchodisk import (
 from nchodisk import linalg, pencil, spectral
 from nchodisk.cli import parse_problem
 from nchodisk.linalg import band_to_dense, block_band
+from nchodisk.pencil import PencilAnalysis
 from nchodisk.spectral import _norm_sq
 
 SQ3 = np.sqrt(3.0)
@@ -344,8 +346,13 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _plan(prob):
+    """The connection plan of prob, from an analysis of its own pencil."""
+    return spectral._connection_plan(prob, PencilAnalysis(prob.A, prob.B))
+
+
 def test_connection_determinant_decomposes_once(monkeypatch):
-    calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
+    calls = _counting(monkeypatch, pencil.PencilAnalysis, "decompose")
     connection_matrix(P1, 1.2)
     assert len(calls) == 1
     calls.clear()
@@ -390,14 +397,14 @@ def _top_level_batches(monkeypatch):
 def test_each_newton_round_is_one_propagator_batch(monkeypatch):
     prob = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)
     seeds = spectrum_truncated(prob, 5, tol=1e-9)
-    shifted = SpectrumResult(seeds.eigenvalues + 1e-6, seeds.convergence, seeds.orders)
+    shifted = dataclasses.replace(seeds, eigenvalues=seeds.eigenvalues + 1e-6)
     rounds = _counting(monkeypatch, spectral, "_row_matrices")
     batches = _top_level_batches(monkeypatch)
     spectrum_connection(prob, shifted)
     assert len(rounds) >= 2  # a seed 1e-6 off needs a second step
     assert len(batches) == len(rounds)
     # every step of every row at s and s + delta of every open seed
-    plan = spectral._connection_plan(prob)
+    plan = _plan(prob)
     assert batches == [len(plan.steps) * len(args[1]) for args in rounds]
     assert len(rounds[0][1]) == 10
 
@@ -456,7 +463,7 @@ def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, pole, lam):
     connection_matrix(prob, lam)
     # split halves return before the batch that asked for them
     poles, residues, props = batches[-1]
-    plan = spectral._connection_plan(prob)
+    plan = _plan(prob)
     assert len(plan.rows) == 2
     start = sum(n_leg + n_loop for _, _, _, n_leg, n_loop in plan.rows[:pole])
     j, _, _, n_leg, n_loop = plan.rows[pole]
@@ -496,7 +503,7 @@ def _b_zero_problem(rng, p):
 def test_connection_matrix_with_b_zero_vanishes_at_the_eigenvalues():
     # A = I, B = C0 = 0, mu = 1: every lam = 2m + 1 is a double eigenvalue
     prob = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
-    plan = spectral._connection_plan(prob)
+    plan = _plan(prob)
     # the pole 0 gives both rows, from a base point on the ring of radius 0.5
     assert [(plan.poles[j], rank) for j, rank, *_ in plan.rows] == [(0, 2)]
     assert abs(plan.steps[0][0]) == pytest.approx(0.5, rel=1e-15)
@@ -512,7 +519,7 @@ def test_connection_with_b_zero_agrees_with_truncation(p):
         prob = _b_zero_problem(rng, p)
         ref = spectrum_truncated(prob, 5, tol=1e-12).eigenvalues
         seeds = spectrum_truncated(prob, 5, tol=1e-9)
-        shifted = SpectrumResult(seeds.eigenvalues + 1e-6, seeds.convergence, seeds.orders)
+        shifted = dataclasses.replace(seeds, eigenvalues=seeds.eigenvalues + 1e-6)
         for start in (seeds, shifted):
             conn = spectrum_connection(prob, start).eigenvalues
             assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -533,7 +540,9 @@ def test_truncation_and_connection_agree(p, b_zero, seed):
 def _refine(problem, seeds):
     """spectrum_connection from the given seed values."""
     seeds = np.array(seeds, dtype=float)
-    return spectrum_connection(problem, SpectrumResult(seeds, np.zeros(len(seeds)), (64, 128)))
+    analysis = PencilAnalysis(problem.A, problem.B)
+    seeds = SpectrumResult(seeds, np.zeros(len(seeds)), (64, 128), analysis)
+    return spectrum_connection(problem, seeds)
 
 
 def test_refine_from_seed():
@@ -619,7 +628,8 @@ def test_truncation_starts_at_the_order_the_inner_poles_predict(bg, orders):
 
 
 def _predicted_order(prob, tol=1e-10):
-    return math.ceil(math.log(tol) / math.log(pencil._inner_pole_radius(prob)))
+    radius = pencil._inner_pole_radius(PencilAnalysis(prob.A, prob.B))
+    return math.ceil(math.log(tol) / math.log(radius))
 
 
 def _assert_certified(prob, res, tol=1e-10):
@@ -646,7 +656,7 @@ def _toward_boundary(prob, target):
 
     def radius(scale):
         try:
-            return pencil._inner_pole_radius(prob.with_matrices(B=scale * prob.B))
+            return pencil._inner_pole_radius(PencilAnalysis(prob.A, scale * prob.B))
         except PositivityError:
             return 1.0
 
@@ -790,9 +800,28 @@ def test_empty_counts_are_refused_by_the_shared_doubling_loop(monkeypatch):
 
 
 def test_connection_of_no_seeds_is_empty():
-    res = spectrum_connection(P1, SpectrumResult(np.array([]), np.array([]), (64, 128)))
+    none = SpectrumResult(np.array([]), np.array([]), (64, 128), PencilAnalysis(P1.A, P1.B))
+    res = spectrum_connection(P1, none)
     assert res.eigenvalues.shape == res.convergence.shape == (0,)
     assert res.orders == (64, 128)
+
+
+def test_seeds_from_another_pencil_are_refused():
+    # the plan decomposes the analysis the seeds carry, so seeds of another
+    # (A, B) would plan on the wrong poles
+    eye, c0 = np.eye(2), np.diag([0.1, -0.1])
+    nilpotent = NchoProblem(p=2, mu=1.0, A=eye, B=[[0.0, 0.3], [0.0, 0.0]], C0=c0)
+    seeds = spectrum_truncated(NchoProblem(p=2, mu=1.0, A=eye, B=0.3 * eye, C0=c0), 3)
+    with pytest.raises(ContractViolation, match="seeds come from a pencil other than"):
+        spectrum_connection(nilpotent, seeds)
+    # the analysis depends on the pencil alone: seeds of another C0 or mu are
+    # refined on the problem handed in
+    prob = standard_ncho_problem(2.0, 0.75, 0.1, 1.5)
+    ref = _connection(prob, 3).eigenvalues
+    shifted_c0 = prob.with_matrices(C0=prob.C0 + 1e-8 * eye)
+    for other in (shifted_c0, dataclasses.replace(prob, mu=1.5001)):
+        got = spectrum_connection(prob, spectrum_truncated(other, 3, tol=1e-9)).eigenvalues
+        assert np.max(np.abs(got - ref)) <= 1e-11
 
 
 def test_rabi_convergence_error_at_order_cap(monkeypatch):
@@ -906,7 +935,7 @@ def test_row_matrices_do_not_depend_on_the_batch():
     # Newton's values must not depend on which seeds share a batch
     problems = [_classical_eta01(), random_problem(np.random.default_rng(73), 3)]
     for prob in problems:
-        plan = spectral._connection_plan(prob)
+        plan = _plan(prob)
         seeds = spectrum_truncated(prob, 5, tol=1e-9).eigenvalues
         lams = np.concatenate([seeds, seeds + 1e-7 * np.maximum(1.0, np.abs(seeds)), [-2.5, 40.0]])
         whole = spectral._row_matrices(plan, lams)
@@ -930,7 +959,7 @@ def test_spectrum_connection_decomposes_once(monkeypatch, count):
     prob = _classical_eta01()
     seeds = spectrum_truncated(prob, count, tol=1e-9)
     separate = [_refine(prob, [s]) for s in seeds.eigenvalues]
-    calls = _counting(monkeypatch, pencil, "decompose_quadratic_pencil")
+    calls = _counting(monkeypatch, pencil.PencilAnalysis, "decompose")
     result = spectrum_connection(prob, seeds)
     assert len(calls) == 1
     assert result.eigenvalues.tolist() == [r.eigenvalues[0] for r in separate]
@@ -958,7 +987,7 @@ def test_rank_one_b_moves_the_base_point(p):
     rng = np.random.default_rng(50 + p)
     for _ in range(3):
         prob = _rank_one_problem(rng, p)
-        plan = spectral._connection_plan(prob)
+        plan = _plan(prob)
         # 0 is a pole carrying p - 1 rows, and the other inner pole one
         assert sorted((rank, plan.poles[j] == 0) for j, rank, *_ in plan.rows) == [
             (1, False),
@@ -1004,7 +1033,7 @@ def test_legs_pass_no_other_inner_pole(theta):
         p=2, mu=0.8, A=np.eye(2), B=rot @ np.diag([0.3, 0.2]) @ rot.T,
         C0=[[0.1, 0.15 - 0.05j], [0.15 + 0.05j, -0.2]],
     )
-    plan = spectral._connection_plan(prob)
+    plan = _plan(prob)
     inner = [plan.poles[j] for j, *_ in plan.rows]
     assert len(inner) == 2 and abs(np.angle(inner[0] / inner[1])) < 1e-12
     base = plan.steps[0][0]
@@ -1026,7 +1055,7 @@ def test_legs_pass_no_other_inner_pole(theta):
 def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
     prob = _classical_eta01()
     whole = _connection(prob, 5)
-    steps = len(spectral._connection_plan(prob).steps)
+    steps = len(_plan(prob).steps)
     monkeypatch.setattr(spectral, "_BATCH_STEPS", 3 * steps + 1)
     batches = _top_level_batches(monkeypatch)
     split = _connection(prob, 5)
