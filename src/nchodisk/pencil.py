@@ -209,8 +209,8 @@ def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class PencilAnalysis:
-    """The pencil B z^2 + A z + B' with its 2p homogeneous roots (alpha, beta):
-    the one QZ of its linearization, which the gate and the decomposition read."""
+    """The pencil B z^2 + A z + B' with its 2p homogeneous roots (alpha, beta)
+    from one QZ of its linearization, read by _inner_pole_radius and decompose."""
 
     A: np.ndarray
     B: np.ndarray
@@ -225,7 +225,7 @@ class PencilAnalysis:
         """Partial fraction decomposition of (B z^2 + A z + B')^{-1}, its
         annulus points drawn from seed (from A and B when None).
 
-        The poles are the finite roots (alpha, beta).  With k = dim ker B' =
+        The poles are the finite roots alpha / beta.  With k = dim ker B' =
         dim ker B, the k roots nearest infinity are dropped and the k of
         smallest modulus are exactly 0.  Roots within a relative 1e-6 form
         one pole; a pole of m roots has order 1 exactly when ker Q(alpha)
