@@ -64,8 +64,6 @@ from .pencil import (
     PositivityCertificate,
     a123_from_ab,
     ab_from_a123,
-    decompose_pencil,
-    decompose_quadratic_pencil,
     mu_from_harmonic,
     pencil_kernel,
     positivity_margin,

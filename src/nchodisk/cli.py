@@ -26,7 +26,6 @@ from .pencil import (
     NchoProblem,
     ab_from_a123,
     _check_tol,
-    decompose_pencil,
     mu_from_harmonic,
     positivity_margin,
     verify_pencil_identities,
@@ -174,7 +173,7 @@ def _resolve_lambda(args, extras) -> float:
 
 
 def _cmd_verify_pencil(args, problem, extras):
-    dec = decompose_pencil(problem, seed=args.seed)
+    dec = problem.analysis.decompose(args.seed)
     report = verify_pencil_identities(dec, problem, tol=args.tol)
     return {
         "checks": [

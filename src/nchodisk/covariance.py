@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ContractViolation, NotGenericError, SimplePoleViolation
 from .linalg import as_matrix, fix_phase, hermitian_inv_sqrt, is_hermitian, is_unitary
-from .pencil import NchoProblem, PencilAnalysis, _inner_pole_radius, pole_angle, pole_order_key
+from .pencil import NchoProblem, _inner_pole_radius, pole_angle, pole_order_key
 
 __all__ = [
     "INFINITY",
@@ -239,10 +239,9 @@ def standardize_p2(problem: NchoProblem):
     """
     if problem.p != 2:
         raise ContractViolation("standardization is defined for p = 2")
-    analysis = PencilAnalysis(problem.A, problem.B)
-    _inner_pole_radius(analysis)
+    _inner_pole_radius(problem.analysis)
     try:
-        poles = analysis.decompose(None).poles
+        poles = problem.analysis.decomposition.poles
     except SimplePoleViolation as exc:
         raise NotGenericError(f"repeated pencil root: {exc}") from exc
     if len(poles) < 3:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import Su11Element, transform_problem
-from .pencil import NchoProblem, PencilDecomposition, _rank, decompose_pencil
+from .pencil import NchoProblem, PencilDecomposition, _rank
 
 __all__ = [
     "FuchsianSystem",
@@ -40,14 +40,12 @@ class FuchsianSystem:
         raise KeyError(f"no singular point near {point}")
 
 
-def build_fuchsian(
-    problem: NchoProblem, lam: complex, decomposition: PencilDecomposition | None = None
-) -> FuchsianSystem:
+def build_fuchsian(problem: NchoProblem, lam: complex) -> FuchsianSystem:
     """Residues R_j = P_j (-mu (alpha_j B + A/2) + C(lam)).
 
-    The poles and projectors depend on the pencil alone, not on lam; a
-    caller evaluating many lam may pass decompose_pencil(problem) once."""
-    dec = decomposition if decomposition is not None else decompose_pencil(problem)
+    The poles and projectors depend on the pencil alone, not on lam: they
+    are problem.analysis.decomposition, built once per problem."""
+    dec = problem.analysis.decomposition
     c = problem.c_matrix(lam)
     mu = problem.mu
     residues = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigvals
@@ -29,8 +30,6 @@ __all__ = [
     "mu_from_harmonic",
     "ab_from_a123",
     "a123_from_ab",
-    "decompose_pencil",
-    "decompose_quadratic_pencil",
     "pencil_kernel",
     "pole_angle",
     "pole_order_key",
@@ -117,6 +116,13 @@ class NchoProblem:
     def has_standard_lam(self) -> bool:
         return float(np.max(np.abs(self.lam_coeff - 0.5 * np.eye(self.p)))) <= 1e-12
 
+    @cached_property
+    def analysis(self) -> "PencilAnalysis":
+        """The PencilAnalysis of B z^2 + A z + B', built on first use and
+        kept: A and B are never reassigned, and with_matrices and
+        dataclasses.replace build new problems without it."""
+        return PencilAnalysis(self.A, self.B)
+
     def with_matrices(self, A=None, B=None, C0=None, lam_coeff=None) -> "NchoProblem":
         return replace(
             self,
@@ -163,8 +169,12 @@ def pencil_kernel(A, B, alpha) -> tuple[np.ndarray, np.ndarray]:
 
     A singular value of Q(alpha) counts as zero when it is at most
     1e-8 * max(1, |B| |alpha|^2 + |A| |alpha| + |B|), |.| the largest entry
-    modulus.  This is the one kernel rule of the package."""
-    a, b = as_matrix(A), as_matrix(B)
+    modulus.  This is the one kernel rule of the package (_kernel)."""
+    return _kernel(as_matrix(A), as_matrix(B), alpha)
+
+
+def _kernel(a, b, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """pencil_kernel on matrices as_matrix has already checked."""
     u, s, vh = np.linalg.svd(_pencil_value(a, b, b.conj().T, alpha))
     anorm = float(np.max(np.abs(a)))
     bnorm = float(np.max(np.abs(b)))
@@ -210,7 +220,8 @@ def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(eq=False)
 class PencilAnalysis:
     """The pencil B z^2 + A z + B' with its 2p homogeneous roots (alpha, beta)
-    from one QZ of its linearization, read by _inner_pole_radius and decompose."""
+    from one QZ of its linearization, read by _inner_pole_radius and decompose.
+    Each problem holds one, NchoProblem.analysis."""
 
     A: np.ndarray
     B: np.ndarray
@@ -220,6 +231,11 @@ class PencilAnalysis:
         if self.A.shape != self.B.shape or self.A.shape[0] != self.A.shape[1]:
             raise ContractViolation("A and B must be square matrices of one size")
         self.alpha, self.beta = _linearization_eigvals(self.A, self.B)
+
+    @cached_property
+    def decomposition(self) -> PencilDecomposition:
+        """decompose(None), built on first use and kept."""
+        return self.decompose(None)
 
     def decompose(self, seed) -> PencilDecomposition:
         """Partial fraction decomposition of (B z^2 + A z + B')^{-1}, its
@@ -234,10 +250,10 @@ class PencilAnalysis:
         """
         a, b, alpha, beta = self.A, self.B, self.alpha, self.beta
         rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
-        if pencil_kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
+        if _kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
             raise DegeneratePencil("pencil determinant vanishes identically")
 
-        k = pencil_kernel(a, b, 0.0)[1].shape[1]
+        k = _kernel(a, b, 0.0)[1].shape[1]
         finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
         if np.any(beta[finite] == 0):
             # 0 and infinity are roots of det Q of one multiplicity, here above k
@@ -264,7 +280,7 @@ class PencilAnalysis:
         )
         poles, residues = [], []
         for al, mult in centers:
-            y, x = pencil_kernel(a, b, al)
+            y, x = _kernel(a, b, al)
             if x.shape[1] != mult:
                 raise SimplePoleViolation(
                     f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
@@ -286,7 +302,7 @@ class PencilAnalysis:
 def _inner_pole_radius(analysis: PencilAnalysis) -> float:
     """Largest modulus of the pencil roots inside the unit disk, 0.0 when every
     one is 0 (B = 0); the one positivity rule, which every solver that needs
-    it applies to its analysis before it decomposes the pencil.
+    it applies to problem.analysis before it reads its decomposition.
 
     PositivityError unless M(phi) = B e^{i phi} + A + B' e^{-i phi} > 0 on the
     circle.  As M(phi) = e^{-i phi} Q(e^{i phi}), M > 0 iff no root is within
@@ -304,11 +320,6 @@ def _inner_pole_radius(analysis: PencilAnalysis) -> float:
     return float(np.max(np.abs(roots[np.abs(roots) < 1.0]), initial=0.0))
 
 
-def decompose_quadratic_pencil(A, B, seed=None) -> PencilDecomposition:
-    """Partial fraction decomposition of (B z^2 + A z + B')^{-1} (PencilAnalysis.decompose)."""
-    return PencilAnalysis(A, B).decompose(seed)
-
-
 def _reconstruction_residual(a, b, poles, residues, rng) -> float:
     """Largest entry of sum_j P_j / (z - alpha_j) Q(z) - I over 16 annulus
     points drawn from rng, each at least 0.1 from every pole.
@@ -323,10 +334,6 @@ def _reconstruction_residual(a, b, poles, residues, rng) -> float:
     z = np.array(zs)[:, None, None]
     recon = sum(pj / (z - al) for al, pj in zip(poles, residues))
     return float(np.max(np.abs(recon @ _pencil_value(a, b, b.conj().T, z) - np.eye(a.shape[0]))))
-
-
-def decompose_pencil(problem: NchoProblem, seed=None) -> PencilDecomposition:
-    return decompose_quadratic_pencil(problem.A, problem.B, seed=seed)
 
 
 @dataclass

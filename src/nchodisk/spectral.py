@@ -32,7 +32,7 @@ from .linalg import (
     eigenvector_banded,
     fix_phase,
 )
-from .pencil import NchoProblem, PencilAnalysis, _check_tol, _inner_pole_radius
+from .pencil import NchoProblem, _check_tol, _inner_pole_radius
 
 __all__ = [
     "SpectrumResult",
@@ -166,7 +166,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     convergence: np.ndarray
     orders: tuple[int, int]
-    analysis: PencilAnalysis  # of the problem's pencil, which spectrum_connection decomposes
 
 
 def _ritz_bounds(gauged: NchoProblem, order: int, count: int):
@@ -254,8 +253,8 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     largest of the floor max(64, least order holding count eigenvalues)
     and the prediction ceil(log tol / log r) capped at _MAX_ORDER // 2; the
     prediction is left out when r = 0 (B = 0), tol = 0 or tol >= 1.  The
-    positivity rule reads r off the PencilAnalysis the result carries, and
-    refuses a problem not positive on the circle (PositivityError) first.
+    positivity rule reads r off problem.analysis, and refuses a problem not
+    positive on the circle (PositivityError) first.
 
     When the uncapped prediction raises N above the floor, order N is
     solved once and certified (_ritz_bounds): if every bound is below tol,
@@ -268,8 +267,7 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     past the prediction, so its second solve is small (64 and 128 on every
     fixture), and its printed orders stay those of the doubling."""
     floor = max(64, -(-count // problem.p))
-    analysis = PencilAnalysis(problem.A, problem.B)
-    r = _inner_pole_radius(analysis)
+    r = _inner_pole_radius(problem.analysis)
     predicted = math.ceil(math.log(tol) / math.log(r)) if r > 0 and 0 < tol < 1 else 0
     start = max(floor, min(predicted, _MAX_ORDER // 2))
     gauged = _schur_gauged(problem)
@@ -284,11 +282,11 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
         else:
             vals = first
         if np.max(bounds) < tol:
-            return SpectrumResult(vals, bounds, (start, order), analysis)
+            return SpectrumResult(vals, bounds, (start, order))
     vals, change, orders = _settle(
         lambda order: build_truncated(gauged, order), count, start, tol, first
     )
-    return SpectrumResult(vals, change, orders, analysis)
+    return SpectrumResult(vals, change, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +371,18 @@ class _ConnectionPlan:
     steps: list[tuple[complex, complex]]
 
 
-def _connection_plan(problem: NchoProblem, analysis: PencilAnalysis) -> _ConnectionPlan:
+def _connection_plan(problem: NchoProblem) -> _ConnectionPlan:
     """Base point, matching points and transport steps of the row matrix,
-    from the decomposition of analysis, problem's pencil, which has passed
-    the positivity rule (_inner_pole_radius).  The candidate base points
+    from the decomposition of problem.analysis once it has passed the
+    positivity rule (_inner_pole_radius).  The candidate base points
     are 0 when 0 is regular, then 16 points on the circle of half the least
     nonzero inner pole modulus (radius 0.5 when 0 is the only inner pole,
     as with B = 0), farthest from the poles first.  The first whose
     straight legs all stay out of the disks the other inner poles' matching
     radii can fill is taken, failing that the one whose legs come least
     close: a leg through a pole would never reach its matching point."""
-    dec = analysis.decompose(None)
+    _inner_pole_radius(problem.analysis)
+    dec = problem.analysis.decomposition
     poles = np.array(dec.poles, dtype=complex)
     inner = np.flatnonzero(np.abs(poles) < 1.0)
     nonzero = np.abs(poles[inner][poles[inner] != 0])
@@ -415,7 +414,7 @@ def _connection_plan(problem: NchoProblem, analysis: PencilAnalysis) -> _Connect
         rows.append((int(j), dec.ranks[j], float(radius), len(leg), len(arcs)))
         steps += leg + arcs
     # R_j(lam) = res0[j] + lam res1[j], with the lam part exact
-    res0 = np.array(build_fuchsian(problem, 0.0, dec).residues)
+    res0 = np.array(build_fuchsian(problem, 0.0).residues)
     res1 = np.array([pj @ problem.lam_coeff for pj in dec.residues])
     return _ConnectionPlan(poles=poles, res0=res0, res1=res1, rows=rows, steps=steps)
 
@@ -474,9 +473,7 @@ def connection_matrix(problem: NchoProblem, lam: complex) -> np.ndarray:
     rank(P_k) rows, the single-valuedness deficit of the transported frame
     once around alpha_k (see _row_matrices); for p = 1 the one entry is
     sin(pi rho) times a unit phase."""
-    analysis = PencilAnalysis(problem.A, problem.B)
-    _inner_pole_radius(analysis)
-    return _row_matrices(_connection_plan(problem, analysis), [lam])[0]
+    return _row_matrices(_connection_plan(problem), [lam])[0]
 
 
 def spectrum_connection(
@@ -485,25 +482,21 @@ def spectrum_connection(
     """The eigenvalues of seeds, the caller's spectrum_truncated(problem,
     count) result, each refined by Newton on the connection matrix.
 
-    The plan is built once, from one decomposition of seeds.analysis, whose
-    A and B must be problem's (ContractViolation otherwise).  Each round
-    evaluates L at every open seed s and at s + delta, delta =
-    1e-7 max(1, |s|), in one batch of propagators (one per _BATCH_STEPS
-    steps, when the round has more), solves L(s) x = -h L'(s) x with the
-    forward difference L', and moves s by the real part of the h of least
-    modulus.  A seed stays open until its |h| is at most tol max(1, |s|);
-    every seed takes at least one step.  The convergence reported is the
-    last |h|, in units of lam.  A value that ends more than half the gap
+    The plan is built once, from problem.analysis, whichever problem the
+    seeds came from.  Each round evaluates L at every open seed s and at
+    s + delta, delta = 1e-7 max(1, |s|), in one batch of propagators (one
+    per _BATCH_STEPS steps, when the round has more), solves
+    L(s) x = -h L'(s) x with the forward difference L', and moves s by the
+    real part of the h of least modulus.  A seed stays open until its |h|
+    is at most tol max(1, |s|); every seed takes at least one step.  The
+    convergence reported is the last |h|, in units of lam.  A value that ends more than half the gap
     to the nearest other seed from its own seed (seeds closer than its
     delta count as one) is refused: it may have left for another root."""
     _check_tol(tol)
-    analysis = seeds.analysis
-    if not (np.array_equal(analysis.A, problem.A) and np.array_equal(analysis.B, problem.B)):
-        raise ContractViolation("seeds come from a pencil other than problem's A and B")
-    plan = _connection_plan(problem, analysis)
+    plan = _connection_plan(problem)
     start = np.array(seeds.eigenvalues, dtype=float)
     if not start.size:
-        return SpectrumResult(start, start.copy(), seeds.orders, analysis)
+        return SpectrumResult(start, start.copy(), seeds.orders)
     values = start.copy()
     last_step = np.zeros(len(values))
     open_ = np.arange(len(values))
@@ -541,7 +534,7 @@ def spectrum_connection(
             f"Newton on the connection matrix left seeds {start[strayed].tolist()} for "
             f"{values[strayed].tolist()}, more than half the gap to the next seed"
         )
-    return SpectrumResult(values, last_step, seeds.orders, analysis)
+    return SpectrumResult(values, last_step, seeds.orders)
 
 
 # ---------------------------------------------------------------------------

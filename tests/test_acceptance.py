@@ -25,7 +25,6 @@ from nchodisk import (
     chordal_distance,
     confluence_sweep,
     connection_matrix,
-    decompose_pencil,
     exponents_at,
     gauge_problem,
     heun_like_parameters,
@@ -64,7 +63,7 @@ def _suite_instances(count=200):
             b[p - 1, :] = 0.0
             cand = prob.with_matrices(B=b)
             try:
-                dec = decompose_pencil(cand)
+                dec = cand.analysis.decomposition
             except Exception:
                 out.append(prob)
                 continue
@@ -85,7 +84,7 @@ def test_criterion_01_pencil_identity_suite():
     worst = 0.0
     n_singular_b = 0
     for prob in instances:
-        dec = decompose_pencil(prob)
+        dec = prob.analysis.decomposition
         n_singular_b += int(dec.zero_is_pole)
         report = verify_pencil_identities(dec, prob, tol=1e-9)
         worst = max(worst, max(c.residual for c in report.checks))
@@ -283,8 +282,8 @@ def test_criterion_07_group_and_gauge_invariance():
         u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         gauged = spectrum_truncated(gauge_problem(u, prob), 5, tol=1e-9).eigenvalues
         worst_spectrum = max(worst_spectrum, float(np.max(np.abs(gauged - base))))
-        dec0 = decompose_pencil(prob)
-        dec1 = decompose_pencil(moved_prob)
+        dec0 = prob.analysis.decomposition
+        dec1 = moved_prob.analysis.decomposition
         # a pole counts rank P_j times; the rest of the 2p roots sit at infinity
         finite0 = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec0.residues)
         finite1 = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec1.residues)

@@ -57,17 +57,40 @@ def test_every_error_class_is_raised_or_caught():
     assert sorted(classes - named) == []
 
 
+def _call_sites(name):
+    """(file, enclosing class and function names, line) of every call of name
+    in the package."""
+    sites = []
+
+    def visit(node, where, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                sites.append((path.name, where, child.lineno))
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            visit(child, inner, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path)
+    return sites
+
+
 def test_the_pencil_qz_has_one_call_site():
     # PencilAnalysis runs the one QZ of the linearization; a second call
     # would be a second path to the pencil's roots
-    sites = [
-        (path.name, node.lineno)
-        for path in PACKAGE.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_linearization_eigvals"
-    ]
+    sites = _call_sites("_linearization_eigvals")
     assert len(sites) == 1, sites
+
+
+def test_the_pencil_analysis_is_built_only_by_its_problem():
+    # each problem holds its one analysis: a PencilAnalysis built anywhere
+    # else would run a second QZ of a pencil the problem has analysed
+    sites = _call_sites("PencilAnalysis")
+    assert [site[:2] for site in sites] == [("pencil.py", "NchoProblem.analysis")], sites
 
 
 def _exported_functions():

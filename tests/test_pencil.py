@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +17,6 @@ from nchodisk import (
     a123_from_ab,
     ab_from_a123,
     connection_matrix,
-    decompose_pencil,
-    decompose_quadratic_pencil,
     mu_from_harmonic,
     pencil_kernel,
     positivity_margin,
@@ -70,7 +69,7 @@ def test_ab_rejects_non_hermitian():
 
 def test_decompose_p1_quarter_pencil():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.25]], C0=[[0.0]])
-    dec = decompose_pencil(prob)
+    dec = prob.analysis.decomposition
     assert not dec.zero_is_pole
     assert abs(dec.poles[0] - (-2.0 - SQ3)) < 1e-10
     assert abs(dec.poles[1] - (-2.0 + SQ3)) < 1e-10
@@ -81,7 +80,7 @@ def test_decompose_p1_quarter_pencil():
 
 def test_decompose_linear_pencil():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
-    dec = decompose_pencil(prob)
+    dec = prob.analysis.decomposition
     assert dec.zero_is_pole
     assert dec.poles == [0.0]
     assert abs(dec.residues[0][0, 0] - 1.0) < 1e-12
@@ -90,7 +89,7 @@ def test_decompose_linear_pencil():
 def test_decompose_standard_form_pole_layout():
     b1, b2 = 0.2 * np.exp(0.3j), 0.3
     b = np.array([[b1, b2], [0.0, 0.0]])
-    dec = decompose_quadratic_pencil(np.eye(2), b)
+    dec = PencilAnalysis(np.eye(2), b).decomposition
     assert dec.zero_is_pole
     inner = [al for al in dec.poles if al != 0 and abs(al) < 1]
     outer = [al for al in dec.poles if abs(al) > 1]
@@ -102,20 +101,20 @@ def test_decompose_rejects_repeated_root():
     # B = [[0, b2], [0, 0]] gives det = (1 - |b2|^2) z^2, a double root
     b = np.array([[0.0, 0.3], [0.0, 0.0]])
     with pytest.raises(SimplePoleViolation):
-        decompose_quadratic_pencil(np.eye(2), b)
+        PencilAnalysis(np.eye(2), b).decomposition
 
 
 def test_decompose_rejects_singular_pencil():
     # Q(z) = diag(z^2/2 + z, 0) is singular at every z
     with pytest.raises(DegeneratePencil):
-        decompose_quadratic_pencil(np.diag([1.0, 0.0]), np.diag([0.5, 0.0]))
+        PencilAnalysis(np.diag([1.0, 0.0]), np.diag([0.5, 0.0])).decomposition
 
 
 def test_decompose_repeated_root_with_full_kernel():
     # det Q = (z^2/4 + z + 1/4)^2: each double root is an order-1 pole of the
     # inverse whose kernel is all of C^2
     prob = NchoProblem(p=2, mu=0.5, A=np.eye(2), B=0.25 * np.eye(2), C0=np.zeros((2, 2)))
-    dec = decompose_pencil(prob)
+    dec = prob.analysis.decomposition
     assert len(dec.poles) == 2
     assert abs(dec.poles[0] - (-2.0 - SQ3)) < 1e-12
     assert abs(dec.poles[1] - (-2.0 + SQ3)) < 1e-12
@@ -128,7 +127,7 @@ def test_decompose_repeated_root_with_full_kernel():
 def test_b_zero_has_one_pole_of_rank_p():
     # Q(z) = A z: the one finite root 0 has multiplicity p, infinity the other p
     prob = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
-    dec = decompose_pencil(prob)
+    dec = prob.analysis.decomposition
     assert dec.poles == [0.0] and dec.ranks == [prob.p] == [2]
 
 
@@ -137,7 +136,7 @@ def test_decompose_rejects_nonzero_jordan_double_root():
     # each double root is an order-2 pole of the inverse
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(SimplePoleViolation):
-        decompose_quadratic_pencil(a, 0.25 * np.eye(2))
+        PencilAnalysis(a, 0.25 * np.eye(2)).decomposition
 
 
 def _laurent_limit_matches(a, b, dec, eps=1e-6):
@@ -155,12 +154,12 @@ def test_residues_match_laurent_limit_random():
     rng = np.random.default_rng(77)
     for k in range(9):
         prob = random_problem(rng, p=1 + k % 3)
-        _laurent_limit_matches(prob.A, prob.B, decompose_pencil(prob))
+        _laurent_limit_matches(prob.A, prob.B, prob.analysis.decomposition)
 
 
 def test_full_kernel_residue_matches_laurent_limit():
     a, b = np.eye(2), 0.25 * np.eye(2)
-    _laurent_limit_matches(a, b, decompose_quadratic_pencil(a, b))
+    _laurent_limit_matches(a, b, PencilAnalysis(a, b).decomposition)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -168,7 +167,7 @@ def test_decompose_p9_reconstructs(seed):
     rng = np.random.default_rng(seed)
     a = np.eye(9) + 0.25 * random_hermitian(rng, 9)
     g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    dec = decompose_quadratic_pencil(a, 0.3 * np.linalg.qr(g)[0])
+    dec = PencilAnalysis(a, 0.3 * np.linalg.qr(g)[0]).decomposition
     assert len(dec.poles) == 18 and type(dec.zero_is_pole) is bool
     assert dec.reconstruction_residual < 1e-10
 
@@ -183,7 +182,7 @@ def test_identities_random_large_p(p):
         b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
         b *= 0.15 * np.linalg.eigvalsh(a)[0] / np.linalg.norm(b, 2)
         prob = NchoProblem(p=p, mu=1.0, A=a, B=b, C0=np.zeros((p, p)))
-        dec = decompose_pencil(prob)
+        dec = prob.analysis.decomposition
         assert dec.zero_is_pole is False and len(dec.poles) == 2 * p
         assert dec.ranks == [pencil_kernel(a, b, al)[1].shape[1] for al in dec.poles]
         assert sum(dec.ranks) == 2 * p - (p - np.linalg.matrix_rank(b))
@@ -197,7 +196,7 @@ def test_sampler_draws_large_p_with_an_explicit_pole_gap(p):
     # gap of 0.05 rejects every draw at p >= 5; 5e-3 keeps them apart
     for seed in range(6):
         prob = random_problem(np.random.default_rng(seed), p, min_pole_gap=5e-3)
-        dec = decompose_pencil(prob)
+        dec = prob.analysis.decomposition
         assert sum(dec.ranks) == 2 * p - (p - np.linalg.matrix_rank(prob.B))
         report = verify_pencil_identities(dec, prob)
         assert report.all_passed, [(c.name, c.residual) for c in report.checks]
@@ -225,14 +224,14 @@ def test_pencil_kernel_dimensions():
 
 def test_identities_p1_quarter():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.25]], C0=[[0.0]])
-    report = verify_pencil_identities(decompose_pencil(prob), prob)
+    report = verify_pencil_identities(prob.analysis.decomposition, prob)
     assert report.all_passed
     assert report.residual("sums_invertible_b") < 1e-12
 
 
 def test_identities_linear_branch():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
-    report = verify_pencil_identities(decompose_pencil(prob), prob)
+    report = verify_pencil_identities(prob.analysis.decomposition, prob)
     assert report.all_passed
     assert report.residual("sums_singular_b") < 1e-12
 
@@ -241,7 +240,7 @@ def test_identities_random_instances():
     rng = np.random.default_rng(2024)
     for k in range(30):
         prob = random_problem(rng, p=1 + k % 3)
-        report = verify_pencil_identities(decompose_pencil(prob), prob)
+        report = verify_pencil_identities(prob.analysis.decomposition, prob)
         assert report.all_passed, [
             (c.name, c.residual) for c in report.checks if not c.passed
         ]
@@ -308,7 +307,7 @@ def test_positivity_refuses_a_grid_outside_its_range(monkeypatch, grid):
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
 def test_verify_refuses_a_negative_or_non_finite_tol(tol):
     prob = random_problem(np.random.default_rng(4), p=2)
-    dec = decompose_pencil(prob)
+    dec = prob.analysis.decomposition
     with pytest.raises(ContractViolation, match="tol must be non-negative and finite"):
         verify_pencil_identities(dec, prob, tol=tol)
 
@@ -464,14 +463,15 @@ def test_positivity_with_b_zero_solves_one_matrix_bit_for_bit(monkeypatch, grid)
 
 
 def _radius(prob):
-    """The positivity rule applied to an analysis of prob's pencil."""
-    return _inner_pole_radius(PencilAnalysis(prob.A, prob.B))
+    """The positivity rule applied to prob's analysis."""
+    return _inner_pole_radius(prob.analysis)
 
 
 def test_inner_pole_radius_is_the_largest_inner_pole(monkeypatch):
     rng = np.random.default_rng(21)
     randoms = [random_problem(rng, p) for p in (1, 2, 3, 4) for _ in range(3)]
-    # one QZ of the linearization serves both the radius and the decomposition
+    # one QZ of the linearization, the problem's analysis, serves both the
+    # radius and the decomposition
     qz = []
     real = pencil._linearization_eigvals
     monkeypatch.setattr(pencil, "_linearization_eigvals", lambda a, b: qz.append(1) or real(a, b))
@@ -480,10 +480,11 @@ def test_inner_pole_radius_is_the_largest_inner_pole(monkeypatch):
         with pytest.raises(PositivityError, match="sits on the unit circle"):
             _radius(fixtures.pop(name))
     for prob in [*fixtures.values(), *randoms]:
+        prob = dataclasses.replace(prob)  # the sampler has analysed the randoms
         qz.clear()
         radius = _radius(prob)
-        inner = [abs(al) for al in decompose_pencil(prob).poles if abs(al) < 1.0]
-        assert len(qz) == 2
+        inner = [abs(al) for al in prob.analysis.decomposition.poles if abs(al) < 1.0]
+        assert len(qz) == 1
         assert abs(radius - max(inner)) <= 1e-12
     b_zero = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
     assert _radius(b_zero) == 0.0
@@ -556,7 +557,7 @@ def _reconstruction_problems(name):
 )
 def test_reconstruction_residual_matches_pointwise_loop(name):
     for prob in _reconstruction_problems(name):
-        dec = decompose_pencil(prob)
+        dec = prob.analysis.decomposition
         for seed in (0, 1, 2):
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _reconstruction_residual(prob.A, prob.B, dec.poles, dec.residues, rng)
@@ -569,7 +570,7 @@ def test_degree_bound_and_detb():
     rng = np.random.default_rng(11)
     for k in range(10):
         prob = random_problem(rng, p=2)
-        dec = decompose_pencil(prob)
+        dec = prob.analysis.decomposition
         # finite poles with multiplicity: a pole counts rank P_j times
         degree = sum(np.linalg.matrix_rank(pj, rtol=1e-8) for pj in dec.residues)
         assert degree <= 2 * prob.p

@@ -25,12 +25,12 @@ from nchodisk import (
     PositivityError,
     RabiParameters,
     RefinementError,
+    SimplePoleViolation,
     Su11Element,
     SpectrumResult,
     build_truncated,
     confluence_sweep,
     connection_matrix,
-    decompose_pencil,
     eigen_banded_lowest,
     eigenfunction_profile,
     eigenvector_banded,
@@ -41,12 +41,12 @@ from nchodisk import (
     spectrum_connection,
     spectrum_truncated,
     standard_ncho_problem,
+    standardize_p2,
     transform_problem,
 )
 from nchodisk import linalg, pencil, spectral
 from nchodisk.cli import parse_problem
 from nchodisk.linalg import band_to_dense, block_band
-from nchodisk.pencil import PencilAnalysis
 from nchodisk.spectral import _norm_sq
 
 SQ3 = np.sqrt(3.0)
@@ -346,14 +346,10 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _plan(prob):
-    """The connection plan of prob, from an analysis of its own pencil."""
-    return spectral._connection_plan(prob, PencilAnalysis(prob.A, prob.B))
-
-
 def test_connection_determinant_decomposes_once(monkeypatch):
+    # on fresh problems: P1 is analysed and decomposed once for the module
     calls = _counting(monkeypatch, pencil.PencilAnalysis, "decompose")
-    connection_matrix(P1, 1.2)
+    connection_matrix(dataclasses.replace(P1), 1.2)
     assert len(calls) == 1
     calls.clear()
     connection_matrix(standard_ncho_problem(2.0, 0.51, 0.1, 1.5), 3.0)
@@ -404,7 +400,7 @@ def test_each_newton_round_is_one_propagator_batch(monkeypatch):
     assert len(rounds) >= 2  # a seed 1e-6 off needs a second step
     assert len(batches) == len(rounds)
     # every step of every row at s and s + delta of every open seed
-    plan = _plan(prob)
+    plan = spectral._connection_plan(prob)
     assert batches == [len(plan.steps) * len(args[1]) for args in rounds]
     assert len(rounds[0][1]) == 10
 
@@ -463,7 +459,7 @@ def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, pole, lam):
     connection_matrix(prob, lam)
     # split halves return before the batch that asked for them
     poles, residues, props = batches[-1]
-    plan = _plan(prob)
+    plan = spectral._connection_plan(prob)
     assert len(plan.rows) == 2
     start = sum(n_leg + n_loop for _, _, _, n_leg, n_loop in plan.rows[:pole])
     j, _, _, n_leg, n_loop = plan.rows[pole]
@@ -503,7 +499,7 @@ def _b_zero_problem(rng, p):
 def test_connection_matrix_with_b_zero_vanishes_at_the_eigenvalues():
     # A = I, B = C0 = 0, mu = 1: every lam = 2m + 1 is a double eigenvalue
     prob = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
-    plan = _plan(prob)
+    plan = spectral._connection_plan(prob)
     # the pole 0 gives both rows, from a base point on the ring of radius 0.5
     assert [(plan.poles[j], rank) for j, rank, *_ in plan.rows] == [(0, 2)]
     assert abs(plan.steps[0][0]) == pytest.approx(0.5, rel=1e-15)
@@ -540,8 +536,7 @@ def test_truncation_and_connection_agree(p, b_zero, seed):
 def _refine(problem, seeds):
     """spectrum_connection from the given seed values."""
     seeds = np.array(seeds, dtype=float)
-    analysis = PencilAnalysis(problem.A, problem.B)
-    seeds = SpectrumResult(seeds, np.zeros(len(seeds)), (64, 128), analysis)
+    seeds = SpectrumResult(seeds, np.zeros(len(seeds)), (64, 128))
     return spectrum_connection(problem, seeds)
 
 
@@ -628,7 +623,7 @@ def test_truncation_starts_at_the_order_the_inner_poles_predict(bg, orders):
 
 
 def _predicted_order(prob, tol=1e-10):
-    radius = pencil._inner_pole_radius(PencilAnalysis(prob.A, prob.B))
+    radius = pencil._inner_pole_radius(prob.analysis)
     return math.ceil(math.log(tol) / math.log(radius))
 
 
@@ -656,7 +651,7 @@ def _toward_boundary(prob, target):
 
     def radius(scale):
         try:
-            return pencil._inner_pole_radius(PencilAnalysis(prob.A, scale * prob.B))
+            return pencil._inner_pole_radius(prob.with_matrices(B=scale * prob.B).analysis)
         except PositivityError:
             return 1.0
 
@@ -800,19 +795,19 @@ def test_empty_counts_are_refused_by_the_shared_doubling_loop(monkeypatch):
 
 
 def test_connection_of_no_seeds_is_empty():
-    none = SpectrumResult(np.array([]), np.array([]), (64, 128), PencilAnalysis(P1.A, P1.B))
+    none = SpectrumResult(np.array([]), np.array([]), (64, 128))
     res = spectrum_connection(P1, none)
     assert res.eigenvalues.shape == res.convergence.shape == (0,)
     assert res.orders == (64, 128)
 
 
 def test_seeds_from_another_pencil_are_refused():
-    # the plan decomposes the analysis the seeds carry, so seeds of another
-    # (A, B) would plan on the wrong poles
+    # the plan reads the problem's own analysis, never the seeds' pencil: the
+    # nilpotent problem's repeated root is refused whatever the seeds
     eye, c0 = np.eye(2), np.diag([0.1, -0.1])
     nilpotent = NchoProblem(p=2, mu=1.0, A=eye, B=[[0.0, 0.3], [0.0, 0.0]], C0=c0)
     seeds = spectrum_truncated(NchoProblem(p=2, mu=1.0, A=eye, B=0.3 * eye, C0=c0), 3)
-    with pytest.raises(ContractViolation, match="seeds come from a pencil other than"):
+    with pytest.raises(SimplePoleViolation):
         spectrum_connection(nilpotent, seeds)
     # the analysis depends on the pencil alone: seeds of another C0 or mu are
     # refined on the problem handed in
@@ -822,6 +817,40 @@ def test_seeds_from_another_pencil_are_refused():
     for other in (shifted_c0, dataclasses.replace(prob, mu=1.5001)):
         got = spectrum_connection(prob, spectrum_truncated(other, 3, tol=1e-9)).eigenvalues
         assert np.max(np.abs(got - ref)) <= 1e-11
+
+
+def test_hand_made_seeds_do_not_skip_the_positivity_rule():
+    # the plan applies the rule to the problem itself, whatever the seeds
+    prob = parse_problem(str(FIXTURES / "unit_circle_p1.json"))[0]
+    with pytest.raises(PositivityError, match="sits on the unit circle"):
+        _refine(prob, [1.0, 3.0])
+
+
+def test_each_problem_runs_its_own_qz_once(monkeypatch):
+    # the analysis is built on first use and kept; with_matrices and replace
+    # build problems that run their own, and the problems a solver builds on
+    # the way (the Schur gauge, the standardization steps) run none
+    qz = []
+    real = pencil._linearization_eigvals
+    monkeypatch.setattr(pencil, "_linearization_eigvals", lambda a, b: qz.append(1) or real(a, b))
+    prob = _classical_eta01()
+    analysis = prob.analysis
+    assert prob.analysis is analysis
+    assert analysis.decomposition is analysis.decomposition
+    assert len(qz) == 1
+    for other in (prob.with_matrices(B=2 * prob.B), dataclasses.replace(prob)):
+        qz.clear()
+        assert other.analysis is not analysis
+        assert np.array_equal(other.analysis.B, other.B)
+        assert len(qz) == 1
+    qz.clear()
+    spectral._schur_gauged(prob)
+    standardize_p2(prob)
+    assert qz == []
+    for solve in (standardize_p2, lambda x: spectrum_truncated(x, 3)):
+        qz.clear()
+        solve(_classical_eta01())
+        assert len(qz) == 1
 
 
 def test_rabi_convergence_error_at_order_cap(monkeypatch):
@@ -935,7 +964,7 @@ def test_row_matrices_do_not_depend_on_the_batch():
     # Newton's values must not depend on which seeds share a batch
     problems = [_classical_eta01(), random_problem(np.random.default_rng(73), 3)]
     for prob in problems:
-        plan = _plan(prob)
+        plan = spectral._connection_plan(prob)
         seeds = spectrum_truncated(prob, 5, tol=1e-9).eigenvalues
         lams = np.concatenate([seeds, seeds + 1e-7 * np.maximum(1.0, np.abs(seeds)), [-2.5, 40.0]])
         whole = spectral._row_matrices(plan, lams)
@@ -960,7 +989,8 @@ def test_spectrum_connection_decomposes_once(monkeypatch, count):
     seeds = spectrum_truncated(prob, count, tol=1e-9)
     separate = [_refine(prob, [s]) for s in seeds.eigenvalues]
     calls = _counting(monkeypatch, pencil.PencilAnalysis, "decompose")
-    result = spectrum_connection(prob, seeds)
+    # a freshly parsed problem: prob's decomposition is kept from the refines
+    result = spectrum_connection(_classical_eta01(), seeds)
     assert len(calls) == 1
     assert result.eigenvalues.tolist() == [r.eigenvalues[0] for r in separate]
     assert result.convergence.tolist() == [r.convergence[0] for r in separate]
@@ -975,7 +1005,7 @@ def _rank_one_problem(rng, p):
         rank_one = prob.with_matrices(B=s[0] * np.outer(u[:, 0], vh[0]))
         if positivity_margin(rank_one, 64).margin <= 0.05:
             continue
-        poles = np.array(decompose_pencil(rank_one).poles)
+        poles = np.array(rank_one.analysis.decomposition.poles)
         gaps = np.abs(poles[:, None] - poles)[np.triu_indices(len(poles), 1)]
         if gaps.min() >= 0.05:
             return rank_one
@@ -987,7 +1017,7 @@ def test_rank_one_b_moves_the_base_point(p):
     rng = np.random.default_rng(50 + p)
     for _ in range(3):
         prob = _rank_one_problem(rng, p)
-        plan = _plan(prob)
+        plan = spectral._connection_plan(prob)
         # 0 is a pole carrying p - 1 rows, and the other inner pole one
         assert sorted((rank, plan.poles[j] == 0) for j, rank, *_ in plan.rows) == [
             (1, False),
@@ -1016,7 +1046,7 @@ def test_error_estimate_holds_at_the_newton_noise_floor():
         )
         if positivity_margin(prob, 64).margin > 0.05:
             kept.append(prob)
-    poles = np.array(decompose_pencil(kept[-1]).poles)
+    poles = np.array(kept[-1].analysis.decomposition.poles)
     assert np.allclose(poles, [0.0, 0.0290 + 0.0134j, 28.45 + 13.15j], atol=1e-4, rtol=1e-3)
     ref = spectrum_truncated(kept[-1], 5, tol=1e-13).eigenvalues
     conn = _connection(kept[-1], 5)
@@ -1033,7 +1063,7 @@ def test_legs_pass_no_other_inner_pole(theta):
         p=2, mu=0.8, A=np.eye(2), B=rot @ np.diag([0.3, 0.2]) @ rot.T,
         C0=[[0.1, 0.15 - 0.05j], [0.15 + 0.05j, -0.2]],
     )
-    plan = _plan(prob)
+    plan = spectral._connection_plan(prob)
     inner = [plan.poles[j] for j, *_ in plan.rows]
     assert len(inner) == 2 and abs(np.angle(inner[0] / inner[1])) < 1e-12
     base = plan.steps[0][0]
@@ -1055,7 +1085,7 @@ def test_legs_pass_no_other_inner_pole(theta):
 def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
     prob = _classical_eta01()
     whole = _connection(prob, 5)
-    steps = len(_plan(prob).steps)
+    steps = len(spectral._connection_plan(prob).steps)
     monkeypatch.setattr(spectral, "_BATCH_STEPS", 3 * steps + 1)
     batches = _top_level_batches(monkeypatch)
     split = _connection(prob, 5)
@@ -1297,7 +1327,7 @@ def test_connection_with_small_inner_pole_agrees_without_warning():
     # inner pole |alpha| ~ 0.025: the base point 0 lies close to it, and the
     # matching circle shrinks with that distance
     prob = NchoProblem(p=1, mu=1.0, A=[[1.0]], B=[[0.05]], C0=[[0.0]])
-    inner = [al for al in pencil.decompose_pencil(prob).poles if 0 < abs(al) < 1]
+    inner = [al for al in prob.analysis.decomposition.poles if 0 < abs(al) < 1]
     assert abs(inner[0]) < 0.185
     with warnings.catch_warnings():
         warnings.simplefilter("error")
