@@ -168,10 +168,16 @@ class SpectrumResult:
     orders: tuple[int, int]
 
 
-def _ritz_bounds(gauged: NchoProblem, order: int, count: int):
+def _ritz_bounds(gauged: NchoProblem, order: int, count: int, shifts=None):
     """The count lowest eigenvalues of the order-`order` truncation of
-    gauged (a _schur_gauged problem) and a bound on the error of each
-    against the full operator: inf where none can be formed.
+    gauged (a _schur_gauged problem), a bound on the error of each against
+    the full operator (inf where none can be formed), and the values of
+    the whole window, the shifts of a later order.
+
+    Without shifts the window comes from one eigensolve.  With shifts (the
+    window of an earlier order, which a later order moves by little) there
+    is no eigensolve: each shift gives one vector by inverse iteration, and
+    its value is the vector's Rayleigh quotient.
 
     A Ritz vector v of the truncation, extended by zeros, has the residual
     [(H_N - theta) v; C_N v_{N-1}] in the full operator, C_N = 2 T
@@ -180,49 +186,72 @@ def _ritz_bounds(gauged: NchoProblem, order: int, count: int):
     r = |(H_N - theta) Q|_F + |C_N Q_{N-1}|_F: its c values get c
     orthonormal vectors Q from one subspace inverse iteration, rotated to
     the Ritz vectors of Q* H_N Q so that column k goes with the k-th
-    value.  Merging repeats until no intervals overlap.  An eigenvalue of
+    value; so two shifts that collapse onto one vector are bounded as a
+    block.  Merging repeats until no intervals overlap.  An eigenvalue of
     the full operator has multiplicity at most p (its eigenfunctions are
     fixed by their p-vector value at a point), so a cluster of more than p
     values is left unbounded.  The window holds count + 1 values, and
     count + p when the cluster of the count-th one reaches its top, so
-    that cluster has another above it.  Each value of a cluster gets
-    |(H_N - theta) Q|_F + r^2 / gap, the gap from the cluster's values to
-    the nearest interval of another cluster: the first term covers the
-    computed values against the Rayleigh-Ritz values of Q, the second
-    those against the full operator (Kato-Temple, Parlett ch. 10; for a
-    cluster the block bound of Mathias, SIAM J. Matrix Anal. Appl. 19
-    (1998) 541-550).  The bound takes the window to hold the lowest
-    eigenvalues of the full operator, which the inner-pole prediction of
-    the order supports; nothing below the window is searched for."""
+    that cluster has another above it; with shifts it holds one value per
+    shift.  Each value of a cluster gets
+    |(H_N - theta) Q|_F + r^2 / gap + rounding, the gap from the cluster's
+    values to the nearest interval of another cluster: the first term
+    covers the computed values against the Rayleigh-Ritz values of Q, the
+    second those against the full operator (Kato-Temple, Parlett ch. 10;
+    for a cluster the block bound of Mathias, SIAM J. Matrix Anal. Appl.
+    19 (1998) 541-550).  The third covers the rounding of the first: each
+    entry of the computed (H_N - theta) v sums 2 kd + 2 products, kd the
+    band's bandwidth, so v* (H_N - theta) v moves by at most
+    gamma (|v|^T |H_N| |v| + |theta|), with gamma = gamma_{2kd+4} the
+    constant of a complex dot product of that length (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3), about 4 eps at kd = 2;
+    a cluster sums it over its vectors.  The bound takes the window to
+    hold the lowest eigenvalues of the full operator, which the
+    inner-pole prediction of the order supports; nothing below the window
+    is searched for."""
     band = _lapack_band(build_truncated(gauged, order))
     c_out = 2.0 * gauged.B * math.sqrt(order * (order - 1 + gauged.mu))
     p, n = gauged.p, band.shape[1]
+    nu = (2 * band.shape[0] + 2) * np.finfo(float).eps / 2  # (2 kd + 4) u
+    gamma, abs_band = nu / (1.0 - nu), np.abs(band)
 
-    def residuals(q, lo, hi):
-        """Column norms of (H_N - theta) q and of C_N q_{N-1}, the columns
-        of q going with the values lo..hi-1."""
-        hq = _band_matvec(band, q)
-        inner = np.linalg.norm(hq - q * vals[lo:hi], axis=0)
-        return inner, np.linalg.norm(c_out @ q[-p:], axis=0)
+    def residuals(q, theta):
+        """Column norms of (H_N - theta) q and of C_N q_{N-1}, and the
+        rounding term of each column."""
+        inner = np.linalg.norm(_band_matvec(band, q) - q * theta, axis=0)
+        outer = np.linalg.norm(c_out @ q[-p:], axis=0)
+        spread = np.einsum("ij,ij->j", np.abs(q), _band_matvec(abs_band, np.abs(q)))
+        return inner, outer, gamma * (spread + np.abs(theta))
 
     def cluster(lo, hi):
         q = _inverse_iteration(band, vals[lo], hi - lo)[0]
         ritz = np.linalg.eigh(q.conj().T @ _band_matvec(band, q))[1]
-        inner, outer = (np.linalg.norm(a) for a in residuals(q @ ritz, lo, hi))
-        return [lo, hi, inner, inner + outer]
+        inner, outer, rounding = residuals(q @ ritz, vals[lo:hi])
+        inner, outer = np.linalg.norm(inner), np.linalg.norm(outer)
+        return [lo, hi, inner, inner + outer, rounding.sum()]
 
-    for window in sorted({min(count + 1, n), min(count + p, n)}):
-        vals = eigen_banded_lowest(band, window)
-        inner, outer = residuals(_inverse_iteration(band, vals)[:, :, 0].T, 0, window)
-        # clusters as [lo, hi, inner residual, r], ascending
-        clusters = [[k, k + 1, a, a + b] for k, (a, b) in enumerate(zip(inner, outer))]
+    windows = sorted({min(count + 1, n), min(count + p, n)}) if shifts is None else [len(shifts)]
+    for window in windows:
+        if shifts is None:
+            vals = eigen_banded_lowest(band, window)
+            q = _inverse_iteration(band, vals)[:, :, 0].T
+        else:
+            # the Rayleigh quotients of the vectors, ascending
+            q = _inverse_iteration(band, shifts)[:, :, 0].T
+            vals = np.einsum("ij,ij->j", q.conj(), _band_matvec(band, q)).real
+            q, vals = q[:, np.argsort(vals)], np.sort(vals)
+        inner, outer, rounding = residuals(q, vals)
+        # clusters as [lo, hi, inner residual, r, rounding], ascending
+        clusters = [
+            [k, k + 1, a, a + b, c] for k, (a, b, c) in enumerate(zip(inner, outer, rounding))
+        ]
         k = 0
         while k + 1 < len(clusters):
-            (lo, top, _, r_lo), (bottom, hi, _, r_hi) = clusters[k : k + 2]
+            (lo, top, _, r_lo, _), (bottom, hi, _, r_hi, _) = clusters[k : k + 2]
             if vals[top - 1] + r_lo < vals[bottom] - r_hi:
                 k += 1
             elif hi - lo > p:
-                return vals[:count], np.full(count, np.inf)
+                return vals[:count], np.full(count, np.inf), vals
             else:
                 clusters[k : k + 2] = [cluster(lo, hi)]
                 k = max(k - 1, 0)
@@ -230,15 +259,15 @@ def _ritz_bounds(gauged: NchoProblem, order: int, count: int):
         if clusters[last][1] < window:
             break
     else:
-        return vals[:count], np.full(count, np.inf)
+        return vals[:count], np.full(count, np.inf), vals
     bounds = np.empty(count)
     for i in range(last + 1):
-        lo, hi, inner, r = clusters[i]
+        lo, hi, inner, r, rounding = clusters[i]
         gap = vals[clusters[i + 1][0]] - clusters[i + 1][3] - vals[hi - 1]
         if i:
             gap = min(gap, vals[lo] - vals[clusters[i - 1][1] - 1] - clusters[i - 1][3])
-        bounds[lo : min(hi, count)] = inner + r * r / gap
-    return vals[:count], bounds
+        bounds[lo : min(hi, count)] = inner + r * r / gap + rounding
+    return vals[:count], bounds, vals
 
 
 def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> SpectrumResult:
@@ -258,12 +287,17 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
 
     When the uncapped prediction raises N above the floor, order N is
     solved once and certified (_ritz_bounds): if every bound is below tol,
-    orders is (N, N).  Else, the bounds decaying like r^{2N}, one further
-    order N' = min(2N, N + ceil(log(64 max bound / tol) / (2 log(1/r))))
-    is certified, and orders is (N, N').  convergence holds the bounds.
-    Any other start, or a certificate that fails twice, doubles the order
-    from N until the values move by less than tol; orders is then the last
-    two orders and convergence the last change.  A floor start is already
+    orders is (N, N).  Else, the bounds decaying like r^{2N}, the order
+    N' = min(2N, N + ceil(log(64 max bound / tol) / (2 log(1/r)))) is
+    certified, then 2N, the order the doubling would solve next, and
+    orders is (N, N') or (N, 2N) for the first that passes.  Neither runs
+    an eigensolve: the window values of order N are the shifts of one
+    banded LU and three solves of inverse iteration, and each value is the
+    Rayleigh quotient of its vector.  convergence holds the bounds.  Any
+    other start, or a certificate that fails at every order (or forms no
+    bound at N), doubles the order from N until the values move by less
+    than tol; orders is then the last two orders and convergence the last
+    change.  A floor start is already
     past the prediction, so its second solve is small (64 and 128 on every
     fixture), and its printed orders stay those of the doubling."""
     floor = max(64, -(-count // problem.p))
@@ -274,13 +308,14 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     first = None
     if start == predicted > floor:
         _check_start(count, start, tol)
-        first, bounds = _ritz_bounds(gauged, start, count)
-        order, worst = start, float(np.max(bounds))
+        first, bounds, shifts = _ritz_bounds(gauged, start, count)
+        vals, order, worst = first, start, float(np.max(bounds))
         if math.isfinite(worst) and worst >= tol:
-            order += min(start, math.ceil(math.log(64.0 * worst / tol) / (2.0 * math.log(1.0 / r))))
-            vals, bounds = _ritz_bounds(gauged, order, count)
-        else:
-            vals = first
+            step = math.ceil(math.log(64.0 * worst / tol) / (2.0 * math.log(1.0 / r)))
+            for order in sorted({start + min(start, step), 2 * start}):
+                vals, bounds, _ = _ritz_bounds(gauged, order, count, shifts)
+                if np.max(bounds) < tol:
+                    break
         if np.max(bounds) < tol:
             return SpectrumResult(vals, bounds, (start, order))
     vals, change, orders = _settle(

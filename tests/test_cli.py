@@ -15,7 +15,7 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_diff, random_problem
 
-from nchodisk import SchemaError, cli, heun_like_parameters, pencil, spectral
+from nchodisk import SchemaError, cli, heun_like_parameters, pencil, spectral, standard_ncho_problem
 from nchodisk.cli import main, parse_problem
 
 SQ3 = math.sqrt(3.0)
@@ -307,7 +307,7 @@ def test_eigenfunction_csv(capsys):
     assert len(first) == 3
 
 
-def test_eigenfunction_solves_each_truncation_order_once(capsys, monkeypatch):
+def test_eigenfunction_solves_each_truncation_order_once(capsys, monkeypatch, tmp_path):
     # the truncation seeds of the requested eigenvalue are handed to the
     # profile, which neither settles the order again nor grows k past them
     solves = []
@@ -325,6 +325,31 @@ def test_eigenfunction_solves_each_truncation_order_once(capsys, monkeypatch):
         sizes = [n for n, _ in solves]
         assert len(sizes) >= 2 and len(set(sizes)) == len(sizes), solves
         assert {count for _, count in solves} == {index + 1}, solves
+    # a certified start (orders 164, 202 on the beta gamma = 1.02 ladder)
+    # solves its first order only: the second is certified by inverse iteration
+    ladder = standard_ncho_problem(2.0, 0.51, 0.1, 1.5)
+
+    def pairs(m):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+    path = tmp_path / "ladder_1.02.json"
+    path.write_text(json.dumps(
+        {"p": 2, "mu": ladder.mu, "A": pairs(ladder.A), "B": pairs(ladder.B), "C0": pairs(ladder.C0)}
+    ))
+    builds = []
+    build = spectral.build_truncated
+
+    def counted_build(problem, order):
+        builds.append(order)
+        return build(problem, order)
+
+    monkeypatch.setattr(spectral, "build_truncated", counted_build)
+    solves.clear()
+    code, _ = run_cli(capsys, ["eigenfunction", str(path), "--index", "7"])
+    assert code == 0
+    # the two certified orders, then the profile's order, twice the first
+    assert builds == [164, 202, 2 * 164]
+    assert solves == [(2 * 164, 9)], solves
 
 
 def test_confluence_csv(capsys):

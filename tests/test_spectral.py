@@ -684,21 +684,27 @@ def test_half_the_predicted_order_is_not_certified(bg):
     prob = _ladder(bg)
     ref = spectrum_truncated(prob, 5, tol=1e-14).eigenvalues
     for count in (1, 5):
-        vals, bounds = spectral._ritz_bounds(
+        vals, bounds, _ = spectral._ritz_bounds(
             spectral._schur_gauged(prob), _predicted_order(prob) // 2, count
         )
         assert np.max(bounds) > 1e-10
         assert np.all(np.abs(vals - ref[:count]) <= bounds)
 
 
-def test_degenerate_clusters_are_bounded_as_blocks():
-    # a direct sum of two copies of one scalar problem: every eigenvalue is
-    # double, and the residual intervals of each pair overlap
+def _direct_sum():
+    """Two copies of the scalar problem A = 1, B = 0.49, C0 = 0.2, mu = 1
+    under a random unitary gauge: every eigenvalue is double."""
     rng = np.random.default_rng(95)
-    prob = gauge_problem(
+    return gauge_problem(
         _unitary(rng.uniform(-1.0, 1.0, 8), 2),
         NchoProblem(p=2, mu=1.0, A=np.eye(2), B=0.49 * np.eye(2), C0=0.2 * np.eye(2)),
     )
+
+
+def test_degenerate_clusters_are_bounded_as_blocks():
+    # a direct sum of two copies of one scalar problem: every eigenvalue is
+    # double, and the residual intervals of each pair overlap
+    prob = _direct_sum()
     res = spectrum_truncated(prob, 4)
     assert res.orders == (115, 115)
     assert np.all(np.abs(np.diff(res.eigenvalues)[::2]) < 1e-12)
@@ -735,6 +741,69 @@ def test_a_failing_certificate_merges_no_cluster_past_p(monkeypatch):
     assert np.array_equal(res.eigenvalues, ref[0]) and res.orders == ref[2]
     dims = [args[2] if len(args) > 2 else 1 for args in calls]
     assert max(dims) <= 2 and len(calls) <= 2 * (32 + 2 + 1)
+
+
+@pytest.mark.parametrize("bg,orders", [(1.01, (231, 255)), (1.005, (326, 360)), (1.001, (729, 815))])
+def test_later_orders_run_no_eigensolve(monkeypatch, bg, orders):
+    # the start order is solved; the later one is certified by inverse
+    # iteration from the start order's values
+    solves = _counting(monkeypatch, spectral, "eigen_banded_lowest")
+    res = spectrum_truncated(_ladder(bg), 5)
+    assert res.orders == orders
+    assert [band.shape[1] for band, _ in solves] == [2 * orders[0]]
+
+
+def test_a_twice_failing_certificate_certifies_twice_the_start(monkeypatch):
+    # seven values at r = 0.8 are bounded neither at the prediction 104 nor
+    # at N': 208, the order the doubling would solve next, is certified from
+    # the same shifts, and only 104 is solved
+    prob = _toward_boundary(random_problem(np.random.default_rng(0), p=1), 0.8)
+    ref = spectrum_truncated(prob, 7, tol=1e-14).eigenvalues
+    builds = _counting(monkeypatch, spectral, "build_truncated")
+    solves = _counting(monkeypatch, spectral, "eigen_banded_lowest")
+    res = spectrum_truncated(prob, 7)
+    orders = [args[1] for args in builds]
+    assert len(orders) == 3 and orders[0] == 104 < orders[1] < orders[2] == 208
+    assert res.orders == (104, 208)
+    assert [band.shape[1] for band, _ in solves] == [104]
+    assert np.all(np.abs(res.eigenvalues - ref) <= res.convergence)
+    assert np.all(res.convergence < 1e-10)
+
+
+def test_degenerate_clusters_are_bounded_as_blocks_at_a_later_order(monkeypatch):
+    # eight values of the direct sum are not bounded at the start order;
+    # at the later order the two equal shifts of each pair return one
+    # vector twice, and each pair is merged into a block of two
+    prob = _toward_boundary(_direct_sum(), 0.9)
+    ref = spectrum_truncated(prob, 8, tol=1e-14).eigenvalues
+    scale = np.linalg.norm(prob.B, 2)
+    exact = [scalar_closed_eigenvalue(1.0, scale, 0.2, 1.0, k // 2) for k in range(8)]
+    calls = _counting(monkeypatch, spectral, "_inverse_iteration")
+    res = spectrum_truncated(prob, 8)
+    start, later = res.orders
+    assert start < later < 2 * start
+    at_later = [args for args in calls if args[0].shape[1] == 2 * later]
+    assert [np.size(args[1]) for args in at_later] == [9, 1, 1, 1, 1]
+    assert [args[2] if len(args) > 2 else 1 for args in at_later] == [1, 2, 2, 2, 2]
+    assert np.all(np.abs(np.diff(res.eigenvalues)[::2]) < 1e-12)
+    assert np.array_equal(res.convergence[::2], res.convergence[1::2])
+    for want in (ref, exact):
+        assert np.all(np.abs(res.eigenvalues - want) <= res.convergence)
+    assert np.all(res.convergence < 1e-10)
+
+
+def test_later_certificate_is_robust_to_its_shifts():
+    # the shifts are the start order's values, which a failed certificate
+    # leaves off by up to its bounds; shifts 1e-6 off give the same values,
+    # and bounds still below tol
+    gauged = spectral._schur_gauged(_ladder(1.005))
+    shifts = spectral._ritz_bounds(gauged, 326, 5)[2]
+    vals, bounds, _ = spectral._ritz_bounds(gauged, 360, 5, shifts)
+    assert np.max(bounds) < 1e-10
+    for moved in (shifts + 1e-6, shifts - 1e-6):
+        moved_vals, moved_bounds, _ = spectral._ritz_bounds(gauged, 360, 5, moved)
+        assert np.max(np.abs(moved_vals - vals)) <= 1e-13
+        assert np.max(moved_bounds) < 1e-10
 
 
 @pytest.mark.parametrize("bg", [1.02, 1.01])
