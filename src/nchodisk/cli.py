@@ -173,8 +173,8 @@ def _resolve_lambda(args, extras) -> float:
 
 
 def _cmd_verify_pencil(args, problem, extras):
-    dec = problem.analysis.decompose(args.seed)
-    report = verify_pencil_identities(dec, problem, tol=args.tol)
+    dec = problem.analysis.decomposition
+    report = verify_pencil_identities(problem, tol=args.tol, seed=args.seed)
     return {
         "checks": [
             {
@@ -189,7 +189,7 @@ def _cmd_verify_pencil(args, problem, extras):
         "poles": [_c_pair(al) for al in dec.poles],
         "det_b_zero": dec.zero_is_pole,
         "zero_is_pole": dec.zero_is_pole,
-        "reconstruction_residual": dec.reconstruction_residual,
+        "reconstruction_residual": report.reconstruction_residual,
     }
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import Su11Element, transform_problem
-from .pencil import NchoProblem, PencilDecomposition, _rank
+from .pencil import NchoProblem, _rank
 
 __all__ = [
     "FuchsianSystem",
@@ -31,7 +31,6 @@ class FuchsianSystem:
     residues: list[np.ndarray]
     residue_at_infinity: np.ndarray
     problem: NchoProblem
-    decomposition: PencilDecomposition
 
     def pole_index(self, point: complex) -> int:
         for j, al in enumerate(self.singular_points):
@@ -60,14 +59,13 @@ def build_fuchsian(problem: NchoProblem, lam: complex) -> FuchsianSystem:
         residues=residues,
         residue_at_infinity=r_inf,
         problem=problem,
-        decomposition=dec,
     )
 
 
 def residue_at_infinity_formula(system: FuchsianSystem) -> np.ndarray:
     """Closed form for the residue at infinity: mu I when det B != 0, and
     mu I - P0' (mu A / 2 + C) when det B = 0."""
-    prob, dec = system.problem, system.decomposition
+    prob, dec = system.problem, system.problem.analysis.decomposition
     eye = np.eye(prob.p)
     if not dec.zero_is_pole:
         return prob.mu * eye
@@ -93,7 +91,7 @@ def exponents_at(system: FuchsianSystem, j: int) -> PoleExponents:
     r = system.residues[j]
     vals = np.linalg.eigvals(r)
     vals = vals[np.lexsort((vals.imag, vals.real))]
-    prob, dec = system.problem, system.decomposition
+    prob, dec = system.problem, system.problem.analysis.decomposition
     pj, rank_p = dec.residues[j], dec.ranks[j]
 
     # restriction of R to im(P) equals P C restricted minus mu/2

@@ -142,7 +142,6 @@ class PencilDecomposition:
     residues: list[np.ndarray]
     ranks: list[int]
     zero_is_pole: bool
-    reconstruction_residual: float
 
 
 def _check_tol(tol: float) -> None:
@@ -220,7 +219,7 @@ def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(eq=False)
 class PencilAnalysis:
     """The pencil B z^2 + A z + B' with its 2p homogeneous roots (alpha, beta)
-    from one QZ of its linearization, read by _inner_pole_radius and decompose.
+    from one QZ of its linearization, read by _inner_pole_radius and decomposition.
     Each problem holds one, NchoProblem.analysis."""
 
     A: np.ndarray
@@ -234,12 +233,8 @@ class PencilAnalysis:
 
     @cached_property
     def decomposition(self) -> PencilDecomposition:
-        """decompose(None), built on first use and kept."""
-        return self.decompose(None)
-
-    def decompose(self, seed) -> PencilDecomposition:
-        """Partial fraction decomposition of (B z^2 + A z + B')^{-1}, its
-        annulus points drawn from seed (from A and B when None).
+        """Partial fraction decomposition of (B z^2 + A z + B')^{-1}, built on
+        first use and kept: the one place a PencilDecomposition is made.
 
         The poles are the finite roots alpha / beta.  With k = dim ker B' =
         dim ker B, the k roots nearest infinity are dropped and the k of
@@ -247,9 +242,10 @@ class PencilAnalysis:
         one pole; a pole of m roots has order 1 exactly when ker Q(alpha)
         has dimension m (SimplePoleViolation otherwise).  Every residue is
         X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
+        DegeneratePencil when Q is singular at point 0 of A and B's annulus stream.
         """
         a, b, alpha, beta = self.A, self.B, self.alpha, self.beta
-        rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
+        rng = np.random.default_rng(_seed_from(a, b))
         if _kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
             raise DegeneratePencil("pencil determinant vanishes identically")
 
@@ -295,7 +291,6 @@ class PencilAnalysis:
             residues=residues,
             ranks=[mult for _, mult in centers],
             zero_is_pole=k > 0,
-            reconstruction_residual=_reconstruction_residual(a, b, poles, residues, rng),
         )
 
 
@@ -348,6 +343,7 @@ class IdentityCheck:
 class IdentityReport:
     checks: list[IdentityCheck]
     all_passed: bool
+    reconstruction_residual: float
 
     def residual(self, name: str) -> float:
         for c in self.checks:
@@ -362,21 +358,23 @@ def _rank(m: np.ndarray) -> int:
     return int(np.sum(s > 1e-8 * max(float(np.max(np.abs(m))), 1e-300)))
 
 
-def verify_pencil_identities(
-    dec: PencilDecomposition, problem: NchoProblem, tol: float = 1e-9
-) -> IdentityReport:
-    """Evaluate the six structural identities of the partial fraction data.
+def verify_pencil_identities(problem: NchoProblem, tol: float = 1e-9, seed=None) -> IdentityReport:
+    """Evaluate the six structural identities of problem.analysis.decomposition.
 
     Items: pole pairing across the unit circle, residue conjugation plus the
     absence of a polynomial part, the two residue-sum branches (det B != 0
     and det B = 0), the rank bound against dec.ranks, and the projector
-    identity P (2 alpha B + A) P = P.
+    identity P (2 alpha B + A) P = P.  The reconstruction residual samples
+    the annulus stream of seed (of A and B when None) from point 1 on.
     """
     _check_tol(tol)
     a, b = problem.A, problem.B
-    p = problem.p
-    eye = np.eye(p)
+    eye = np.eye(problem.p)
+    dec = problem.analysis.decomposition
     poles, residues = dec.poles, dec.residues
+    rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
+    _annulus_point(rng)  # skip point 0, the decomposition's probe in the default stream
+    recon = _reconstruction_residual(a, b, poles, residues, rng)
 
     checks: list[IdentityCheck] = []
 
@@ -394,7 +392,7 @@ def verify_pencil_identities(
     checks.append(IdentityCheck("pole_pairing", True, res1 <= max(tol, 1e-8), res1))
 
     # 2: P at 1/conj(alpha) equals -P(alpha)^dagger, and no polynomial part
-    res2 = dec.reconstruction_residual
+    res2 = recon
     for i, j in pair_index.items():
         diff = residues[j] + residues[i].conj().T
         res2 = max(res2, float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(residues[i])))))
@@ -431,7 +429,7 @@ def verify_pencil_identities(
         res6 = max(res6, float(np.max(np.abs(lhs - pj))) / max(1.0, float(np.max(np.abs(pj)))))
     checks.append(IdentityCheck("projector_identity", True, res6 <= tol, res6))
 
-    return IdentityReport(checks=checks, all_passed=all(c.passed for c in checks))
+    return IdentityReport(checks, all(c.passed for c in checks), recon)
 
 
 _MAX_GRID = 65536  # largest grid_size: its Lipschitz correction is already below 1e-4 |B|

@@ -86,7 +86,7 @@ def test_criterion_01_pencil_identity_suite():
     for prob in instances:
         dec = prob.analysis.decomposition
         n_singular_b += int(dec.zero_is_pole)
-        report = verify_pencil_identities(dec, prob, tol=1e-9)
+        report = verify_pencil_identities(prob, tol=1e-9)
         worst = max(worst, max(c.residual for c in report.checks))
         if not report.all_passed:
             _report(1, "pencil identities on 200 random instances", False, str(report))

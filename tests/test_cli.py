@@ -556,6 +556,44 @@ def test_negative_seed_is_an_argparse_error(capsys, seed):
     assert captured.out == "" and "expected a non-negative integer" in captured.err
 
 
+def _counting_samples(monkeypatch):
+    calls, real = [], pencil._reconstruction_residual
+    monkeypatch.setattr(pencil, "_reconstruction_residual", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["p1_quarter", "classical_eta01_mu15"])
+def test_seed_moves_only_the_reconstruction_sample(capsys, monkeypatch, name):
+    # the decomposition's probe uses the problem's own stream; --seed seeds
+    # the one reconstruction sample of each verify-pencil call
+    samples = _counting_samples(monkeypatch)
+    argv = ["verify-pencil", str(FIXTURES / f"{name}.json")]
+    seen = []
+    for seed in ([], ["--seed", "0"], ["--seed", "7"], ["--seed", "123456789"]):
+        samples.clear()
+        code, out = run_cli(capsys, argv + seed)
+        payload = json.loads(out)
+        assert code == 0 and len(samples) == 1
+        assert payload["reconstruction_residual"] < 1e-12
+        checks = [(c["name"], c["status"]) for c in payload["checks"]]
+        seen.append((checks, payload["poles"], payload["zero_is_pole"]))
+    assert all(s == seen[0] for s in seen)
+
+
+def test_no_other_command_samples_the_reconstruction(capsys, monkeypatch):
+    samples = _counting_samples(monkeypatch)
+    path = str(FIXTURES / "classical_eta01_mu15.json")
+    for argv in (
+        ["fuchsian", path, "--lambda", "0.5"],
+        ["standardize", path],
+        ["heun-params", path, "--lambda", "0.5"],
+        ["spectrum", path, "--method", "both", "--count", "3"],
+    ):
+        code, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+    assert samples == []
+
+
 @pytest.mark.parametrize("omega", ["0", "-1"])
 def test_confluence_non_positive_omega_is_refused_at_once(capsys, monkeypatch, omega):
     # the Rabi ladder is unbounded below: without the check it runs to the order cap

@@ -75,7 +75,7 @@ def test_decompose_p1_quarter_pencil():
     assert abs(dec.poles[1] - (-2.0 + SQ3)) < 1e-10
     assert abs(dec.residues[1][0, 0] - 2.0 / SQ3) < 1e-10
     assert abs(dec.residues[0][0, 0] + 2.0 / SQ3) < 1e-10
-    assert dec.reconstruction_residual < 1e-8
+    assert verify_pencil_identities(prob).reconstruction_residual < 1e-8
 
 
 def test_decompose_linear_pencil():
@@ -118,9 +118,9 @@ def test_decompose_repeated_root_with_full_kernel():
     assert len(dec.poles) == 2
     assert abs(dec.poles[0] - (-2.0 - SQ3)) < 1e-12
     assert abs(dec.poles[1] - (-2.0 + SQ3)) < 1e-12
-    assert dec.reconstruction_residual < 1e-12
     assert dec.ranks == [2, 2]
-    report = verify_pencil_identities(dec, prob)
+    report = verify_pencil_identities(prob)
+    assert report.reconstruction_residual < 1e-12
     assert report.all_passed, [(c.name, c.residual) for c in report.checks]
 
 
@@ -167,9 +167,10 @@ def test_decompose_p9_reconstructs(seed):
     rng = np.random.default_rng(seed)
     a = np.eye(9) + 0.25 * random_hermitian(rng, 9)
     g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    dec = PencilAnalysis(a, 0.3 * np.linalg.qr(g)[0]).decomposition
+    prob = NchoProblem(p=9, mu=1.0, A=a, B=0.3 * np.linalg.qr(g)[0], C0=np.zeros((9, 9)))
+    dec = prob.analysis.decomposition
     assert len(dec.poles) == 18 and type(dec.zero_is_pole) is bool
-    assert dec.reconstruction_residual < 1e-10
+    assert verify_pencil_identities(prob).reconstruction_residual < 1e-10
 
 
 @pytest.mark.parametrize("p", [5, 6, 8, 12])
@@ -186,7 +187,7 @@ def test_identities_random_large_p(p):
         assert dec.zero_is_pole is False and len(dec.poles) == 2 * p
         assert dec.ranks == [pencil_kernel(a, b, al)[1].shape[1] for al in dec.poles]
         assert sum(dec.ranks) == 2 * p - (p - np.linalg.matrix_rank(b))
-        report = verify_pencil_identities(dec, prob)
+        report = verify_pencil_identities(prob)
         assert report.all_passed, [(c.name, c.residual) for c in report.checks]
 
 
@@ -198,7 +199,7 @@ def test_sampler_draws_large_p_with_an_explicit_pole_gap(p):
         prob = random_problem(np.random.default_rng(seed), p, min_pole_gap=5e-3)
         dec = prob.analysis.decomposition
         assert sum(dec.ranks) == 2 * p - (p - np.linalg.matrix_rank(prob.B))
-        report = verify_pencil_identities(dec, prob)
+        report = verify_pencil_identities(prob)
         assert report.all_passed, [(c.name, c.residual) for c in report.checks]
 
 
@@ -224,14 +225,14 @@ def test_pencil_kernel_dimensions():
 
 def test_identities_p1_quarter():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.25]], C0=[[0.0]])
-    report = verify_pencil_identities(prob.analysis.decomposition, prob)
+    report = verify_pencil_identities(prob)
     assert report.all_passed
     assert report.residual("sums_invertible_b") < 1e-12
 
 
 def test_identities_linear_branch():
     prob = NchoProblem(p=1, mu=0.5, A=[[1.0]], B=[[0.0]], C0=[[0.0]])
-    report = verify_pencil_identities(prob.analysis.decomposition, prob)
+    report = verify_pencil_identities(prob)
     assert report.all_passed
     assert report.residual("sums_singular_b") < 1e-12
 
@@ -240,7 +241,7 @@ def test_identities_random_instances():
     rng = np.random.default_rng(2024)
     for k in range(30):
         prob = random_problem(rng, p=1 + k % 3)
-        report = verify_pencil_identities(prob.analysis.decomposition, prob)
+        report = verify_pencil_identities(prob)
         assert report.all_passed, [
             (c.name, c.residual) for c in report.checks if not c.passed
         ]
@@ -307,9 +308,8 @@ def test_positivity_refuses_a_grid_outside_its_range(monkeypatch, grid):
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
 def test_verify_refuses_a_negative_or_non_finite_tol(tol):
     prob = random_problem(np.random.default_rng(4), p=2)
-    dec = prob.analysis.decomposition
     with pytest.raises(ContractViolation, match="tol must be non-negative and finite"):
-        verify_pencil_identities(dec, prob, tol=tol)
+        verify_pencil_identities(prob, tol=tol)
 
 
 def _full_grid_certificate(prob, grid):

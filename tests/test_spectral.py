@@ -348,7 +348,7 @@ def _counting(monkeypatch, module, name):
 
 def test_connection_determinant_decomposes_once(monkeypatch):
     # on fresh problems: P1 is analysed and decomposed once for the module
-    calls = _counting(monkeypatch, pencil.PencilAnalysis, "decompose")
+    calls = _counting(monkeypatch, pencil, "PencilDecomposition")
     connection_matrix(dataclasses.replace(P1), 1.2)
     assert len(calls) == 1
     calls.clear()
@@ -703,19 +703,25 @@ def _direct_sum():
 
 def test_degenerate_clusters_are_bounded_as_blocks():
     # a direct sum of two copies of one scalar problem: every eigenvalue is
-    # double, and the residual intervals of each pair overlap
-    prob = _direct_sum()
-    res = spectrum_truncated(prob, 4)
-    assert res.orders == (115, 115)
-    assert np.all(np.abs(np.diff(res.eigenvalues)[::2]) < 1e-12)
-    doubled, _, orders = spectral._settle(
-        lambda order: build_truncated(spectral._schur_gauged(prob), order), 4, 115, 1e-10
-    )
-    assert orders == (115, 230)
-    assert np.max(np.abs(res.eigenvalues - doubled)) < 1e-10
-    ref = spectrum_truncated(prob, 4, tol=1e-14).eigenvalues
-    assert np.all(np.abs(res.eigenvalues - ref) <= res.convergence)
-    assert np.all(res.convergence < 1e-10)
+    # double, and the residual intervals of each pair overlap.  The closed
+    # form is the reference: toward the boundary a tol-1e-14 truncation errs
+    # by up to 9e-14, more than some of the bounds
+    cases = [(None, 4, 115, 115), (0.82, 4, 117, 117), (0.82, 8, 117, 137)]
+    cases += [(0.85, 4, 142, 142), (0.85, 8, 142, 167)]
+    for target, count, *orders in cases:
+        prob = _direct_sum() if target is None else _toward_boundary(_direct_sum(), target)
+        res = spectrum_truncated(prob, count)
+        assert res.orders == tuple(orders)
+        assert np.all(np.abs(np.diff(res.eigenvalues)[::2]) < 1e-12)
+        doubled, _, settled = spectral._settle(
+            lambda order: build_truncated(spectral._schur_gauged(prob), order), count, orders[0], 1e-10
+        )
+        assert settled == (orders[0], 2 * orders[0])
+        assert np.max(np.abs(res.eigenvalues - doubled)) < 1e-10
+        scale = np.linalg.norm(prob.B, 2)
+        exact = [scalar_closed_eigenvalue(1.0, scale, 0.2, 1.0, k // 2) for k in range(count)]
+        assert np.all(np.abs(res.eigenvalues - exact) <= res.convergence)
+        assert np.all(res.convergence < 1e-10)
 
 
 def test_certificate_that_fails_ends_at_the_order_cap(monkeypatch):
@@ -1057,7 +1063,7 @@ def test_spectrum_connection_decomposes_once(monkeypatch, count):
     prob = _classical_eta01()
     seeds = spectrum_truncated(prob, count, tol=1e-9)
     separate = [_refine(prob, [s]) for s in seeds.eigenvalues]
-    calls = _counting(monkeypatch, pencil.PencilAnalysis, "decompose")
+    calls = _counting(monkeypatch, pencil, "PencilDecomposition")
     # a freshly parsed problem: prob's decomposition is kept from the refines
     result = spectrum_connection(_classical_eta01(), seeds)
     assert len(calls) == 1
