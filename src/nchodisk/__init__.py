@@ -59,7 +59,6 @@ from .linalg import (
 from .pencil import (
     NchoProblem,
     IdentityReport,
-    PencilAnalysis,
     PencilDecomposition,
     PositivityCertificate,
     a123_from_ab,

@@ -173,7 +173,7 @@ def _resolve_lambda(args, extras) -> float:
 
 
 def _cmd_verify_pencil(args, problem, extras):
-    dec = problem.analysis.decomposition
+    dec = problem.decomposition
     report = verify_pencil_identities(problem, tol=args.tol, seed=args.seed)
     return {
         "checks": [

@@ -239,9 +239,9 @@ def standardize_p2(problem: NchoProblem):
     """
     if problem.p != 2:
         raise ContractViolation("standardization is defined for p = 2")
-    _inner_pole_radius(problem.analysis)
+    _inner_pole_radius(problem)
     try:
-        poles = problem.analysis.decomposition.poles
+        poles = problem.decomposition.poles
     except SimplePoleViolation as exc:
         raise NotGenericError(f"repeated pencil root: {exc}") from exc
     if len(poles) < 3:

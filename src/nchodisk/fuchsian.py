@@ -43,8 +43,8 @@ def build_fuchsian(problem: NchoProblem, lam: complex) -> FuchsianSystem:
     """Residues R_j = P_j (-mu (alpha_j B + A/2) + C(lam)).
 
     The poles and projectors depend on the pencil alone, not on lam: they
-    are problem.analysis.decomposition, built once per problem."""
-    dec = problem.analysis.decomposition
+    are problem.decomposition, built once per problem."""
+    dec = problem.decomposition
     c = problem.c_matrix(lam)
     mu = problem.mu
     residues = [
@@ -65,7 +65,7 @@ def build_fuchsian(problem: NchoProblem, lam: complex) -> FuchsianSystem:
 def residue_at_infinity_formula(system: FuchsianSystem) -> np.ndarray:
     """Closed form for the residue at infinity: mu I when det B != 0, and
     mu I - P0' (mu A / 2 + C) when det B = 0."""
-    prob, dec = system.problem, system.problem.analysis.decomposition
+    prob, dec = system.problem, system.problem.decomposition
     eye = np.eye(prob.p)
     if not dec.zero_is_pole:
         return prob.mu * eye
@@ -91,7 +91,7 @@ def exponents_at(system: FuchsianSystem, j: int) -> PoleExponents:
     r = system.residues[j]
     vals = np.linalg.eigvals(r)
     vals = vals[np.lexsort((vals.imag, vals.real))]
-    prob, dec = system.problem, system.problem.analysis.decomposition
+    prob, dec = system.problem, system.problem.decomposition
     pj, rank_p = dec.residues[j], dec.ranks[j]
 
     # restriction of R to im(P) equals P C restricted minus mu/2

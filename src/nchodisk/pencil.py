@@ -22,7 +22,6 @@ from .linalg import as_matrix, is_hermitian
 
 __all__ = [
     "NchoProblem",
-    "PencilAnalysis",
     "PencilDecomposition",
     "IdentityCheck",
     "IdentityReport",
@@ -117,11 +116,19 @@ class NchoProblem:
         return float(np.max(np.abs(self.lam_coeff - 0.5 * np.eye(self.p)))) <= 1e-12
 
     @cached_property
-    def analysis(self) -> "PencilAnalysis":
-        """The PencilAnalysis of B z^2 + A z + B', built on first use and
-        kept: A and B are never reassigned, and with_matrices and
-        dataclasses.replace build new problems without it."""
-        return PencilAnalysis(self.A, self.B)
+    def roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2p homogeneous roots (alpha, beta) of B z^2 + A z + B' from one
+        QZ of its linearization, found on first use and kept: A and B are
+        never reassigned, and with_matrices and dataclasses.replace build
+        new problems without them.  Read by _inner_pole_radius and
+        decomposition."""
+        return _linearization_eigvals(self.A, self.B)
+
+    @cached_property
+    def decomposition(self) -> PencilDecomposition:
+        """Partial fractions of (B z^2 + A z + B')^{-1} from roots (_decompose),
+        built on first use and kept."""
+        return _decompose(self.A, self.B, *self.roots)
 
     def with_matrices(self, A=None, B=None, C0=None, lam_coeff=None) -> "NchoProblem":
         return replace(
@@ -216,100 +223,84 @@ def _linearization_eigvals(a, b) -> tuple[np.ndarray, np.ndarray]:
     return eigvals(lhs, rhs, homogeneous_eigvals=True)
 
 
-@dataclass(eq=False)
-class PencilAnalysis:
-    """The pencil B z^2 + A z + B' with its 2p homogeneous roots (alpha, beta)
-    from one QZ of its linearization, read by _inner_pole_radius and decomposition.
-    Each problem holds one, NchoProblem.analysis."""
+def _decompose(a, b, alpha, beta) -> PencilDecomposition:
+    """Partial fraction decomposition of (B z^2 + A z + B')^{-1} from its
+    homogeneous roots (alpha, beta): the one place a PencilDecomposition
+    is made, run once per problem by NchoProblem.decomposition.
 
-    A: np.ndarray
-    B: np.ndarray
+    The poles are the finite roots alpha / beta.  With k = dim ker B' =
+    dim ker B, the k roots nearest infinity are dropped and the k of
+    smallest modulus are exactly 0.  Roots within a relative 1e-6 form
+    one pole; a pole of m roots has order 1 exactly when ker Q(alpha)
+    has dimension m (SimplePoleViolation otherwise).  Every residue is
+    X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
+    DegeneratePencil when Q is singular at point 0 of A and B's annulus stream.
+    """
+    rng = np.random.default_rng(_seed_from(a, b))
+    if _kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
+        raise DegeneratePencil("pencil determinant vanishes identically")
 
-    def __post_init__(self):
-        self.A, self.B = as_matrix(self.A), as_matrix(self.B)
-        if self.A.shape != self.B.shape or self.A.shape[0] != self.A.shape[1]:
-            raise ContractViolation("A and B must be square matrices of one size")
-        self.alpha, self.beta = _linearization_eigvals(self.A, self.B)
+    k = _kernel(a, b, 0.0)[1].shape[1]
+    finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
+    if np.any(beta[finite] == 0):
+        # 0 and infinity are roots of det Q of one multiplicity, here above k
+        raise SimplePoleViolation(
+            f"more than dim ker B' = {k} pencil eigenvalues at infinity; "
+            "the reduction assumes order-1 poles"
+        )
+    eigs = alpha[finite] / beta[finite]
+    eigs[np.argsort(np.abs(eigs))[:k]] = 0.0
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
 
-    @cached_property
-    def decomposition(self) -> PencilDecomposition:
-        """Partial fraction decomposition of (B z^2 + A z + B')^{-1}, built on
-        first use and kept: the one place a PencilDecomposition is made.
-
-        The poles are the finite roots alpha / beta.  With k = dim ker B' =
-        dim ker B, the k roots nearest infinity are dropped and the k of
-        smallest modulus are exactly 0.  Roots within a relative 1e-6 form
-        one pole; a pole of m roots has order 1 exactly when ker Q(alpha)
-        has dimension m (SimplePoleViolation otherwise).  Every residue is
-        X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
-        DegeneratePencil when Q is singular at point 0 of A and B's annulus stream.
-        """
-        a, b, alpha, beta = self.A, self.B, self.alpha, self.beta
-        rng = np.random.default_rng(_seed_from(a, b))
-        if _kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
-            raise DegeneratePencil("pencil determinant vanishes identically")
-
-        k = _kernel(a, b, 0.0)[1].shape[1]
-        finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
-        if np.any(beta[finite] == 0):
-            # 0 and infinity are roots of det Q of one multiplicity, here above k
+    clusters: list[list[complex]] = []
+    for r in eigs:
+        for cl in clusters:
+            center = sum(cl) / len(cl)
+            if abs(r - center) <= 1e-6 * max(1.0, abs(center)):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    centers = sorted(
+        ((complex(sum(cl) / len(cl)), len(cl)) for cl in clusters),
+        key=lambda cm: (cm[0].real, cm[0].imag),
+    )
+    poles, residues = [], []
+    for al, mult in centers:
+        y, x = _kernel(a, b, al)
+        if x.shape[1] != mult:
             raise SimplePoleViolation(
-                f"more than dim ker B' = {k} pencil eigenvalues at infinity; "
-                "the reduction assumes order-1 poles"
+                f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
+                f"{x.shape[1]}; the reduction assumes order-1 poles"
             )
-        eigs = alpha[finite] / beta[finite]
-        eigs[np.argsort(np.abs(eigs))[:k]] = 0.0
-        eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+        dq = 2.0 * al * b + a
+        poles.append(al)
+        residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
 
-        clusters: list[list[complex]] = []
-        for r in eigs:
-            for cl in clusters:
-                center = sum(cl) / len(cl)
-                if abs(r - center) <= 1e-6 * max(1.0, abs(center)):
-                    cl.append(r)
-                    break
-            else:
-                clusters.append([r])
-        centers = sorted(
-            ((complex(sum(cl) / len(cl)), len(cl)) for cl in clusters),
-            key=lambda cm: (cm[0].real, cm[0].imag),
-        )
-        poles, residues = [], []
-        for al, mult in centers:
-            y, x = _kernel(a, b, al)
-            if x.shape[1] != mult:
-                raise SimplePoleViolation(
-                    f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
-                    f"{x.shape[1]}; the reduction assumes order-1 poles"
-                )
-            dq = 2.0 * al * b + a
-            poles.append(al)
-            residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
-
-        return PencilDecomposition(
-            poles=poles,
-            residues=residues,
-            ranks=[mult for _, mult in centers],
-            zero_is_pole=k > 0,
-        )
+    return PencilDecomposition(
+        poles=poles,
+        residues=residues,
+        ranks=[mult for _, mult in centers],
+        zero_is_pole=k > 0,
+    )
 
 
-def _inner_pole_radius(analysis: PencilAnalysis) -> float:
+def _inner_pole_radius(problem: NchoProblem) -> float:
     """Largest modulus of the pencil roots inside the unit disk, 0.0 when every
     one is 0 (B = 0); the one positivity rule, which every solver that needs
-    it applies to problem.analysis before it reads its decomposition.
+    it applies to problem.roots before it reads problem.decomposition.
 
     PositivityError unless M(phi) = B e^{i phi} + A + B' e^{-i phi} > 0 on the
     circle.  As M(phi) = e^{-i phi} Q(e^{i phi}), M > 0 iff no root is within
     1e-6 of |z| = 1 (a root there is double; QZ splits it by ~sqrt(eps)) and
     M(0) = A + B + B' > 0."""
-    alpha, beta, b = analysis.alpha, analysis.beta, analysis.B
+    (alpha, beta), b = problem.roots, problem.B
     near = np.abs(alpha) < 2.0 * np.abs(beta)
     roots = alpha[near] / beta[near]
     for z in roots:
         if abs(abs(z) - 1.0) <= 1e-6:
             raise PositivityError(f"pencil pole {complex(z)} sits on the unit circle")
-    least = float(np.linalg.eigvalsh(analysis.A + b + b.conj().T)[0])
+    least = float(np.linalg.eigvalsh(problem.A + b + b.conj().T)[0])
     if not least > 0.0:
         raise PositivityError(f"A + B + B' is not positive definite (least eigenvalue {least:.3e})")
     return float(np.max(np.abs(roots[np.abs(roots) < 1.0]), initial=0.0))
@@ -359,7 +350,7 @@ def _rank(m: np.ndarray) -> int:
 
 
 def verify_pencil_identities(problem: NchoProblem, tol: float = 1e-9, seed=None) -> IdentityReport:
-    """Evaluate the six structural identities of problem.analysis.decomposition.
+    """Evaluate the six structural identities of problem.decomposition.
 
     Items: pole pairing across the unit circle, residue conjugation plus the
     absence of a polynomial part, the two residue-sum branches (det B != 0
@@ -370,7 +361,7 @@ def verify_pencil_identities(problem: NchoProblem, tol: float = 1e-9, seed=None)
     _check_tol(tol)
     a, b = problem.A, problem.B
     eye = np.eye(problem.p)
-    dec = problem.analysis.decomposition
+    dec = problem.decomposition
     poles, residues = dec.poles, dec.residues
     rng = np.random.default_rng(_seed_from(a, b) if seed is None else seed)
     _annulus_point(rng)  # skip point 0, the decomposition's probe in the default stream

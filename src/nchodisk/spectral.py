@@ -282,7 +282,7 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     largest of the floor max(64, least order holding count eigenvalues)
     and the prediction ceil(log tol / log r) capped at _MAX_ORDER // 2; the
     prediction is left out when r = 0 (B = 0), tol = 0 or tol >= 1.  The
-    positivity rule reads r off problem.analysis, and refuses a problem not
+    positivity rule reads r off problem.roots, and refuses a problem not
     positive on the circle (PositivityError) first.
 
     When the uncapped prediction raises N above the floor, order N is
@@ -301,7 +301,7 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     past the prediction, so its second solve is small (64 and 128 on every
     fixture), and its printed orders stay those of the doubling."""
     floor = max(64, -(-count // problem.p))
-    r = _inner_pole_radius(problem.analysis)
+    r = _inner_pole_radius(problem)
     predicted = math.ceil(math.log(tol) / math.log(r)) if r > 0 and 0 < tol < 1 else 0
     start = max(floor, min(predicted, _MAX_ORDER // 2))
     gauged = _schur_gauged(problem)
@@ -408,16 +408,16 @@ class _ConnectionPlan:
 
 def _connection_plan(problem: NchoProblem) -> _ConnectionPlan:
     """Base point, matching points and transport steps of the row matrix,
-    from the decomposition of problem.analysis once it has passed the
-    positivity rule (_inner_pole_radius).  The candidate base points
-    are 0 when 0 is regular, then 16 points on the circle of half the least
-    nonzero inner pole modulus (radius 0.5 when 0 is the only inner pole,
-    as with B = 0), farthest from the poles first.  The first whose
-    straight legs all stay out of the disks the other inner poles' matching
-    radii can fill is taken, failing that the one whose legs come least
-    close: a leg through a pole would never reach its matching point."""
-    _inner_pole_radius(problem.analysis)
-    dec = problem.analysis.decomposition
+    from problem.decomposition once the problem has passed the positivity
+    rule (_inner_pole_radius).  The candidate base points are 0 when 0 is
+    regular, then 16 points on the circle of half the least nonzero inner
+    pole modulus (radius 0.5 when 0 is the only inner pole, as with B = 0),
+    farthest from the poles first.  The first whose straight legs all stay
+    out of the disks the other inner poles' matching radii can fill is
+    taken, failing that the one whose legs come least close: a leg through
+    a pole would never reach its matching point."""
+    _inner_pole_radius(problem)
+    dec = problem.decomposition
     poles = np.array(dec.poles, dtype=complex)
     inner = np.flatnonzero(np.abs(poles) < 1.0)
     nonzero = np.abs(poles[inner][poles[inner] != 0])
@@ -517,7 +517,7 @@ def spectrum_connection(
     """The eigenvalues of seeds, the caller's spectrum_truncated(problem,
     count) result, each refined by Newton on the connection matrix.
 
-    The plan is built once, from problem.analysis, whichever problem the
+    The plan is built once, from problem.decomposition, whichever problem the
     seeds came from.  Each round evaluates L at every open seed s and at
     s + delta, delta = 1e-7 max(1, |s|), in one batch of propagators (one
     per _BATCH_STEPS steps, when the round has more), solves

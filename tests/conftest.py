@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nchodisk import NchoProblem, positivity_margin
+from nchodisk import NchoProblem, SolverError, positivity_margin
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,8 +39,8 @@ def random_problem(rng, p, mu=None, min_pole_gap=0.05):
         if positivity_margin(prob, 64).margin <= 0.05:
             continue
         try:
-            dec = prob.analysis.decomposition
-        except Exception:
+            dec = prob.decomposition
+        except SolverError:
             continue
         poles = dec.poles
         gaps = [

@@ -15,7 +15,15 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_diff, random_problem
 
-from nchodisk import SchemaError, cli, heun_like_parameters, pencil, spectral, standard_ncho_problem
+from nchodisk import (
+    ContractViolation,
+    SchemaError,
+    cli,
+    heun_like_parameters,
+    pencil,
+    spectral,
+    standard_ncho_problem,
+)
 from nchodisk.cli import main, parse_problem
 
 SQ3 = math.sqrt(3.0)
@@ -68,7 +76,7 @@ def test_pole_ranks_are_decided_once_per_decomposition(capsys, monkeypatch):
 
 
 def test_each_command_runs_the_pencil_qz_a_fixed_number_of_times(capsys, monkeypatch):
-    # one QZ per command that needs the pencil, in its one PencilAnalysis: the
+    # one QZ per command that needs the pencil, held by its problem: the
     # positivity rule, the truncation's inner radius and the decomposition all
     # read it, and spectrum_connection reuses the truncation's (heun-params
     # standardizes this non-standard fixture)
@@ -963,6 +971,18 @@ def test_heun_params_standardizes_exactly_when_the_problem_is_not_in_standard_fo
     code, out = run_cli(capsys, ["heun-params", complex_b1, "--lambda", "0.3"])
     assert code == 0 and calls == [1]
     assert json.loads(out)["standardized"] is True
+
+    # 2|b1| + |b2|^2 = 1.2: not the standard form, and its pencil roots lie on
+    # the unit circle, so the standardization refuses it
+    wide_b1 = _problem_file(tmp_path, "wide_b1", np.eye(2), np.diag([0.6, 0.0]))
+    with pytest.raises(ContractViolation, match=r"^standard form requires 2\|b1\| \+ \|b2\|\^2 < 1$"):
+        heun_like_parameters(parse_problem(wide_b1)[0], 0.5)
+    code, out = run_cli(capsys, ["heun-params", wide_b1, "--lambda", "0.5"])
+    assert code == 4 and calls == [1, 1]
+    err = _strict_json(out)["error"]
+    assert err["class"] == "PositivityError"
+    assert err["message"].startswith("pencil pole (-0.83333")
+    assert err["message"].endswith("j) sits on the unit circle")
 
 
 def test_every_command_on_every_fixture_exits_with_a_code_and_parseable_output(capsys):

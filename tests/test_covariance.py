@@ -8,7 +8,6 @@ from nchodisk import (
     ContractViolation,
     NchoProblem,
     NotGenericError,
-    PencilAnalysis,
     Su11Element,
     apply_transcript,
     chordal_distance,
@@ -143,9 +142,9 @@ def test_poles_move_by_mobius():
     for _ in range(8):
         prob = random_problem(rng, p=2)
         g = random_group_element(rng)
-        dec = prob.analysis.decomposition
+        dec = prob.decomposition
         ga, gb = transform_ab(g, prob.A, prob.B)
-        dec_g = PencilAnalysis(ga, gb).decomposition
+        dec_g = NchoProblem(p=2, mu=1.0, A=ga, B=gb, C0=np.zeros((2, 2))).decomposition
         # sphere multiset: finite roots plus infinity with deficiency
         # multiplicity; a pole counts rank P_j times
         def sphere_roots(dec_, p):
@@ -180,9 +179,9 @@ def test_gauge_preserves_poles():
     rng = np.random.default_rng(31)
     prob = random_problem(rng, p=2)
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-    dec0 = prob.analysis.decomposition
+    dec0 = prob.decomposition
     gauged = gauge_problem(u, prob)
-    dec1 = gauged.analysis.decomposition
+    dec1 = gauged.decomposition
     for al in dec0.poles:
         assert min(abs(al - x) for x in dec1.poles) < 1e-10
 
@@ -222,7 +221,7 @@ def test_transform_decomposition_matches_qz(name):
     # infinity
     generic = Su11Element(np.sqrt(1.09) * np.exp(0.7j), 0.3 * np.exp(-1.1j))
     for prob in _pushforward_problems(name):
-        dec = prob.analysis.decomposition
+        dec = prob.decomposition
         images = list(zip(dec.poles, dec.residues, dec.ranks))
         if dec.zero_is_pole:
             images.append((INFINITY, -sum(dec.residues), dec.ranks[dec.poles.index(0.0)]))
@@ -231,7 +230,7 @@ def test_transform_decomposition_matches_qz(name):
         for g in moves + [Su11Element.sending_to_zero(al) for al in inner]:
             law = [(mobius_apply(g, al), pj, r) for al, pj, r in images]
             law = [(w, pj, r) for w, pj, r in law if not is_infinity(w)]
-            got = transform_problem(g, prob).analysis.decomposition
+            got = transform_problem(g, prob).decomposition
             assert len(got.poles) == len(law)
             assert got.zero_is_pole == any(abs(w) <= 1e-10 for w, _, _ in law)
             matched = set()
@@ -248,7 +247,7 @@ def test_transform_decomposition_matches_qz(name):
 def test_standardize_classical_family():
     prob = standard_ncho_problem(2.0, 2.0, 0.0, 0.5)
     std, transcript = standardize_p2(prob)
-    dec = std.analysis.decomposition
+    dec = std.decomposition
     assert dec.zero_is_pole
     inner = [al for al in dec.poles if al != 0 and abs(al) < 1]
     assert len(inner) == 1
@@ -285,14 +284,14 @@ def test_standardize_rotates_a_three_root_inner_pole_onto_the_positive_axis():
     ]
     for b, kinds, moduli in cases:
         prob = NchoProblem(p=2, mu=1.2, A=np.diag([1.3, 0.9]), B=b, C0=c0)
-        dec = prob.analysis.decomposition
+        dec = prob.decomposition
         assert dec.zero_is_pole and len(dec.poles) == 3
         inner = [al for al in dec.poles if al != 0 and abs(al) < 1]
         assert (abs(inner[0].imag) > 1e-3) == (kinds[0] == "mobius")
 
         std, transcript = standardize_p2(prob)
         assert [step["kind"] for step in transcript] == kinds
-        std_poles = std.analysis.decomposition.poles
+        std_poles = std.decomposition.poles
         assert np.allclose(sorted(abs(al) for al in std_poles), moduli, atol=1e-6)
         inner = [al for al in std_poles if al != 0 and abs(al) < 1]
         assert len(inner) == 1 and abs(inner[0].imag) < 1e-9 and inner[0].real > 0
@@ -315,7 +314,7 @@ def test_standardize_random_properties():
         assert abs(b1) > 1e-9
         assert 2 * abs(b1) + abs(b2) ** 2 < 1.0
         assert positivity_margin(std).margin > 0.0
-        dec = std.analysis.decomposition
+        dec = std.decomposition
         inner = [al for al in dec.poles if al != 0 and abs(al) < 1]
         assert len(inner) == 1
         # chosen phase puts the inner pole on the positive real axis

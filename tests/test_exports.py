@@ -80,17 +80,20 @@ def _call_sites(name):
 
 
 def test_the_pencil_qz_has_one_call_site():
-    # PencilAnalysis runs the one QZ of the linearization; a second call
+    # NchoProblem.roots runs the one QZ of the linearization; a second call
     # would be a second path to the pencil's roots
     sites = _call_sites("_linearization_eigvals")
     assert len(sites) == 1, sites
 
 
-def test_the_pencil_analysis_is_built_only_by_its_problem():
-    # each problem holds its one analysis: a PencilAnalysis built anywhere
-    # else would run a second QZ of a pencil the problem has analysed
-    sites = _call_sites("PencilAnalysis")
-    assert [site[:2] for site in sites] == [("pencil.py", "NchoProblem.analysis")], sites
+def test_the_pencil_roots_and_decomposition_are_built_only_by_their_problem():
+    # each problem holds its one QZ and its one decomposition: either built
+    # anywhere else would work out again what the problem already holds
+    for name, owner in (("_linearization_eigvals", "NchoProblem.roots"), ("_decompose", "NchoProblem.decomposition")):
+        sites = _call_sites(name)
+        assert [site[:2] for site in sites] == [("pencil.py", owner)], sites
+    sites = _call_sites("PencilDecomposition")
+    assert [site[:2] for site in sites] == [("pencil.py", "_decompose")], sites
 
 
 def _exported_functions():

@@ -82,7 +82,7 @@ def test_exponents_at_rank_one_pole_are_zero_and_trace():
 
     prob, _ = parse_problem(str(FIXTURES / "classical_eta01_mu15.json"))
     system = build_fuchsian(prob, 1.7)
-    ranks = [np.linalg.matrix_rank(pj, rtol=1e-8) for pj in prob.analysis.decomposition.residues]
+    ranks = [np.linalg.matrix_rank(pj, rtol=1e-8) for pj in prob.decomposition.residues]
     assert ranks.count(1) == len(ranks) == 4
     for j, r in enumerate(system.residues):
         vals = exponents_at(system, j).values
@@ -118,7 +118,7 @@ def test_transform_moves_singular_points_by_mobius():
         prob = random_problem(rng, p=2)
         lam = float(rng.uniform(-1.0, 2.0))
         system = build_fuchsian(prob, lam)
-        assert not prob.analysis.decomposition.zero_is_pole
+        assert not prob.decomposition.zero_is_pole
         b = 0.4 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
         a = np.sqrt(1 + abs(b) ** 2) * np.exp(2j * np.pi * rng.uniform())
         g = Su11Element(a, b)

@@ -56,15 +56,17 @@ def test_closed_forms_positivity_guard():
 
 
 def test_route_independence_reference_point():
+    # the plain 4-point builder gives the same data on the B = B' branch
     std, _ = standardize_p2(standard_ncho_problem(2.0, 2.0, 0.0, 0.5))
-    params = heun_like_parameters(std, 2.0 * SQ3)
-    assert params.n_singularities == 4
-    assert abs(params.alpha - 0.5) < 1e-12
-    assert abs(params.kappa0 - 1.0) < 1e-10
-    assert abs(params.kappa1 - 1.0) < 1e-10
-    assert abs(params.q1 + 21.0 / 32.0) < 1e-10
-    # nontrivial exponent at the origin: 1 + kappa0 - mu/2 = 7/4
-    assert abs(params.scheme["zero"][1] - 1.75) < 1e-10
+    for build in (heun_like_parameters, heun_equation_4pt):
+        params = build(std, 2.0 * SQ3)
+        assert params.n_singularities == 4
+        assert abs(params.alpha - 0.5) < 1e-12
+        assert abs(params.kappa0 - 1.0) < 1e-10
+        assert abs(params.kappa1 - 1.0) < 1e-10
+        assert abs(params.q1 + 21.0 / 32.0) < 1e-10
+        # nontrivial exponent at the origin: 1 + kappa0 - mu/2 = 7/4
+        assert abs(params.scheme["zero"][1] - 1.75) < 1e-10
 
 
 def test_four_point_branch_alpha_only_depends_on_product():

@@ -623,7 +623,7 @@ def test_truncation_starts_at_the_order_the_inner_poles_predict(bg, orders):
 
 
 def _predicted_order(prob, tol=1e-10):
-    radius = pencil._inner_pole_radius(prob.analysis)
+    radius = pencil._inner_pole_radius(prob)
     return math.ceil(math.log(tol) / math.log(radius))
 
 
@@ -651,7 +651,7 @@ def _toward_boundary(prob, target):
 
     def radius(scale):
         try:
-            return pencil._inner_pole_radius(prob.with_matrices(B=scale * prob.B).analysis)
+            return pencil._inner_pole_radius(prob.with_matrices(B=scale * prob.B))
         except PositivityError:
             return 1.0
 
@@ -877,14 +877,14 @@ def test_connection_of_no_seeds_is_empty():
 
 
 def test_seeds_from_another_pencil_are_refused():
-    # the plan reads the problem's own analysis, never the seeds' pencil: the
+    # the plan reads the problem's own decomposition, never the seeds' pencil: the
     # nilpotent problem's repeated root is refused whatever the seeds
     eye, c0 = np.eye(2), np.diag([0.1, -0.1])
     nilpotent = NchoProblem(p=2, mu=1.0, A=eye, B=[[0.0, 0.3], [0.0, 0.0]], C0=c0)
     seeds = spectrum_truncated(NchoProblem(p=2, mu=1.0, A=eye, B=0.3 * eye, C0=c0), 3)
     with pytest.raises(SimplePoleViolation):
         spectrum_connection(nilpotent, seeds)
-    # the analysis depends on the pencil alone: seeds of another C0 or mu are
+    # the decomposition depends on the pencil alone: seeds of another C0 or mu are
     # refined on the problem handed in
     prob = standard_ncho_problem(2.0, 0.75, 0.1, 1.5)
     ref = _connection(prob, 3).eigenvalues
@@ -902,21 +902,21 @@ def test_hand_made_seeds_do_not_skip_the_positivity_rule():
 
 
 def test_each_problem_runs_its_own_qz_once(monkeypatch):
-    # the analysis is built on first use and kept; with_matrices and replace
-    # build problems that run their own, and the problems a solver builds on
+    # the roots and decomposition are built on first use and kept;
+    # with_matrices and replace build problems that run their own, and the problems a solver builds on
     # the way (the Schur gauge, the standardization steps) run none
     qz = []
     real = pencil._linearization_eigvals
     monkeypatch.setattr(pencil, "_linearization_eigvals", lambda a, b: qz.append(1) or real(a, b))
     prob = _classical_eta01()
-    analysis = prob.analysis
-    assert prob.analysis is analysis
-    assert analysis.decomposition is analysis.decomposition
+    roots = prob.roots
+    assert prob.roots is roots
+    assert prob.decomposition is prob.decomposition
     assert len(qz) == 1
     for other in (prob.with_matrices(B=2 * prob.B), dataclasses.replace(prob)):
         qz.clear()
-        assert other.analysis is not analysis
-        assert np.array_equal(other.analysis.B, other.B)
+        assert other.roots is not roots
+        assert all(map(np.array_equal, other.roots, real(other.A, other.B)))
         assert len(qz) == 1
     qz.clear()
     spectral._schur_gauged(prob)
@@ -1080,7 +1080,7 @@ def _rank_one_problem(rng, p):
         rank_one = prob.with_matrices(B=s[0] * np.outer(u[:, 0], vh[0]))
         if positivity_margin(rank_one, 64).margin <= 0.05:
             continue
-        poles = np.array(rank_one.analysis.decomposition.poles)
+        poles = np.array(rank_one.decomposition.poles)
         gaps = np.abs(poles[:, None] - poles)[np.triu_indices(len(poles), 1)]
         if gaps.min() >= 0.05:
             return rank_one
@@ -1121,7 +1121,7 @@ def test_error_estimate_holds_at_the_newton_noise_floor():
         )
         if positivity_margin(prob, 64).margin > 0.05:
             kept.append(prob)
-    poles = np.array(kept[-1].analysis.decomposition.poles)
+    poles = np.array(kept[-1].decomposition.poles)
     assert np.allclose(poles, [0.0, 0.0290 + 0.0134j, 28.45 + 13.15j], atol=1e-4, rtol=1e-3)
     ref = spectrum_truncated(kept[-1], 5, tol=1e-13).eigenvalues
     conn = _connection(kept[-1], 5)
@@ -1402,7 +1402,7 @@ def test_connection_with_small_inner_pole_agrees_without_warning():
     # inner pole |alpha| ~ 0.025: the base point 0 lies close to it, and the
     # matching circle shrinks with that distance
     prob = NchoProblem(p=1, mu=1.0, A=[[1.0]], B=[[0.05]], C0=[[0.0]])
-    inner = [al for al in prob.analysis.decomposition.poles if 0 < abs(al) < 1]
+    inner = [al for al in prob.decomposition.poles if 0 < abs(al) < 1]
     assert abs(inner[0]) < 0.185
     with warnings.catch_warnings():
         warnings.simplefilter("error")
