@@ -89,11 +89,13 @@ def test_the_pencil_qz_has_one_call_site():
 def test_the_pencil_roots_and_decomposition_are_built_only_by_their_problem():
     # each problem holds its one QZ and its one decomposition: either built
     # anywhere else would work out again what the problem already holds
-    for name, owner in (("_linearization_eigvals", "NchoProblem.roots"), ("_decompose", "NchoProblem.decomposition")):
+    for name, owner in (
+        ("_linearization_eigvals", "NchoProblem.roots"),
+        ("_decompose", "NchoProblem.decomposition"),
+        ("PencilDecomposition", "_decompose"),
+    ):
         sites = _call_sites(name)
         assert [site[:2] for site in sites] == [("pencil.py", owner)], sites
-    sites = _call_sites("PencilDecomposition")
-    assert [site[:2] for site in sites] == [("pencil.py", "_decompose")], sites
 
 
 def _exported_functions():

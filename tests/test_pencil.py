@@ -469,11 +469,6 @@ def test_positivity_with_b_zero_solves_one_matrix_bit_for_bit(monkeypatch, grid)
     assert (cert.argmin_phi, cert.lipschitz_bound) == (0.0, 0.0)
 
 
-def _radius(prob):
-    """The positivity rule applied to prob's roots."""
-    return _inner_pole_radius(prob)
-
-
 def test_inner_pole_radius_is_the_largest_inner_pole(monkeypatch):
     rng = np.random.default_rng(21)
     randoms = [random_problem(rng, p) for p in (1, 2, 3, 4) for _ in range(3)]
@@ -485,16 +480,16 @@ def test_inner_pole_radius_is_the_largest_inner_pole(monkeypatch):
     fixtures = _fixture_problems()
     for name in NOT_POSITIVE_FIXTURES:
         with pytest.raises(PositivityError, match="sits on the unit circle"):
-            _radius(fixtures.pop(name))
+            _inner_pole_radius(fixtures.pop(name))
     for prob in [*fixtures.values(), *randoms]:
         prob = dataclasses.replace(prob)  # the sampler has analysed the randoms
         qz.clear()
-        radius = _radius(prob)
+        radius = _inner_pole_radius(prob)
         inner = [abs(al) for al in prob.decomposition.poles if abs(al) < 1.0]
         assert len(qz) == 1
         assert abs(radius - max(inner)) <= 1e-12
     b_zero = parse_problem(str(FIXTURES / "degenerate_b0.json"))[0]
-    assert _radius(b_zero) == 0.0
+    assert _inner_pole_radius(b_zero) == 0.0
 
 
 def test_positivity_rule_refuses_exactly_the_problems_not_positive_on_the_circle():
@@ -506,14 +501,14 @@ def test_positivity_rule_refuses_exactly_the_problems_not_positive_on_the_circle
 
     # b = -2 fails M(0) too
     for b in (0.6, 0.7, 0.7j, -2.0):
-        for solve in (_radius, lambda prob: connection_matrix(prob, 1.0)):
+        for solve in (_inner_pole_radius, lambda prob: connection_matrix(prob, 1.0)):
             with pytest.raises(PositivityError, match="sits on the unit circle"):
                 solve(p1(b))
     # b = 0.5: the Jordan double root -1, which QZ splits by about 1e-8; the
     # rule runs before any decomposition, which would call it a repeated root
     jordan = parse_problem(str(FIXTURES / "jordan_circle_p2.json"))[0]
     for prob, solve in (
-        (p1(0.5), _radius),
+        (p1(0.5), _inner_pole_radius),
         (p1(0.5), lambda prob: connection_matrix(prob, 1.0)),
         (jordan, standardize_p2),
     ):
@@ -527,13 +522,13 @@ def test_positivity_rule_refuses_exactly_the_problems_not_positive_on_the_circle
         NchoProblem(p=2, mu=1.0, A=-eye, B=0.1 * eye, C0=0 * eye),
         NchoProblem(p=2, mu=1.0, A=np.diag([1.0, -1.0]), B=0 * eye, C0=0 * eye),
     ):
-        for solve in (_radius, standardize_p2, lambda x: connection_matrix(x, 1.0)):
+        for solve in (_inner_pole_radius, standardize_p2, lambda x: connection_matrix(x, 1.0)):
             with pytest.raises(PositivityError, match=r"A \+ B \+ B' is not positive definite"):
                 solve(prob)
     # positive, with a root 2.8e-5 from the circle, and the ladder at
     # beta gamma = 1.0001, whose inner poles lie 0.0099 from it
-    assert 1.0 - 3e-5 < _radius(p1(0.5 - 1e-10)) < 1.0
-    assert 0.98 < _radius(standard_ncho_problem(2.0, 1.0001 / 2.0, 0.1, 1.5)) < 0.995
+    assert 1.0 - 3e-5 < _inner_pole_radius(p1(0.5 - 1e-10)) < 1.0
+    assert 0.98 < _inner_pole_radius(standard_ncho_problem(2.0, 1.0001 / 2.0, 0.1, 1.5)) < 0.995
 
 
 def _pointwise_reconstruction_residual(a, b, poles, residues, rng):
