@@ -9,10 +9,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import cholesky_banded, schur
 
 from .covariance import gauge_problem
 from .errors import (
@@ -58,6 +59,7 @@ _MAX_STEPS = 5000  # transport steps on one leg
 _BATCH_STEPS = 4096  # propagators of one batch, which bounds the memory of a Newton round
 _NEWTON_ROUNDS = 8  # Newton rounds of spectrum_connection before it gives up
 _SWEEP_TOL = 1e-9  # truncation tolerance of both spectra of confluence_sweep
+_PROFILE_ROWS = 16  # Laguerre rows of one block of the profile sum, whatever the order
 
 
 def _norm_sq(mu: float, count: int) -> np.ndarray:
@@ -168,11 +170,15 @@ class SpectrumResult:
     orders: tuple[int, int]
 
 
-def _ritz_bounds(gauged: NchoProblem, order: int, count: int, shifts=None):
-    """The count lowest eigenvalues of the order-`order` truncation of
-    gauged (a _schur_gauged problem), a bound on the error of each against
-    the full operator (inf where none can be formed), and the values of
-    the whole window, the shifts of a later order.
+def _ritz_bounds(band, c_out, count: int, shifts=None):
+    """The count lowest eigenvalues of a truncation H_N, given by its band
+    as linalg._lapack_band returns it, a bound on the error of each against
+    the full operator (inf where none can be formed), and the values of the
+    whole window, the shifts of a later order.  c_out is C_N, the first
+    coupling block left out (p x p, p the block size): row block N of the
+    full operator holds C_N in column block N - 1.  The NCHO truncation
+    (2 T sqrt(N (N - 1 + mu)), T the Schur factor of B) and the Rabi ladder
+    (g sqrt(N) sigma3) are certified by the same code.
 
     Without shifts the window comes from one eigensolve.  With shifts (the
     window of an earlier order, which a later order moves by little) there
@@ -180,8 +186,7 @@ def _ritz_bounds(gauged: NchoProblem, order: int, count: int, shifts=None):
     its value is the vector's Rayleigh quotient.
 
     A Ritz vector v of the truncation, extended by zeros, has the residual
-    [(H_N - theta) v; C_N v_{N-1}] in the full operator, C_N = 2 T
-    sqrt(N (N - 1 + mu)) the first coupling block left out.  Ritz values
+    [(H_N - theta) v; C_N v_{N-1}] in the full operator.  Ritz values
     whose intervals theta +- r overlap form one cluster, with
     r = |(H_N - theta) Q|_F + |C_N Q_{N-1}|_F: its c values get c
     orthonormal vectors Q from one subspace inverse iteration, rotated to
@@ -205,13 +210,20 @@ def _ritz_bounds(gauged: NchoProblem, order: int, count: int, shifts=None):
     gamma (|v|^T |H_N| |v| + |theta|), with gamma = gamma_{2kd+4} the
     constant of a complex dot product of that length (Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 3), about 4 eps at kd = 2;
-    a cluster sums it over its vectors.  The bound takes the window to
-    hold the lowest eigenvalues of the full operator, which the
-    inner-pole prediction of the order supports; nothing below the window
-    is searched for."""
-    band = _lapack_band(build_truncated(gauged, order))
-    c_out = 2.0 * gauged.B * math.sqrt(order * (order - 1 + gauged.mu))
-    p, n = gauged.p, band.shape[1]
+    a cluster sums it over its vectors.
+
+    The bound takes the window to hold the lowest eigenvalues.  Without
+    shifts the eigensolve gives them.  With shifts one banded Cholesky
+    (LAPACK ?pbtrf) of H_N - sigma checks that no eigenvalue lies below
+    the window: sigma = lo - m, lo the lower end of the first cluster's
+    interval and m = 2 (2 kd + 1) gamma (max_i |H_ii| + |lo|).  The
+    computed factor R is exact for H_N - sigma + E with
+    |E| <= gamma_{kd+2} |R*| |R| (Higham ch. 10), whose entries lie within
+    the band and are at most about max_i |H_ii - sigma|, so |E|_2 < m: a
+    failed Cholesky means an eigenvalue below lo, and the bounds are inf;
+    a successful one that none lies below lo - 2 m.  A value missed
+    inside the window would need an inertia count, which is not made."""
+    p, n = c_out.shape[0], band.shape[1]
     nu = (2 * band.shape[0] + 2) * np.finfo(float).eps / 2  # (2 kd + 4) u
     gamma, abs_band = nu / (1.0 - nu), np.abs(band)
 
@@ -260,6 +272,15 @@ def _ritz_bounds(gauged: NchoProblem, order: int, count: int, shifts=None):
             break
     else:
         return vals[:count], np.full(count, np.inf), vals
+    if shifts is not None:
+        lo = vals[0] - clusters[0][3]
+        margin = 2 * (2 * band.shape[0] - 1) * gamma * (np.max(abs_band[0]) + abs(lo))
+        shifted = band.copy()
+        shifted[0] -= lo - margin
+        try:
+            cholesky_banded(shifted, overwrite_ab=True, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return vals[:count], np.full(count, np.inf), vals
     bounds = np.empty(count)
     for i in range(last + 1):
         lo, hi, inner, r, rounding = clusters[i]
@@ -268,6 +289,66 @@ def _ritz_bounds(gauged: NchoProblem, order: int, count: int, shifts=None):
             gap = min(gap, vals[lo] - vals[clusters[i - 1][1] - 1] - clusters[i - 1][3])
         bounds[lo : min(hi, count)] = inner + r * r / gap + rounding
     return vals[:count], bounds, vals
+
+
+def _left_out(gauged: NchoProblem, order: int) -> np.ndarray:
+    """C_N = 2 T sqrt(N (N - 1 + mu)), the first coupling block that the
+    order-N truncation of gauged (a _schur_gauged problem, T its B) leaves
+    out."""
+    return 2.0 * gauged.B * math.sqrt(order * (order - 1 + gauged.mu))
+
+
+def _certified(band_of, left_out, count: int, start: int, tol: float, radius: float = 0.0):
+    """(values, convergence, orders) of the count lowest eigenvalues of the
+    ladder whose order-N truncation is band_of(N) and whose first left-out
+    coupling block is left_out(N), from the start order.
+
+    _check_start refuses a bad count, tol or start before any band.  Order
+    start is solved once and certified (_ritz_bounds): if every bound is
+    below tol, orders is (start, start).  Else, when the coefficients decay
+    like radius^m (0 < radius < 1), the bounds decay like radius^{2N}, and
+    the order N' = min(2N, N + ceil(log(64 max bound / tol) /
+    (2 log(1/radius)))) is certified, then 2N, the order the doubling would
+    solve next; orders is (N, N') or (N, 2N) for the first that passes.
+    Neither runs an eigensolve: the window values of order N are the shifts
+    of one banded LU and three solves of inverse iteration, and each value
+    is the Rayleigh quotient of its vector.  convergence holds the bounds.
+    A certificate that fails at every order, or forms no bound at the
+    start, falls back to _settle from the start values: orders is then the
+    last two orders and convergence the last change."""
+    _check_start(count, start, tol)
+
+    def bounded(order, shifts=None):
+        return _ritz_bounds(_lapack_band(band_of(order)), left_out(order), count, shifts)
+
+    first, bounds, shifts = bounded(start)
+    vals, order, worst = first, start, float(np.max(bounds))
+    if math.isfinite(worst) and worst >= tol and 0 < radius < 1:
+        step = math.ceil(math.log(64.0 * worst / tol) / (2.0 * math.log(1.0 / radius)))
+        for order in sorted({start + min(start, step), 2 * start}):
+            vals, bounds, _ = bounded(order, shifts)
+            if np.max(bounds) < tol:
+                break
+    if np.max(bounds) < tol:
+        return vals, bounds, (start, order)
+    return _settle(band_of, count, start, tol, first)
+
+
+def _spectrum_truncated(
+    problem: NchoProblem, count: int, tol: float, certify_floor: bool
+) -> SpectrumResult:
+    """spectrum_truncated, and with certify_floor a floor start certified
+    like a predicted one (_certified) instead of doubled."""
+    floor = max(64, -(-count // problem.p))
+    r = _inner_pole_radius(problem)
+    predicted = math.ceil(math.log(tol) / math.log(r)) if r > 0 and 0 < tol < 1 else 0
+    start = max(floor, min(predicted, _MAX_ORDER // 2))
+    gauged = _schur_gauged(problem)
+    band_of = partial(build_truncated, gauged)
+    if certify_floor or start == predicted > floor:
+        left_out = partial(_left_out, gauged)
+        return SpectrumResult(*_certified(band_of, left_out, count, start, tol, r))
+    return SpectrumResult(*_settle(band_of, count, start, tol))
 
 
 def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> SpectrumResult:
@@ -286,42 +367,16 @@ def spectrum_truncated(problem: NchoProblem, count: int, tol: float = 1e-10) -> 
     positive on the circle (PositivityError) first.
 
     When the uncapped prediction raises N above the floor, order N is
-    solved once and certified (_ritz_bounds): if every bound is below tol,
-    orders is (N, N).  Else, the bounds decaying like r^{2N}, the order
-    N' = min(2N, N + ceil(log(64 max bound / tol) / (2 log(1/r)))) is
-    certified, then 2N, the order the doubling would solve next, and
-    orders is (N, N') or (N, 2N) for the first that passes.  Neither runs
-    an eigensolve: the window values of order N are the shifts of one
-    banded LU and three solves of inverse iteration, and each value is the
-    Rayleigh quotient of its vector.  convergence holds the bounds.  Any
-    other start, or a certificate that fails at every order (or forms no
-    bound at N), doubles the order from N until the values move by less
-    than tol; orders is then the last two orders and convergence the last
-    change.  A floor start is already
-    past the prediction, so its second solve is small (64 and 128 on every
-    fixture), and its printed orders stay those of the doubling."""
-    floor = max(64, -(-count // problem.p))
-    r = _inner_pole_radius(problem)
-    predicted = math.ceil(math.log(tol) / math.log(r)) if r > 0 and 0 < tol < 1 else 0
-    start = max(floor, min(predicted, _MAX_ORDER // 2))
-    gauged = _schur_gauged(problem)
-    first = None
-    if start == predicted > floor:
-        _check_start(count, start, tol)
-        first, bounds, shifts = _ritz_bounds(gauged, start, count)
-        vals, order, worst = first, start, float(np.max(bounds))
-        if math.isfinite(worst) and worst >= tol:
-            step = math.ceil(math.log(64.0 * worst / tol) / (2.0 * math.log(1.0 / r)))
-            for order in sorted({start + min(start, step), 2 * start}):
-                vals, bounds, _ = _ritz_bounds(gauged, order, count, shifts)
-                if np.max(bounds) < tol:
-                    break
-        if np.max(bounds) < tol:
-            return SpectrumResult(vals, bounds, (start, order))
-    vals, change, orders = _settle(
-        lambda order: build_truncated(gauged, order), count, start, tol, first
-    )
-    return SpectrumResult(vals, change, orders)
+    certified (_certified): orders is (N, N), (N, N') or (N, 2N), and
+    convergence holds the bounds.  Any other start doubles the order from
+    N until the values move by less than tol; orders is then the last two
+    orders and convergence the last change.  A floor start is already past
+    the prediction, so its second solve is small (64 and 128 on every
+    fixture).  It keeps the doubling although its start order would
+    certify, because its printed orders are those of the doubling and no
+    printed field says which path ran; confluence_sweep, which prints no
+    orders, certifies its floor starts."""
+    return _spectrum_truncated(problem, count, tol, certify_floor=False)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +645,9 @@ def _laguerre_modes(mu: float, t: np.ndarray, count: int):
     for m = 0..count-1: one ascending pass of the three-term recurrence over
     all of t at once.  The complex factor i^m m!/(mu)_m (_mode_factors) and
     e^{-t} are left to the caller, which applies them to its coefficients
-    and to the sum, not to every mode."""
+    and to the sum, not to every mode.  Each factor is a new array, which
+    the caller may keep: eigenfunction_profile copies it into the row of
+    its block, laguerre_mode returns the last one."""
     x = 2.0 * t
     a = mu - 1.0
     lk_prev = np.ones_like(x)
@@ -655,7 +712,15 @@ def eigenfunction_profile(
     eigenvector is found there by banded inverse iteration, and the
     coefficients u_m recovered through the basis norms are summed against
     the radial modes on t_grid: the real Laguerre factors times the complex
-    p-vectors i^m (m!/(mu)_m) u_m, with e^{-t} applied once to the sum."""
+    p-vectors i^m (m!/(mu)_m) u_m, with e^{-t} applied once to the sum.
+
+    The sum runs in real arithmetic, each p-vector as 2p reals, over blocks
+    of _PROFILE_ROWS modes: their Laguerre factors are written into the
+    rows of one (_PROFILE_ROWS, len(t_grid)) buffer, and each full block
+    adds one product of its 2p x _PROFILE_ROWS coefficients with those
+    rows.  So the sum is a few BLAS calls, and its memory stays that of the
+    buffer at any order, never order x len(t_grid).  The order of summation
+    differs from a mode-by-mode sum only by round-off."""
     if not 0 <= index < len(seeds.eigenvalues):
         raise ContractViolation(f"index must be in range 0..{len(seeds.eigenvalues) - 1}")
     t_arr = _positive_t(t_grid, "t grid")
@@ -666,13 +731,17 @@ def eigenfunction_profile(
     vec = fix_phase(vec / np.linalg.norm(vec))
     u = vec.reshape(order, p) / np.sqrt(_norm_sq(mu, order))[:, None]
 
-    # real arithmetic: the complex p-vector of mode m as a column of 2p reals,
-    # summed into rows that run along t
-    coef = (_mode_factors(mu, order)[:, None] * u).view(float)[:, :, None]
+    # real arithmetic: the complex p-vector of mode m as a row of 2p reals;
+    # the Laguerre rows of a block of modes meet their rows in one product
+    coef = (_mode_factors(mu, order)[:, None] * u).view(float)
+    rows = np.empty((min(_PROFILE_ROWS, order), t_arr.size))
     acc = np.zeros((2 * p, t_arr.size))
     with _refuse_overflow(t_arr):
-        for c, lag in zip(coef, _laguerre_modes(mu, t_arr, order)):
-            acc += c * lag
+        for m, lag in enumerate(_laguerre_modes(mu, t_arr, order)):
+            k = m % len(rows)
+            rows[k] = lag
+            if k == len(rows) - 1 or m == order - 1:
+                acc += coef[m - k : m + 1].T @ rows[: k + 1]
         values = np.ascontiguousarray((acc * np.exp(-t_arr)).T).view(complex)
     return ProfileResult(
         t=t_arr,
@@ -704,11 +773,18 @@ def _rabi_band(rabi: RabiParameters, order: int) -> np.ndarray:
 
 
 def rabi_truncated_spectrum(rabi: RabiParameters, count: int, tol: float = 1e-10) -> np.ndarray:
+    """The count lowest eigenvalues of the Rabi ladder (_rabi_band),
+    certified at order max(64, count) with the left-out coupling
+    g sqrt(N) sigma3 (_certified); a bound of tol or more doubles the order
+    from there until the values move by less than tol."""
     # for omega <= 0 the lowest eigenvalues never settle: the doubling would run to the cap
     if not (rabi.omega > 0 and math.isfinite(rabi.omega)):
         raise ContractViolation("omega must be positive and finite")
-    vals, _, _ = _settle(lambda order: _rabi_band(rabi, order), count, max(64, count), tol)
-    return vals
+
+    def left_out(order):
+        return rabi.g_coupling * math.sqrt(order) * _SIGMA3
+
+    return _certified(partial(_rabi_band, rabi), left_out, count, max(64, count), tol)[0]
 
 
 @dataclass
@@ -718,10 +794,22 @@ class SweepResult:
     rabi_eigenvalues: np.ndarray
 
 
+def _confluent_problem(rabi: RabiParameters, mu: float) -> NchoProblem:
+    """The oscillator problem of confluence_sweep at mu: coupling
+    g/sqrt(mu), energy shift mu/2, with twice the Rabi ladder's
+    eigenvalues at large mu."""
+    eye = np.eye(2, dtype=complex)
+    b = (rabi.g_coupling / math.sqrt(mu)) * _SIGMA1
+    c0 = -rabi.Delta * _SIGMA3 - rabi.eps_bias * _SIGMA1 + 0.5 * mu * rabi.omega * eye
+    return NchoProblem(p=2, mu=mu, A=rabi.omega * eye, B=b, C0=c0)
+
+
 def confluence_sweep(rabi: RabiParameters, mu_list, count: int = 5) -> SweepResult:
-    """For each mu, compare the scaled oscillator spectrum (coupling
-    g/sqrt(mu), energy shift mu/2) with the Rabi truncation; the maximum
-    absolute deviation per mu decays like 1/mu."""
+    """For each mu, compare the scaled oscillator spectrum
+    (_confluent_problem) with the Rabi truncation; the maximum absolute
+    deviation per mu decays like 1/mu.  Both spectra are certified at
+    their start order, a floor start included (_certified), since no
+    order is printed; only a bound of _SWEEP_TOL or more doubles."""
     mu_values = [float(m) for m in mu_list]
     if not all(m > 0 and math.isfinite(m) for m in mu_values):
         raise ContractViolation("mu must be positive and finite")
@@ -730,12 +818,9 @@ def confluence_sweep(rabi: RabiParameters, mu_list, count: int = 5) -> SweepResu
     if count < 1:
         raise ContractViolation("count must be at least 1")
     rabi_vals = rabi_truncated_spectrum(rabi, count, tol=_SWEEP_TOL)
-    eye = np.eye(2, dtype=complex)
     deviations = []
     for mu in mu_values:
-        b = (rabi.g_coupling / math.sqrt(mu)) * _SIGMA1
-        c0 = -rabi.Delta * _SIGMA3 - rabi.eps_bias * _SIGMA1 + 0.5 * mu * rabi.omega * eye
-        prob = NchoProblem(p=2, mu=mu, A=rabi.omega * eye, B=b, C0=c0)
-        vals = spectrum_truncated(prob, count, tol=_SWEEP_TOL).eigenvalues / 2.0
+        prob = _confluent_problem(rabi, mu)
+        vals = _spectrum_truncated(prob, count, _SWEEP_TOL, certify_floor=True).eigenvalues / 2.0
         deviations.append(float(np.max(np.abs(vals - rabi_vals))))
     return SweepResult(mu_values=mu_values, deviations=deviations, rabi_eigenvalues=rabi_vals)

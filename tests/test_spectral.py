@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -627,6 +628,13 @@ def _predicted_order(prob, tol=1e-10):
     return math.ceil(math.log(tol) / math.log(radius))
 
 
+def _ritz_bounds(gauged, order, count, shifts=None):
+    """spectral._ritz_bounds on the order-`order` truncation of gauged, a
+    _schur_gauged problem."""
+    band = linalg._lapack_band(build_truncated(gauged, order))
+    return spectral._ritz_bounds(band, spectral._left_out(gauged, order), count, shifts)
+
+
 def _assert_certified(prob, res, tol=1e-10):
     """res came from the residual certificate: it starts at the prediction,
     and each value lies within its bound of a tol-1e-14 truncation."""
@@ -684,7 +692,7 @@ def test_half_the_predicted_order_is_not_certified(bg):
     prob = _ladder(bg)
     ref = spectrum_truncated(prob, 5, tol=1e-14).eigenvalues
     for count in (1, 5):
-        vals, bounds, _ = spectral._ritz_bounds(
+        vals, bounds, _ = _ritz_bounds(
             spectral._schur_gauged(prob), _predicted_order(prob) // 2, count
         )
         assert np.max(bounds) > 1e-10
@@ -803,13 +811,74 @@ def test_later_certificate_is_robust_to_its_shifts():
     # leaves off by up to its bounds; shifts 1e-6 off give the same values,
     # and bounds still below tol
     gauged = spectral._schur_gauged(_ladder(1.005))
-    shifts = spectral._ritz_bounds(gauged, 326, 5)[2]
-    vals, bounds, _ = spectral._ritz_bounds(gauged, 360, 5, shifts)
+    shifts = _ritz_bounds(gauged, 326, 5)[2]
+    vals, bounds, _ = _ritz_bounds(gauged, 360, 5, shifts)
     assert np.max(bounds) < 1e-10
     for moved in (shifts + 1e-6, shifts - 1e-6):
-        moved_vals, moved_bounds, _ = spectral._ritz_bounds(gauged, 360, 5, moved)
+        moved_vals, moved_bounds, _ = _ritz_bounds(gauged, 360, 5, moved)
         assert np.max(np.abs(moved_vals - vals)) <= 1e-13
         assert np.max(moved_bounds) < 1e-10
+
+
+@pytest.mark.parametrize("bg,orders", [(1.01, (231, 255)), (1.005, (326, 360))])
+def test_a_later_window_that_misses_the_lowest_value_is_not_certified(bg, orders):
+    # without the start order's lowest value the shifts find only the values
+    # above it, whose bounds alone would pass: the Cholesky of the later
+    # order below the window finds the missed value, and no bound is formed
+    gauged = spectral._schur_gauged(_ladder(bg))
+    shifts = _ritz_bounds(gauged, orders[0], 5)[2]
+    lowest = eigen_banded_lowest(build_truncated(gauged, orders[1]), 1)[0]
+    vals, bounds, _ = _ritz_bounds(gauged, orders[1], 4, shifts[1:])
+    assert vals[0] > lowest + 0.01
+    assert np.all(np.isinf(bounds))
+    # the whole window certifies the same order
+    vals, bounds, _ = _ritz_bounds(gauged, orders[1], 4, shifts)
+    assert abs(vals[0] - lowest) < 1e-12
+    assert np.max(bounds) < 1e-10
+
+
+_CONFLUENCE_RABI = RabiParameters(omega=1.0, g_coupling=0.8, Delta=0.5, eps_bias=0.2)
+_CONFLUENCE_MU = [40.0, 160.0, 640.0, 2560.0, 10240.0]
+
+
+def test_confluence_ladders_are_certified_at_their_start_order(monkeypatch):
+    # the Rabi ladder and the five oscillator spectra of the bench's
+    # confluence op: each is solved once, at order 64, and certified there,
+    # so no band of order 128 is built
+    solves = _counting(monkeypatch, spectral, "eigen_banded_lowest")
+    builds = _counting(monkeypatch, spectral, "build_truncated")
+    builds_rabi = _counting(monkeypatch, spectral, "_rabi_band")
+    certified, ritz_bounds = [], spectral._ritz_bounds
+    monkeypatch.setattr(
+        spectral, "_ritz_bounds", lambda *args: certified.append(ritz_bounds(*args)) or certified[-1]
+    )
+    confluence_sweep(_CONFLUENCE_RABI, _CONFLUENCE_MU, count=10)
+    assert [band.shape[1] for band, _ in solves] == [2 * 64] * 6
+    assert [args[1] for args in builds_rabi] == [64]
+    assert [args[1] for args in builds] == [64] * 5
+    # each value lies within its bound of a tol-1e-13 doubling
+    monkeypatch.undo()
+    bands = [lambda order: spectral._rabi_band(_CONFLUENCE_RABI, order)]
+    for mu in _CONFLUENCE_MU:
+        gauged = spectral._schur_gauged(spectral._confluent_problem(_CONFLUENCE_RABI, mu))
+        bands.append(lambda order, gauged=gauged: build_truncated(gauged, order))
+    assert len(certified) == len(bands)
+    for (vals, bounds, _), band_of in zip(certified, bands):
+        ref = spectral._settle(band_of, 10, 64, 1e-13)[0]
+        assert np.all(bounds < spectral._SWEEP_TOL)
+        assert np.all(np.abs(vals - ref) <= bounds)
+
+
+def test_a_certificate_that_cannot_pass_returns_the_doubled_values(monkeypatch):
+    # tol 1e-15 is below the rounding term of every bound: the values are
+    # those of the doubling from the start order, bit for bit
+    rabi = RabiParameters(omega=1.0, g_coupling=0.3, Delta=0.5, eps_bias=0.2)
+    ref = spectral._settle(lambda order: spectral._rabi_band(rabi, order), 5, 64, 1e-15)
+    solves = _counting(monkeypatch, spectral, "eigen_banded_lowest")
+    assert np.array_equal(rabi_truncated_spectrum(rabi, 5, tol=1e-15), ref[0])
+    # the certificate's window at 64, then the doubling's second order
+    assert ref[2] == (64, 128)
+    assert [(band.shape[1] // 2, count) for band, count in solves] == [(64, 6), (128, 5)]
 
 
 @pytest.mark.parametrize("bg", [1.02, 1.01])
@@ -1367,14 +1436,37 @@ def test_radial_modes_refuse_t_where_the_laguerre_sum_overflows():
 
 
 def test_profile_sum_matches_modes():
-    # the real-arithmetic sum equals the coefficients against laguerre_mode
+    # the real-arithmetic sum equals the coefficients against laguerre_mode;
+    # order 462 spans several blocks of the sum, the last one partly filled
     t = np.linspace(0.1, 6.0, 13)
-    prof = eigenfunction_profile(P1, spectrum_truncated(P1, 1), 0, t)
-    expect = sum(
-        laguerre_mode(m, P1.mu, t)[:, None] * prof.coefficients[m]
-        for m in range(prof.order)
-    )
-    assert np.max(np.abs(prof.values - expect)) < 1e-14 * np.max(np.abs(expect))
+    for prob, index, order in ((P1, 0, 128), (_ladder(1.01), 7, 462)):
+        prof = eigenfunction_profile(prob, spectrum_truncated(prob, index + 1), index, t)
+        assert prof.order == order
+        expect = sum(
+            laguerre_mode(m, prob.mu, t)[:, None] * prof.coefficients[m]
+            for m in range(prof.order)
+        )
+        assert np.max(np.abs(prof.values - expect)) < 1e-14 * np.max(np.abs(expect))
+
+
+def test_profile_memory_does_not_grow_with_order_times_samples():
+    # a table of every mode's Laguerre factors would hold order x samples
+    # floats, 74 MB at order 462; the blocked sum holds one block of rows
+    t = np.linspace(0.01, 8.0, 20000)
+    peaks, orders = [], []
+    for bg in (1.02, 1.01):
+        prob = _ladder(bg)
+        seeds = spectrum_truncated(prob, 8)
+        tracemalloc.start()
+        try:
+            orders.append(eigenfunction_profile(prob, seeds, 7, t).order)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert orders == [328, 462]
+    assert max(peaks) < (spectral._PROFILE_ROWS + 32) * t.nbytes < orders[1] * t.nbytes / 4
+    # orders 328 and 462 need the same memory, up to the vectors of the order
+    assert abs(peaks[1] - peaks[0]) < t.nbytes
 
 
 def test_rabi_truncation_decoupled_pattern():
