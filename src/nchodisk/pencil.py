@@ -175,18 +175,21 @@ def pencil_kernel(A, B, alpha) -> tuple[np.ndarray, np.ndarray]:
 
     A singular value of Q(alpha) counts as zero when it is at most
     1e-8 * max(1, |B| |alpha|^2 + |A| |alpha| + |B|), |.| the largest entry
-    modulus.  This is the one kernel rule of the package (_kernel)."""
-    return _kernel(as_matrix(A), as_matrix(B), alpha)
+    modulus.  This is the one kernel rule of the package (_kernels)."""
+    return _kernels(as_matrix(A), as_matrix(B), [alpha])[0]
 
 
-def _kernel(a, b, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """pencil_kernel on matrices as_matrix has already checked."""
-    u, s, vh = np.linalg.svd(_pencil_value(a, b, b.conj().T, alpha))
+def _kernels(a, b, zs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """pencil_kernel at every point of zs, on matrices as_matrix has already
+    checked: one SVD of the stack of the Q(z)."""
+    stack = np.asarray(zs, dtype=complex)[:, None, None]
+    u, s, vh = np.linalg.svd(_pencil_value(a, b, b.conj().T, stack))
     anorm = float(np.max(np.abs(a)))
     bnorm = float(np.max(np.abs(b)))
-    scale = max(1.0, bnorm * abs(alpha) ** 2 + anorm * abs(alpha) + bnorm)
-    rank = int(np.sum(s > 1e-8 * scale))
-    return u[:, rank:], vh[rank:].conj().T
+    # scalar arithmetic, so each threshold is the single-point rule's to the bit
+    scale = [max(1.0, bnorm * abs(z) ** 2 + anorm * abs(z) + bnorm) for z in zs]
+    ranks = np.sum(s > 1e-8 * np.array(scale)[:, None], axis=1)
+    return [(ui[:, r:], vhi[r:].conj().T) for ui, vhi, r in zip(u, vh, ranks)]
 
 
 def pole_angle(z: complex) -> float:
@@ -234,13 +237,18 @@ def _decompose(a, b, alpha, beta) -> PencilDecomposition:
     one pole; a pole of m roots has order 1 exactly when ker Q(alpha)
     has dimension m (SimplePoleViolation otherwise).  Every residue is
     X (Y' Q'(alpha) X)^{-1} Y' with (Y, X) the left and right kernels.
-    DegeneratePencil when Q is singular at point 0 of A and B's annulus stream.
+    DegeneratePencil when Q is singular at point 0 of A and B's annulus stream,
+    before anything else is refused.  The kernels come from two stacked SVDs
+    (_kernels), one of that point and 0 and one of every pole, and the
+    residues from one stacked solve per multiplicity: the same bits as one
+    SVD per point and one solve per pole.
     """
     rng = np.random.default_rng(_seed_from(a, b))
-    if _kernel(a, b, _annulus_point(rng))[1].shape[1] > 0:
+    probe, (_, x0) = _kernels(a, b, [_annulus_point(rng), 0.0])
+    if probe[1].shape[1] > 0:
         raise DegeneratePencil("pencil determinant vanishes identically")
 
-    k = _kernel(a, b, 0.0)[1].shape[1]
+    k = x0.shape[1]
     finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
     if np.any(beta[finite] == 0):
         # 0 and infinity are roots of det Q of one multiplicity, here above k
@@ -265,24 +273,26 @@ def _decompose(a, b, alpha, beta) -> PencilDecomposition:
         ((complex(sum(cl) / len(cl)), len(cl)) for cl in clusters),
         key=lambda cm: (cm[0].real, cm[0].imag),
     )
-    poles, residues = [], []
-    for al, mult in centers:
-        y, x = _kernel(a, b, al)
+    poles = [al for al, _ in centers]
+    ranks = [mult for _, mult in centers]
+    kernels = _kernels(a, b, poles)
+    for al, mult, (_, x) in zip(poles, ranks, kernels):
         if x.shape[1] != mult:
             raise SimplePoleViolation(
                 f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
                 f"{x.shape[1]}; the reduction assumes order-1 poles"
             )
-        dq = 2.0 * al * b + a
-        poles.append(al)
-        residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
+    # X (Y' Q'(alpha) X)^{-1} Y', one stacked solve per multiplicity
+    residues = [None] * len(poles)
+    for mult in set(ranks):
+        group = [i for i, m in enumerate(ranks) if m == mult]
+        y = np.stack([kernels[i][0] for i in group]).conj().transpose(0, 2, 1)
+        x = np.stack([kernels[i][1] for i in group])
+        dq = 2.0 * np.array([poles[i] for i in group])[:, None, None] * b + a
+        for i, r in zip(group, x @ np.linalg.solve(y @ dq @ x, y)):
+            residues[i] = r
 
-    return PencilDecomposition(
-        poles=poles,
-        residues=residues,
-        ranks=[mult for _, mult in centers],
-        zero_is_pole=k > 0,
-    )
+    return PencilDecomposition(poles=poles, residues=residues, ranks=ranks, zero_is_pole=k > 0)
 
 
 def _inner_pole_radius(problem: NchoProblem) -> float:

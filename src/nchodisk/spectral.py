@@ -56,7 +56,9 @@ _MATCH_FRACTION = 0.35  # a matching radius is at most this times the distance t
 # times the radius, fits in one Taylor step from a point on the circle
 _LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
 _MAX_STEPS = 5000  # transport steps on one leg
-_BATCH_STEPS = 4096  # propagators of one batch, which bounds the memory of a Newton round
+# propagators of one batch, which bounds the memory of a Newton round; the
+# transport products of p columns run in slices of _BATCH_STEPS // p steps
+_BATCH_STEPS = 4096
 _NEWTON_ROUNDS = 8  # Newton rounds of spectrum_connection before it gives up
 _SWEEP_TOL = 1e-9  # truncation tolerance of both spectra of confluence_sweep
 _PROFILE_ROWS = 16  # Laguerre rows of one block of the profile sum, whatever the order
@@ -406,29 +408,39 @@ def _path_steps(poles, z0, z1):
 
 def _step_propagators(poles, residues, steps):
     """Propagators Phi_s of df/dz = sum_j R_j/(z - a_j) f over every step
-    (z0, z1) of steps, stacked (len(steps), p, p): the order-30 Taylor series
-    at z0 summed at z1, one recurrence for all steps.  residues is
-    (len(steps), n_poles, p, p), one set per step.  With h = z1 - z0,
-    w_j = h/(z0 - a_j) and D_n = h^n C_n
-    the terms (D_0 = I),
+    (z0, z1) of steps, a (len(steps), 2) array, stacked (len(steps), p, p):
+    the order-30 Taylor series at z0 summed at z1, one recurrence for all
+    steps.  residues is (len(steps), n_poles, p, p), one set per step.  With
+    h = z1 - z0, w_j = h/(z0 - a_j) and D_n = h^n C_n the terms (D_0 = I),
     (n + 1) D_{n+1} = sum_j w_j R_j S_{j,n} with S_{j,n} = D_n - w_j S_{j,n-1}.
-    The step axis is last, so the sum is n_poles p elementwise products over
-    contiguous rows of every step, and no step's arithmetic reads another's.
-    A step whose last term exceeds 1e-12 times its propagator is split in
-    two; the halves run as further batches of at most _BATCH_STEPS."""
-    z0, z1 = np.array(steps, dtype=complex).T
+    The step axis is last.  Each order forms every product
+    (w_j R_j)[a, b] S_{j,n}[b, c] in one multiply and adds them over (j, b)
+    in one reduction, in that order; the products of at most
+    _BATCH_STEPS // p steps at a time, so their buffer holds no more entries
+    than S of a full batch.  No step's arithmetic reads another's.  A step
+    whose last term exceeds 1e-12 times its propagator is split in two; the
+    halves run as further batches of at most _BATCH_STEPS."""
+    z0, z1 = np.asarray(steps, dtype=complex).T
     h = z1 - z0
     n_poles, p = residues.shape[1:3]
     w = (h / (z0[:, None] - poles).T)[:, None, None, :]
     # w_j R_j per step, with the (pole, column) pairs of the sum leading
     wr = np.ascontiguousarray((w * residues.transpose(1, 2, 3, 0)).transpose(0, 2, 1, 3))
+    width = max(1, _BATCH_STEPS // p)
+    cuts = [slice(i, min(i + width, len(h))) for i in range(0, len(h), width)]
+    products = np.empty((n_poles, p, p, p, min(width, len(h))), dtype=complex)
     d = np.broadcast_to(np.eye(p, dtype=complex)[:, :, None], (p, p, len(h)))
     s = np.zeros((n_poles, p, p, len(h)), dtype=complex)
     phi = d.copy()
     for n in range(30):
         s = d - w * s
-        # D[a, c] = sum over (j, b) of wr[j, b, a] S[j, b, c]
-        d = sum(wr[j, b, :, None] * s[j, b] for j in range(n_poles) for b in range(p)) / (n + 1)
+        d = np.empty((p, p, len(h)), dtype=complex)
+        for cut in cuts:
+            # products[j, b, a, c] = wr[j, b, a] S[j, b, c]; D[a, c] sums them over (j, b)
+            prod = products[..., : cut.stop - cut.start]
+            np.multiply(wr[:, :, :, None, cut], s[:, :, None, :, cut], out=prod)
+            prod.sum(axis=(0, 1), out=d[..., cut])
+        d /= n + 1
         phi += d
     split = np.linalg.norm(d, axis=(0, 1)) > 1e-12 * np.linalg.norm(phi, axis=(0, 1))
     phi = np.ascontiguousarray(phi.transpose(2, 0, 1))
@@ -451,14 +463,15 @@ class _ConnectionPlan:
     """The part of the row matrix L(lam) that does not depend on lam: the
     singular points, the residues R_j(lam) = res0[j] + lam res1[j], one
     (pole index, row count, radius, leg steps, loop steps) per inner pole,
-    and the transport steps of every inner pole in that order, the leg
-    from the base point to its matching point and then the loop around it."""
+    and the (start, end) of every transport step, one (len(steps), 2) array,
+    of every inner pole in that order, the leg from the base point to its
+    matching point and then the loop around it."""
 
     poles: np.ndarray
     res0: np.ndarray
     res1: np.ndarray
     rows: list[tuple[int, int, float, int, int]]
-    steps: list[tuple[complex, complex]]
+    steps: np.ndarray
 
 
 def _connection_plan(problem: NchoProblem) -> _ConnectionPlan:
@@ -506,6 +519,7 @@ def _connection_plan(problem: NchoProblem) -> _ConnectionPlan:
     # R_j(lam) = res0[j] + lam res1[j], with the lam part exact
     res0 = np.array(build_fuchsian(problem, 0.0).residues)
     res1 = np.array([pj @ problem.lam_coeff for pj in dec.residues])
+    steps = np.array(steps, dtype=complex).reshape(-1, 2)
     return _ConnectionPlan(poles=poles, res0=res0, res1=res1, rows=rows, steps=steps)
 
 
@@ -527,7 +541,7 @@ def _row_matrices(plan: _ConnectionPlan, lams) -> np.ndarray:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             props = _step_propagators(
-                plan.poles, np.repeat(res, n_steps, axis=0), plan.steps * n
+                plan.poles, np.repeat(res, n_steps, axis=0), np.tile(plan.steps, (n, 1))
             ).reshape(n, n_steps, p, p)
             start = 0
             for j, rank, radius, n_leg, n_loop in plan.rows:

@@ -55,17 +55,17 @@ def test_spectrum_both_runs_the_truncation_once(capsys, monkeypatch):
 def test_pole_ranks_are_decided_once_per_decomposition(capsys, monkeypatch):
     # one kernel at a sample point, one at 0 and one per pole, all inside the
     # decomposition: no later layer works a pole's rank out again (the kernel
-    # rule is pencil._kernel, which pencil_kernel calls too)
+    # rule is pencil._kernels, which pencil_kernel calls too; count its points)
     calls = []
-    real = pencil._kernel
+    real = pencil._kernels
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(a, b, zs):
+        calls.extend(zs)
+        return real(a, b, zs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("nchodisk") and hasattr(module, "_kernel"):
-            monkeypatch.setattr(module, "_kernel", counted)
+        if name.startswith("nchodisk") and hasattr(module, "_kernels"):
+            monkeypatch.setattr(module, "_kernels", counted)
     path = str(FIXTURES / "classical_eta01_mu15.json")
     for argv in (["fuchsian", path, "--lambda", "0.5"], ["verify-pencil", path]):
         calls.clear()

@@ -406,6 +406,90 @@ def _fixture_problems():
     return probs
 
 
+def _decompose_per_pole(a, b, alpha, beta):
+    """_decompose with one pencil_kernel call per point and one solve per
+    pole: the reference its stacked SVDs and solves must match bit for bit."""
+    rng = np.random.default_rng(pencil._seed_from(a, b))
+    if pencil_kernel(a, b, pencil._annulus_point(rng))[1].shape[1] > 0:
+        raise DegeneratePencil("pencil determinant vanishes identically")
+    k = pencil_kernel(a, b, 0.0)[1].shape[1]
+    finite = np.argsort(np.arctan2(np.abs(beta), np.abs(alpha)))[k:]
+    if np.any(beta[finite] == 0):
+        raise SimplePoleViolation(
+            f"more than dim ker B' = {k} pencil eigenvalues at infinity; "
+            "the reduction assumes order-1 poles"
+        )
+    eigs = alpha[finite] / beta[finite]
+    eigs[np.argsort(np.abs(eigs))[:k]] = 0.0
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    clusters = []
+    for r in eigs:
+        for cl in clusters:
+            center = sum(cl) / len(cl)
+            if abs(r - center) <= 1e-6 * max(1.0, abs(center)):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    centers = sorted(
+        ((complex(sum(cl) / len(cl)), len(cl)) for cl in clusters),
+        key=lambda cm: (cm[0].real, cm[0].imag),
+    )
+    poles, residues = [], []
+    for al, mult in centers:
+        y, x = pencil_kernel(a, b, al)
+        if x.shape[1] != mult:
+            raise SimplePoleViolation(
+                f"{mult} pencil eigenvalues at {al} but ker Q(alpha) has dimension "
+                f"{x.shape[1]}; the reduction assumes order-1 poles"
+            )
+        dq = 2.0 * al * b + a
+        poles.append(al)
+        residues.append(x @ np.linalg.solve(y.conj().T @ dq @ x, y.conj().T))
+    return pencil.PencilDecomposition(poles, residues, [m for _, m in centers], k > 0)
+
+
+def _decomposition_cases():
+    """(A, B) of every fixture that parses, of the pencils above that
+    _decompose refuses, of pencils with poles of both multiplicities, and of
+    random problems at p = 1 to 5."""
+    cases = [pytest.param(prob.A, prob.B, id=name) for name, prob in _fixture_problems().items()]
+    pencils = {
+        "singular": (np.diag([1.0, 0.0]), np.diag([0.5, 0.0])),
+        "jordan": (np.array([[1.0, 1.0], [0.0, 1.0]]), 0.25 * np.eye(2)),
+        "double": (np.eye(2), np.array([[0.0, 0.3], [0.0, 0.0]])),
+        "full-kernel": (np.eye(2), 0.25 * np.eye(2)),
+        "ranks-1-and-2": (np.eye(3), np.diag([0.25, 0.25, 0.3])),
+        "zero-and-rank-2": (np.eye(3), np.diag([0.25, 0.25, 0.0])),
+    }
+    for name, (a, b) in pencils.items():
+        cases.append(pytest.param(a.astype(complex), b.astype(complex), id=name))
+    for p in range(1, 6):
+        for seed in range(4):
+            gap = 5e-3 if p == 5 else 0.05
+            prob = random_problem(np.random.default_rng([p, seed]), p, min_pole_gap=gap)
+            cases.append(pytest.param(prob.A, prob.B, id=f"random-p{p}-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("a,b", _decomposition_cases())
+def test_stacked_decomposition_matches_the_per_pole_reference_bit_for_bit(a, b):
+    roots = _linearization_eigvals(a, b)
+    try:
+        want = _decompose_per_pole(a, b, *roots)
+    except (DegeneratePencil, SimplePoleViolation) as exc:
+        with pytest.raises(type(exc)) as got:
+            _decompose(a, b, *roots)
+        assert str(got.value) == str(exc)
+        return
+    got = _decompose(a, b, *roots)
+    assert got.poles == want.poles and got.ranks == want.ranks
+    assert got.zero_is_pole is want.zero_is_pole
+    assert len(got.residues) == len(want.residues)
+    for r_got, r_want in zip(got.residues, want.residues):
+        assert r_got.tobytes() == r_want.tobytes()
+
+
 def _work_count_problems():
     probs = _fixture_problems()
     eye, zero = np.eye(2), np.zeros((2, 2))

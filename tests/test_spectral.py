@@ -1072,6 +1072,71 @@ def test_split_rounds_run_in_slices_of_the_batch_budget(monkeypatch):
     assert np.array_equal(sliced, whole)
 
 
+def _propagators_per_pair(poles, residues, steps):
+    """_step_propagators with the sum over (pole, column) pairs taken one
+    product at a time, in (pole, column) order: the reference the stacked
+    products and their one reduction must match bit for bit."""
+    z0, z1 = np.asarray(steps, dtype=complex).T
+    h = z1 - z0
+    n_poles, p = residues.shape[1:3]
+    w = (h / (z0[:, None] - poles).T)[:, None, None, :]
+    wr = np.ascontiguousarray((w * residues.transpose(1, 2, 3, 0)).transpose(0, 2, 1, 3))
+    d = np.broadcast_to(np.eye(p, dtype=complex)[:, :, None], (p, p, len(h)))
+    s = np.zeros((n_poles, p, p, len(h)), dtype=complex)
+    phi = d.copy()
+    for n in range(30):
+        s = d - w * s
+        d = sum(wr[j, b, :, None] * s[j, b] for j in range(n_poles) for b in range(p)) / (n + 1)
+        phi += d
+    split = np.linalg.norm(d, axis=(0, 1)) > 1e-12 * np.linalg.norm(phi, axis=(0, 1))
+    phi = np.ascontiguousarray(phi.transpose(2, 0, 1))
+    if split.any():
+        a, b = z0[split], z1[split]
+        mid = a + 0.5 * (b - a)
+        halves = np.stack([a, mid, mid, b], 1).reshape(-1, 2)
+        props = _propagators_per_pair(poles, np.repeat(residues[split], 2, axis=0), halves)
+        phi[split] = props[1::2] @ props[::2]
+    return phi
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_stacked_transport_matches_the_per_pair_sum_bit_for_bit(monkeypatch, p):
+    # a batch budget of 3 runs the products in slices of 3 // p steps, and
+    # the last step, 0.9 times the distance to the nearest pole, splits
+    rng = np.random.default_rng(80 + p)
+    poles = np.array([0.5, -0.3 + 0.4j, 0.1 - 0.7j])
+    residues = 0.6 * (rng.standard_normal((3, p, p)) + 1j * rng.standard_normal((3, p, p)))
+    steps = spectral._path_steps(poles, -0.6 - 0.5j, 0.9 - 0.2j) + [(-0.1, 0.26)]
+    per_step = np.repeat(residues[None], len(steps), axis=0)
+    want = _propagators_per_pair(poles, per_step, steps)
+    monkeypatch.setattr(spectral, "_BATCH_STEPS", 3)
+    batches = _counting(monkeypatch, spectral, "_step_propagators")
+    got = spectral._step_propagators(poles, per_step, np.array(steps))
+    assert [len(args[2]) for args in batches[:2]] == [len(steps), 2]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_transport_products_stay_within_six_residue_stacks(p):
+    # the products of all _BATCH_STEPS steps at once would take p residue
+    # stacks on their own; in slices of _BATCH_STEPS // p steps they take one
+    rng = np.random.default_rng(p)
+    n_poles, n_steps = 2 * p, spectral._BATCH_STEPS
+    poles = np.exp(2j * np.pi * np.arange(n_poles) / n_poles)
+    z0 = 0.2 * np.exp(2j * np.pi * rng.uniform(size=n_steps))
+    steps = np.stack([z0, z0 + 0.01], 1)
+    shape = (n_steps, n_poles, p, p)
+    residues = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    tracemalloc.start()
+    try:
+        phi = spectral._step_propagators(poles, residues, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.shape == (n_steps, p, p)
+    assert peak <= 6 * residues.nbytes
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_transport_matches_an_ode_solver_at_p_2_and_3(monkeypatch, p):
     # residues that do not commute: a sum taken as S_j R_j instead of
