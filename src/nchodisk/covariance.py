@@ -57,7 +57,8 @@ class Su11Element:
 
     def __post_init__(self):
         a, b = complex(self.a), complex(self.b)
-        if abs(abs(a) ** 2 - abs(b) ** 2 - 1.0) > 1e-9:
+        # not <=, so that nan and inf entries are refused too
+        if not abs(abs(a) ** 2 - abs(b) ** 2 - 1.0) <= 1e-9:
             raise ContractViolation("|a|^2 - |b|^2 must equal 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

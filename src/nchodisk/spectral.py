@@ -56,8 +56,8 @@ _MATCH_FRACTION = 0.35  # a matching radius is at most this times the distance t
 # times the radius, fits in one Taylor step from a point on the circle
 _LOOP_ARCS = math.ceil(math.pi / math.asin(_STEP_FRACTION / 2))
 _MAX_STEPS = 5000  # transport steps on one leg
-# propagators of one batch, which bounds the memory of a Newton round; the
-# transport products of p columns run in slices of _BATCH_STEPS // p steps
+# _step_propagators runs _BATCH_STEPS // p steps at a time, whose products hold
+# as many entries as S of _BATCH_STEPS steps: the transport's one memory bound
 _BATCH_STEPS = 4096
 _NEWTON_ROUNDS = 8  # Newton rounds of spectrum_connection before it gives up
 _SWEEP_TOL = 1e-9  # truncation tolerance of both spectra of confluence_sweep
@@ -409,52 +409,53 @@ def _path_steps(poles, z0, z1):
 def _step_propagators(poles, residues, steps):
     """Propagators Phi_s of df/dz = sum_j R_j/(z - a_j) f over every step
     (z0, z1) of steps, a (len(steps), 2) array, stacked (len(steps), p, p):
-    the order-30 Taylor series at z0 summed at z1, one recurrence for all
-    steps.  residues is (len(steps), n_poles, p, p), one set per step.  With
-    h = z1 - z0, w_j = h/(z0 - a_j) and D_n = h^n C_n the terms (D_0 = I),
+    the order-30 Taylor series at z0 summed at z1.  residues is
+    (m, n_poles, p, p) with len(steps) = m k: set i serves steps i k to
+    i k + k - 1.  With h = z1 - z0, w_j = h/(z0 - a_j) and D_n = h^n C_n
+    the terms (D_0 = I),
     (n + 1) D_{n+1} = sum_j w_j R_j S_{j,n} with S_{j,n} = D_n - w_j S_{j,n-1}.
-    The step axis is last.  Each order forms every product
-    (w_j R_j)[a, b] S_{j,n}[b, c] in one multiply and adds them over (j, b)
-    in one reduction, in that order; the products of at most
-    _BATCH_STEPS // p steps at a time, so their buffer holds no more entries
-    than S of a full batch.  No step's arithmetic reads another's.  A step
-    whose last term exceeds 1e-12 times its propagator is split in two; the
-    halves run as further batches of at most _BATCH_STEPS."""
-    z0, z1 = np.asarray(steps, dtype=complex).T
-    h = z1 - z0
+    The steps go in runs of _BATCH_STEPS // p, each with only its own
+    residues gathered and one recurrence, step axis last: each order forms
+    every product (w_j R_j)[a, b] S_{j,n}[b, c] in one multiply and adds
+    them over (j, b) in one reduction, in that order.  So a run's products
+    hold no more entries than S of _BATCH_STEPS steps, the one bound on the
+    transport's memory.  No step's arithmetic reads another's.  A step
+    whose last term exceeds 1e-12 times its propagator is split in two;
+    its halves, two to a residue set, go through this kernel again."""
+    steps = np.asarray(steps, dtype=complex)
     n_poles, p = residues.shape[1:3]
-    w = (h / (z0[:, None] - poles).T)[:, None, None, :]
-    # w_j R_j per step, with the (pole, column) pairs of the sum leading
-    wr = np.ascontiguousarray((w * residues.transpose(1, 2, 3, 0)).transpose(0, 2, 1, 3))
+    k = len(steps) // len(residues)
     width = max(1, _BATCH_STEPS // p)
-    cuts = [slice(i, min(i + width, len(h))) for i in range(0, len(h), width)]
-    products = np.empty((n_poles, p, p, p, min(width, len(h))), dtype=complex)
-    d = np.broadcast_to(np.eye(p, dtype=complex)[:, :, None], (p, p, len(h)))
-    s = np.zeros((n_poles, p, p, len(h)), dtype=complex)
-    phi = d.copy()
-    for n in range(30):
-        s = d - w * s
-        d = np.empty((p, p, len(h)), dtype=complex)
-        for cut in cuts:
+    phi = np.empty((len(steps), p, p), dtype=complex)
+    for first in range(0, len(steps), width):
+        run = np.arange(first, min(first + width, len(steps)))
+        z0, z1 = steps[run].T
+        w = ((z1 - z0) / (z0[:, None] - poles).T)[:, None, None, :]
+        # w_j R_j per step, with the (pole, column) pairs of the sum leading
+        wr = (w * residues[run // k].transpose(1, 2, 3, 0)).transpose(0, 2, 1, 3)
+        wr = np.ascontiguousarray(wr)[:, :, :, None]
+        products = np.empty((n_poles, p, p, p, len(run)), dtype=complex)
+        d = np.broadcast_to(np.eye(p, dtype=complex)[:, :, None], (p, p, len(run)))
+        s = np.zeros((n_poles, p, p, len(run)), dtype=complex)
+        total = d.copy()
+        for n in range(30):
+            s = d - w * s
             # products[j, b, a, c] = wr[j, b, a] S[j, b, c]; D[a, c] sums them over (j, b)
-            prod = products[..., : cut.stop - cut.start]
-            np.multiply(wr[:, :, :, None, cut], s[:, :, None, :, cut], out=prod)
-            prod.sum(axis=(0, 1), out=d[..., cut])
-        d /= n + 1
-        phi += d
-    split = np.linalg.norm(d, axis=(0, 1)) > 1e-12 * np.linalg.norm(phi, axis=(0, 1))
-    phi = np.ascontiguousarray(phi.transpose(2, 0, 1))
-    if split.any():
-        a, b = z0[split], z1[split]
-        if np.any(np.abs(b - a) < 2e-14 * np.maximum(1.0, np.abs(a))):
-            raise ContinuationError("step size underflow during transport")
-        mid = a + 0.5 * (b - a)
-        halves = np.stack([a, mid, mid, b], 1).reshape(-1, 2)
-        res = np.repeat(residues[split], 2, axis=0)
-        per = 2 * max(1, _BATCH_STEPS // 2)  # whole pairs of halves per batch
-        cuts = [slice(i, i + per) for i in range(0, len(halves), per)]
-        props = np.concatenate([_step_propagators(poles, res[c], halves[c]) for c in cuts])
-        phi[split] = props[1::2] @ props[::2]
+            np.multiply(wr, s[:, :, None], out=products)
+            d = products.sum(axis=(0, 1)) / (n + 1)
+            total += d
+        phi[run] = total.transpose(2, 0, 1)
+        split = np.linalg.norm(d, axis=(0, 1)) > 1e-12 * np.linalg.norm(total, axis=(0, 1))
+        del wr, products, s  # the next run's buffers take their place
+        if split.any():
+            a, b = z0[split], z1[split]
+            if np.any(np.abs(b - a) < 2e-14 * np.maximum(1.0, np.abs(a))):
+                raise ContinuationError("step size underflow during transport")
+            mid = a + 0.5 * (b - a)
+            halves = _step_propagators(
+                poles, residues[run[split] // k], np.stack([a, mid, mid, b], 1).reshape(-1, 2)
+            )
+            phi[run[split]] = halves[1::2] @ halves[::2]
     return phi
 
 
@@ -525,7 +526,8 @@ def _connection_plan(problem: NchoProblem) -> _ConnectionPlan:
 
 def _row_matrices(plan: _ConnectionPlan, lams) -> np.ndarray:
     """L(lam) for every lam of lams, stacked (len(lams), p, p), from one
-    batch of propagators over every step of every row at every lam.
+    _step_propagators call over every step of every row at every lam, with
+    each lam's residues passed once for all of its steps.
 
     The frame with F(b) = I is transported to the matching point z_k of
     each inner pole alpha_k (F_match) and once around alpha_k (F_loop).
@@ -540,9 +542,8 @@ def _row_matrices(plan: _ConnectionPlan, lams) -> np.ndarray:
     # range: stop there instead of returning inf/nan
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            props = _step_propagators(
-                plan.poles, np.repeat(res, n_steps, axis=0), np.tile(plan.steps, (n, 1))
-            ).reshape(n, n_steps, p, p)
+            props = _step_propagators(plan.poles, res, np.tile(plan.steps, (n, 1)))
+            props = props.reshape(n, n_steps, p, p)
             start = 0
             for j, rank, radius, n_leg, n_loop in plan.rows:
                 f_match = np.eye(p, dtype=complex)
@@ -588,14 +589,14 @@ def spectrum_connection(
 
     The plan is built once, from problem.decomposition, whichever problem the
     seeds came from.  Each round evaluates L at every open seed s and at
-    s + delta, delta = 1e-7 max(1, |s|), in one batch of propagators (one
-    per _BATCH_STEPS steps, when the round has more), solves
+    s + delta, delta = 1e-7 max(1, |s|), in one _row_matrices call, solves
     L(s) x = -h L'(s) x with the forward difference L', and moves s by the
     real part of the h of least modulus.  A seed stays open until its |h|
     is at most tol max(1, |s|); every seed takes at least one step.  The
-    convergence reported is the last |h|, in units of lam.  A value that ends more than half the gap
-    to the nearest other seed from its own seed (seeds closer than its
-    delta count as one) is refused: it may have left for another root."""
+    convergence reported is the last |h|, in units of lam.  A value that
+    ends more than half the gap to the nearest other seed from its own seed
+    (seeds closer than its delta count as one) is refused: it may have
+    left for another root."""
     _check_tol(tol)
     plan = _connection_plan(problem)
     start = np.array(seeds.eigenvalues, dtype=float)
@@ -604,14 +605,10 @@ def spectrum_connection(
     values = start.copy()
     last_step = np.zeros(len(values))
     open_ = np.arange(len(values))
-    per_batch = max(1, _BATCH_STEPS // len(plan.steps))
     for _ in range(_NEWTON_ROUNDS):
         s = values[open_]
         delta = 1e-7 * np.maximum(1.0, np.abs(s))
-        lams = np.concatenate([s, s + delta])
-        mats = np.concatenate(
-            [_row_matrices(plan, lams[i : i + per_batch]) for i in range(0, len(lams), per_batch)]
-        )
+        mats = _row_matrices(plan, np.concatenate([s, s + delta]))
         at, ahead = mats[: len(s)], mats[len(s) :]
         try:
             h = np.linalg.eigvals(np.linalg.solve((at - ahead) / delta[:, None, None], at))
@@ -695,8 +692,8 @@ def _refuse_overflow(t_arr: np.ndarray):
 def laguerre_mode(m: int, mu: float, t):
     """Radial mode l_m(t) = i^m (m!/(mu)_m) L_m^{(mu-1)}(2t) e^{-t}, via the
     ascending three-term recurrence of the Laguerre factor."""
-    if m < 0 or mu <= 0:
-        raise ContractViolation("need m >= 0 and mu > 0")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0 or not mu > 0:
+        raise ContractViolation("need an integer m >= 0 and mu > 0")
     t_arr = _positive_t(t, "t")
     with _refuse_overflow(t_arr):
         lag = next(islice(_laguerre_modes(mu, t_arr, m + 1), m, None))

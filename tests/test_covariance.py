@@ -48,6 +48,18 @@ def test_group_rejects_bad_normalization():
         Su11Element(1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "a,b", [(np.nan, 0.0), (1.0, np.nan), (complex(np.nan, 1.0), 0.0), (np.inf, np.inf)]
+)
+def test_group_rejects_entries_that_are_not_finite(a, b):
+    # a comparison with nan is false, so a check written as > would pass them
+    with pytest.raises(ContractViolation, match="must equal 1"):
+        Su11Element(a, b)
+    step = {"kind": "mobius", "a": [np.real(a), np.imag(a)], "b": [np.real(b), np.imag(b)]}
+    with pytest.raises(ContractViolation, match="must equal 1"):
+        apply_transcript(standard_ncho_problem(2.0, 0.75, 0.1, 1.5), [step])
+
+
 def test_mobius_identity():
     g = Su11Element.identity()
     for z in (0.3, -0.2 + 0.4j, 2.0):

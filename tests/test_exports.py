@@ -57,17 +57,14 @@ def test_every_error_class_is_raised_or_caught():
     assert sorted(classes - named) == []
 
 
-def _call_sites(name):
-    """(file, enclosing class and function names, line) of every call of name
-    in the package."""
+def _sites(match):
+    """(file, enclosing class and function names, line) of every node of
+    the package that match accepts."""
     sites = []
 
     def visit(node, where, path):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (
-                getattr(child.func, "id", None),
-                getattr(child.func, "attr", None),
-            ):
+            if match(child):
                 sites.append((path.name, where, child.lineno))
             inner = where
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
@@ -77,6 +74,14 @@ def _call_sites(name):
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), "", path)
     return sites
+
+
+def _call_sites(name):
+    """_sites of every call of name in the package."""
+    return _sites(
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
 
 
 def test_the_pencil_qz_has_one_call_site():
@@ -96,6 +101,16 @@ def test_the_pencil_roots_and_decomposition_are_built_only_by_their_problem():
     ):
         sites = _call_sites(name)
         assert [site[:2] for site in sites] == [("pencil.py", owner)], sites
+
+
+def test_the_transport_batch_rule_lives_in_its_kernel():
+    # _step_propagators is the one place that cuts the transport into runs;
+    # a caller that read the budget would be a second batch rule
+    readers = _sites(
+        lambda node: isinstance(getattr(node, "ctx", None), ast.Load)
+        and "_BATCH_STEPS" in (getattr(node, "id", None), getattr(node, "attr", None))
+    )
+    assert {site[:2] for site in readers} == {("spectral.py", "_step_propagators")}, readers
 
 
 def _exported_functions():

@@ -458,8 +458,10 @@ def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, pole, lam):
     monkeypatch.setattr(spectral, "_step_propagators", recorded)
     prob = standard_ncho_problem(2.0, bg / 2, 0.1, 1.5)
     connection_matrix(prob, lam)
-    # split halves return before the batch that asked for them
+    # split halves return before the batch that asked for them; the one lam
+    # passes one residue set for all of its steps
     poles, residues, props = batches[-1]
+    assert len(residues) == 1
     plan = spectral._connection_plan(prob)
     assert len(plan.rows) == 2
     start = sum(n_leg + n_loop for _, _, _, n_leg, n_loop in plan.rows[:pole])
@@ -469,7 +471,7 @@ def test_loop_propagator_has_the_local_monodromy(monkeypatch, bg, pole, lam):
     for phi in props[start + n_leg : start + n_leg + n_loop]:
         loop = phi @ loop
     got = np.linalg.eigvals(loop)
-    want = np.exp(2j * np.pi * np.linalg.eigvals(residues[start, j]))
+    want = np.exp(2j * np.pi * np.linalg.eigvals(residues[0, j]))
     assert max(np.min(np.abs(got - w)) for w in want) < 1e-11
     assert max(np.min(np.abs(want - g)) for g in got) < 1e-11
 
@@ -1057,21 +1059,6 @@ def test_transport_matches_closed_form_p1(monkeypatch, poles, residues, z0, z1, 
         assert len(batches) > 1
 
 
-def test_split_rounds_run_in_slices_of_the_batch_budget(monkeypatch):
-    # the multi-step-poles3-residues3 transport above: 3 of its 8 steps split
-    poles = np.array([0.5, -0.3 + 0.4j])
-    steps = spectral._path_steps(poles, -0.6 - 0.5j, 0.9 - 0.2j)
-    per_step = np.repeat(np.reshape([6.0, -5.2 + 0.3j], (1, -1, 1, 1)), len(steps), axis=0)
-    batches = _counting(monkeypatch, spectral, "_step_propagators")
-    whole = spectral._step_propagators(poles, per_step, steps)
-    assert [len(args[2]) for args in batches] == [8, 6]
-    batches.clear()
-    monkeypatch.setattr(spectral, "_BATCH_STEPS", 2)
-    sliced = spectral._step_propagators(poles, per_step, steps)
-    assert [len(args[2]) for args in batches] == [8, 2, 2, 2]
-    assert np.array_equal(sliced, whole)
-
-
 def _propagators_per_pair(poles, residues, steps):
     """_step_propagators with the sum over (pole, column) pairs taken one
     product at a time, in (pole, column) order: the reference the stacked
@@ -1101,8 +1088,8 @@ def _propagators_per_pair(poles, residues, steps):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_stacked_transport_matches_the_per_pair_sum_bit_for_bit(monkeypatch, p):
-    # a batch budget of 3 runs the products in slices of 3 // p steps, and
-    # the last step, 0.9 times the distance to the nearest pole, splits
+    # a batch budget of 3 runs the steps in runs of 3 // p, and the last
+    # step, 0.9 times the distance to the nearest pole, splits
     rng = np.random.default_rng(80 + p)
     poles = np.array([0.5, -0.3 + 0.4j, 0.1 - 0.7j])
     residues = 0.6 * (rng.standard_normal((3, p, p)) + 1j * rng.standard_normal((3, p, p)))
@@ -1110,16 +1097,36 @@ def test_stacked_transport_matches_the_per_pair_sum_bit_for_bit(monkeypatch, p):
     per_step = np.repeat(residues[None], len(steps), axis=0)
     want = _propagators_per_pair(poles, per_step, steps)
     monkeypatch.setattr(spectral, "_BATCH_STEPS", 3)
-    batches = _counting(monkeypatch, spectral, "_step_propagators")
     got = spectral._step_propagators(poles, per_step, np.array(steps))
-    assert [len(args[2]) for args in batches[:2]] == [len(steps), 2]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_transport_does_not_depend_on_the_batch_budget(monkeypatch, p):
+    # three residue sets of four steps each; every set's last step is 0.9
+    # times the distance to the nearest pole, where steps split
+    rng = np.random.default_rng(90 + p)
+    poles = np.array([0.5, -0.3 + 0.4j, 0.1 - 0.7j])
+    residues = 0.6 * (rng.standard_normal((3, 3, p, p)) + 1j * rng.standard_normal((3, 3, p, p)))
+    leg = spectral._path_steps(poles, -0.6 - 0.5j, 0.9 - 0.2j)[:3] + [(-0.1, 0.26)]
+    steps = np.array(leg * 3, dtype=complex)
+    calls = _counting(monkeypatch, spectral, "_step_propagators")
+    want = spectral._step_propagators(poles, residues, steps)
+    assert len(calls) > 1  # the step split
+    for budget in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_BATCH_STEPS", budget)
+        assert np.array_equal(spectral._step_propagators(poles, residues, steps), want)
+    # each set serves its own four steps
+    for i in range(3):
+        alone = spectral._step_propagators(poles, residues[i : i + 1], steps[4 * i : 4 * i + 4])
+        assert np.array_equal(alone, want[4 * i : 4 * i + 4])
 
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_transport_products_stay_within_six_residue_stacks(p):
     # the products of all _BATCH_STEPS steps at once would take p residue
-    # stacks on their own; in slices of _BATCH_STEPS // p steps they take one
+    # stacks on their own; in runs of _BATCH_STEPS // p steps they take one,
+    # and each run gathers only its own residues
     rng = np.random.default_rng(p)
     n_poles, n_steps = 2 * p, spectral._BATCH_STEPS
     poles = np.exp(2j * np.pi * np.arange(n_poles) / n_poles)
@@ -1134,7 +1141,34 @@ def test_transport_products_stay_within_six_residue_stacks(p):
     finally:
         tracemalloc.stop()
     assert phi.shape == (n_steps, p, p)
-    assert peak <= 6 * residues.nbytes
+    assert peak <= 3 * residues.nbytes
+
+
+def test_a_newton_round_holds_one_run_of_the_transport(monkeypatch):
+    # past its propagators, the transport of a round holds one run's
+    # products, whatever the count of lam: here a run is one lam's steps
+    prob = standard_ncho_problem(2.0, 0.75, 0.1, 1.5)
+    plan = spectral._connection_plan(prob)
+    monkeypatch.setattr(spectral, "_BATCH_STEPS", prob.p * len(plan.steps))
+    held = []
+    real = spectral._step_propagators
+
+    def measured(poles, residues, steps):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        props = real(poles, residues, steps)
+        held.append(tracemalloc.get_traced_memory()[1] - before - props.nbytes)
+        return props
+
+    monkeypatch.setattr(spectral, "_step_propagators", measured)
+    for n in (20, 200):
+        tracemalloc.start()
+        try:
+            spectral._row_matrices(plan, np.linspace(0.5, 10.0, n))
+        finally:
+            tracemalloc.stop()
+    assert len(held) == 2  # one call per round, and no step split
+    assert held[1] <= held[0]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1289,24 +1323,6 @@ def test_legs_pass_no_other_inner_pole(theta):
     ref = spectrum_truncated(prob, 6, tol=1e-13).eigenvalues
     conn = _connection(prob, 6).eigenvalues
     assert np.max(np.abs(conn - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_newton_rounds_split_at_the_batch_budget(monkeypatch):
-    prob = _classical_eta01()
-    whole = _connection(prob, 5)
-    steps = len(spectral._connection_plan(prob).steps)
-    monkeypatch.setattr(spectral, "_BATCH_STEPS", 3 * steps + 1)
-    batches = _top_level_batches(monkeypatch)
-    split = _connection(prob, 5)
-    # 10 lam in the first round: batches of 3, 3, 3 and 1
-    assert batches[:4] == [3 * steps, 3 * steps, 3 * steps, steps]
-    assert max(batches) <= spectral._BATCH_STEPS
-    assert np.max(np.abs(split.eigenvalues - whole.eigenvalues)) <= 1e-14
-    # a budget below one lam's steps still takes one lam per batch
-    monkeypatch.setattr(spectral, "_BATCH_STEPS", 1)
-    batches.clear()
-    _connection(prob, 2)
-    assert set(batches) == {steps}
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.45, 0.6])
@@ -1488,6 +1504,19 @@ def test_radial_modes_refuse_t_that_is_not_finite_and_positive(t):
         laguerre_mode(2, 1.5, t)
     with pytest.raises(ContractViolation, match="t grid must be finite and positive"):
         eigenfunction_profile(P1, spectrum_truncated(P1, 1), 0, np.array([1.0, t]))
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, True, False, "2", None])
+def test_radial_mode_refuses_an_index_that_is_not_an_integer(m):
+    with pytest.raises(ContractViolation, match="need an integer m >= 0"):
+        laguerre_mode(m, 1.0, 0.5)
+
+
+def test_radial_mode_takes_numpy_integers_and_refuses_nan_mu():
+    t = np.linspace(0.1, 3.0, 7)
+    assert np.array_equal(laguerre_mode(np.int64(3), 1.5, t), laguerre_mode(3, 1.5, t))
+    with pytest.raises(ContractViolation, match="mu > 0"):
+        laguerre_mode(2, np.nan, t)
 
 
 def test_radial_modes_refuse_t_where_the_laguerre_sum_overflows():
